@@ -12,6 +12,19 @@ class ``k`` versus the reference. Writing ``eta_k = x . theta_k`` and
 
 so class probabilities normalize: including the reference's unit term in
 ``psi`` is what identifies the model.
+
+Grouped evaluation
+------------------
+Every objective is a weighted sum of ``psi`` over rows minus a linear term
+that is constant in theta, so it depends on the rows only through the
+counts of their distinct patterns. ``group_rows`` collapses rows once per
+fit and ``weighted_objective`` evaluates value, gradient and Hessian from
+one pass of class probabilities per block of distinct design rows (see
+``docs/math.md``, "Grouped form"). The public ``nll``, ``nll_grad``,
+``nll_hess`` and ``per_row_grads`` group their rows and run the same
+kernel. Sums run in pattern order rather than row order, so results agree
+with a row-by-row evaluation to about 1e-12 relative; their last bits may
+differ.
 """
 
 from __future__ import annotations
@@ -22,25 +35,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, SeparationError, ShapeError
-
-
-@dataclass(frozen=True)
-class ModelShape:
-    """Class count, covariate dimension, and the pinned reference class."""
-
-    n_classes: int
-    n_features: int
-    reference_class: int = 0
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise ShapeError(f"need at least 2 classes, got {self.n_classes}")
-        if self.n_features < 1:
-            raise ShapeError(f"need at least 1 feature, got {self.n_features}")
-
-    @property
-    def n_params(self) -> int:
-        return self.n_features * (self.n_classes - 1)
 
 
 @dataclass(frozen=True)
@@ -65,18 +59,8 @@ class FitDiagnostics:
     status: str = "converged"       # converged | max_iterations | stalled | separation
 
 
-def one_hot(y: int, n_classes: int) -> np.ndarray:
-    """Length-(K-1) indicator; the reference class (0) maps to all zeros."""
-    if not 0 <= y < n_classes:
-        raise ShapeError(f"class index {y} out of range for {n_classes} classes")
-    out = np.zeros(n_classes - 1)
-    if y > 0:
-        out[y - 1] = 1.0
-    return out
-
-
 def onehot_rows(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Row-stacked one_hot for an integer label vector, shape (n, K-1)."""
+    """Length-(K-1) indicator rows, shape (n, K-1); the reference class (0) maps to zeros."""
     y = np.asarray(y)
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ShapeError(
@@ -109,24 +93,20 @@ def class_probs(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     instead of overflowing. The reference probability is
     ``1 - probs.sum(axis=-1)`` and stays positive.
     """
-    single = np.asarray(x).ndim == 1
+    probs, _ = _probs_and_psi(theta, x, n_classes)
+    return probs[0] if np.asarray(x).ndim == 1 else probs
+
+
+def _probs_and_psi(theta: np.ndarray, x: np.ndarray,
+                   n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class probabilities and the log normalizer psi per row, overflow-safe."""
     eta = linear_predictors(theta, x, n_classes)
     if not np.all(np.isfinite(eta)):
         raise NumericError("non-finite linear predictor")
     m = np.maximum(eta.max(axis=1), 0.0)
     expo = np.exp(eta - m[:, None])
     denom = np.exp(-m) + expo.sum(axis=1)
-    probs = expo / denom[:, None]
-    return probs[0] if single else probs
-
-
-def log_normalizer(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
-    """psi(theta, x) = log(1 + sum_k exp(eta_k)) per row, overflow-safe."""
-    eta = linear_predictors(theta, x, n_classes)
-    if not np.all(np.isfinite(eta)):
-        raise NumericError("non-finite linear predictor")
-    m = np.maximum(eta.max(axis=1), 0.0)
-    return m + np.log(np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1))
+    return expo / denom[:, None], m + np.log(denom)
 
 
 def _check_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,32 +123,177 @@ def _check_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.nda
     return x, y
 
 
+@dataclass(frozen=True)
+class RowPatterns:
+    """Rows collapsed to their distinct (x, labels) patterns, with integer counts.
+
+    ``x`` holds the distinct design rows in lexicographic order and
+    ``x_counts`` how many rows share each. Pattern ``t`` is design row
+    ``x_index[t]`` with label tuple ``labels[t]``, seen ``counts[t]``
+    times; input row ``i`` is pattern ``inverse[i]``.
+    """
+
+    x: np.ndarray
+    x_counts: np.ndarray
+    x_index: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.inverse.shape[0]
+
+    def class_counts(self, column: int, n_classes: int) -> np.ndarray:
+        """(P, K) count of rows per distinct design row and class of label ``column``."""
+        flat = self.x_index * n_classes + self.labels[:, column]
+        return np.bincount(flat, weights=self.counts,
+                           minlength=self.x.shape[0] * n_classes).reshape(-1, n_classes)
+
+    def gradients(self, probs: np.ndarray, column: int, n_classes: int) -> np.ndarray:
+        """Per-pattern NLL gradients (p - onehot(label)) (x) x, shape (T, d*(K-1)).
+
+        ``probs`` are the non-reference class probabilities at ``self.x``.
+        """
+        resid = probs[self.x_index] - onehot_rows(self.labels[:, column], n_classes)
+        x = self.x[self.x_index]
+        return (resid[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+
+
+def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
+    """Collapse rows to their distinct (x, labels...) patterns.
+
+    The one grouping every fit uses. Patterns come out sorted, so they do
+    not depend on row order; a continuous design collapses nothing and
+    keeps one pattern per row.
+    """
+    x = _as_matrix(x)
+    n = x.shape[0]
+    lab = np.column_stack(labels) if labels else np.zeros((n, 0), dtype=np.int64)
+    order = np.lexsort([*lab.T[::-1], *x.T[::-1]])
+    xs, ls = x[order], lab[order]
+    new_x = np.ones(n, dtype=bool)
+    new_x[1:] = np.any(xs[1:] != xs[:-1], axis=1)
+    new_pattern = new_x.copy()
+    new_pattern[1:] |= np.any(ls[1:] != ls[:-1], axis=1)
+    starts = np.flatnonzero(new_pattern)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new_pattern) - 1
+    counts = np.diff(np.append(starts, n))
+    x_index = (np.cumsum(new_x) - 1)[starts]
+    x_unique = xs[new_x]
+    return RowPatterns(x=x_unique,
+                       x_counts=np.bincount(x_index, weights=counts, minlength=len(x_unique)),
+                       x_index=x_index, labels=ls[starts], counts=counts, inverse=inverse)
+
+
+def group_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatterns:
+    """Validate labeled rows and collapse them to (x, y) patterns."""
+    return group_rows(*_check_labeled(x, y, n_classes))
+
+
+def _weighted_hessian(x: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_i w_i (diag(p_i) - p_i p_i^T) (x) x_i x_i^T, one GEMM over row outer products."""
+    n, d = x.shape
+    km1 = p.shape[1]
+    curv = -p[:, :, None] * p[:, None, :]
+    idx = np.arange(km1)
+    curv[:, idx, idx] += p
+    outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+    h = (w[:, None] * curv.reshape(n, km1 * km1)).T @ outer
+    return h.reshape(km1, km1, d, d).transpose(0, 2, 1, 3).reshape(km1 * d, km1 * d)
+
+
+class _Objective:
+    """sum_b sum_p w_bp psi(theta, x_bp) - b . theta over blocks of distinct design rows.
+
+    Each block's probabilities are computed once per theta and give the
+    value, gradient and Hessian. The last theta's probabilities are kept
+    for the Hessian the Newton solver asks for at the point it accepted.
+    """
+
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]],
+                 linear: np.ndarray | None, n_classes: int):
+        self.blocks = blocks
+        self.linear = linear
+        self.n_classes = n_classes
+        self._theta = None
+        self._probs: list[np.ndarray] = []
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        theta = np.asarray(theta, dtype=float)
+        value = 0.0
+        grad = np.zeros(theta.shape[0])
+        probs = []
+        for x, w in self.blocks:
+            p, psi = _probs_and_psi(theta, x, self.n_classes)
+            probs.append(p)
+            value += w @ psi
+            grad += ((w[:, None] * p).T @ x).ravel()
+        self._theta, self._probs = theta.copy(), probs
+        if self.linear is not None:
+            value -= self.linear @ theta
+            grad -= self.linear
+        return float(value), grad
+
+    def hess(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if self._theta is not None and np.array_equal(theta, self._theta):
+            probs = self._probs
+        else:
+            probs = [_probs_and_psi(theta, x, self.n_classes)[0] for x, _ in self.blocks]
+        h = np.zeros((theta.shape[0], theta.shape[0]))
+        for (x, w), p in zip(self.blocks, probs):
+            h += _weighted_hessian(x, w, p)
+        return h
+
+
+def weighted_objective(terms: list[tuple[RowPatterns, int | None, float]],
+                       n_classes: int) -> _Objective:
+    """A weighted sum of NLL terms over grouped rows, as one objective.
+
+    Each term ``(patterns, column, weight)`` adds ``weight`` times the
+    summed NLL of the patterns' rows under label ``column``; a ``column``
+    of None adds the label-free psi part only, which is all a Hessian
+    needs. Since ``-eta_y`` is linear in theta, the labels collapse into
+    one constant vector ``b``, and terms on the same patterns share one
+    psi block. Zero-weight terms and blocks are skipped, not added as
+    zeros, so lambda = 0 and the lambda = 1 cancellation stay exact.
+    """
+    psi_weights: dict[int, list] = {}
+    linear = None
+    for patterns, column, weight in terms:
+        if weight == 0.0:
+            continue
+        entry = psi_weights.setdefault(id(patterns), [patterns, 0.0])
+        entry[1] += weight
+        if column is not None:
+            counts = patterns.class_counts(column, n_classes)[:, 1:]
+            part = weight * (counts.T @ patterns.x).ravel()
+            linear = part if linear is None else linear + part
+    blocks = [(p.x, w * p.x_counts) for p, w in psi_weights.values() if w != 0.0]
+    return _Objective(blocks, linear, n_classes)
+
+
+def _mean_nll(patterns: RowPatterns, n_classes: int, column: int | None = 0) -> _Objective:
+    return weighted_objective([(patterns, column, 1.0 / patterns.n_rows)], n_classes)
+
+
 def nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> float:
     """Mean negative log likelihood over labeled rows."""
-    x, y = _check_labeled(x, y, n_classes)
-    eta = linear_predictors(theta, x, n_classes)
-    if not np.all(np.isfinite(eta)):
-        raise NumericError("non-finite linear predictor")
-    m = np.maximum(eta.max(axis=1), 0.0)
-    psi = m + np.log(np.exp(-m) + np.exp(eta - m[:, None]).sum(axis=1))
-    picked = np.zeros(len(y))
-    nonref = y > 0
-    picked[nonref] = eta[nonref, y[nonref] - 1]
-    return float(np.mean(psi - picked))
+    return _mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[0]
 
 
 def per_row_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-row gradients (probs - onehot(y)) (x) x, shape (n, d*(K-1))."""
-    x, y = _check_labeled(x, y, n_classes)
-    resid = class_probs(theta, x, n_classes) - onehot_rows(y, n_classes)
-    return np.einsum("ik,ia->ika", resid, x).reshape(x.shape[0], -1)
+    patterns = group_labeled(x, y, n_classes)
+    probs, _ = _probs_and_psi(theta, patterns.x, n_classes)
+    return patterns.gradients(probs, 0, n_classes)[patterns.inverse]
 
 
 def nll_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Gradient of nll, block layout matching theta."""
-    x, y = _check_labeled(x, y, n_classes)
-    resid = class_probs(theta, x, n_classes) - onehot_rows(y, n_classes)
-    return (resid.T @ x).ravel() / x.shape[0]
+    return _mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[1]
 
 
 def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
@@ -177,14 +302,7 @@ def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     Per row the (K-1, K-1) curvature is diag(p) - p p^T, and the full
     Hessian is the mean of its Kronecker product with x x^T.
     """
-    x = _as_matrix(x)
-    p = class_probs(theta, x, n_classes)
-    w = -p[:, :, None] * p[:, None, :]
-    idx = np.arange(n_classes - 1)
-    w[:, idx, idx] += p
-    n, d = x.shape
-    h = np.einsum("ikj,ia,ib->kajb", w, x, x).reshape(d * (n_classes - 1), -1)
-    return h / n
+    return _mean_nll(group_rows(x), n_classes, column=None).hess(theta)
 
 
 def _solve_newton_step(hess: np.ndarray, grad: np.ndarray, ridge: float) -> tuple[np.ndarray, bool]:
@@ -274,20 +392,21 @@ def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int,
     SeparationError when coefficients pass ``options.coef_bound`` while the
     loss is still decreasing (complete or quasi-complete separation).
     """
-    x, y = _check_labeled(x, y, n_classes)
-    present = np.unique(y)
+    return fit_grouped(group_labeled(x, y, n_classes), n_classes, options, theta0)
+
+
+def fit_grouped(patterns: RowPatterns, n_classes: int,
+                options: NewtonOptions = NewtonOptions(),
+                theta0: np.ndarray | None = None) -> tuple[np.ndarray, FitDiagnostics]:
+    """``fit_mle`` on rows already grouped by ``group_labeled``."""
+    present = np.unique(patterns.labels[:, 0])
     if len(present) != n_classes:
         missing = sorted(set(range(n_classes)) - set(present.tolist()))
         raise ShapeError(f"classes absent from data: {missing}")
-    d = x.shape[1]
     if theta0 is None:
-        theta0 = np.zeros(d * (n_classes - 1))
-
-    def value_and_grad(theta):
-        return nll(theta, x, y, n_classes), nll_grad(theta, x, y, n_classes)
-
-    theta, diag = newton_minimize(value_and_grad, lambda t: nll_hess(t, x, n_classes),
-                                  theta0, options)
+        theta0 = np.zeros(patterns.x.shape[1] * (n_classes - 1))
+    objective = _mean_nll(patterns, n_classes)
+    theta, diag = newton_minimize(objective.value_and_grad, objective.hess, theta0, options)
     if diag.status == "separation":
         raise SeparationError(
             f"coefficient max-norm exceeded {options.coef_bound:g} while the "

@@ -22,13 +22,21 @@ come from the sandwich ``H^-1 ((n/N) V_f + V_delta) H^-1`` with ``H``
 the pooled empirical Hessian, ``V_f`` the (scaled) covariance of
 predicted-label gradients over all rows, and ``V_delta`` the labeled-row
 covariance of the rectified per-row gradient. Confidence intervals are
-``theta_j +/- z_{1-alpha/2} sqrt(Sigma_jj / n)``.
+``theta_j +/- z_{1-alpha/2} sqrt(Sigma_jj / n)``. A report whose fit did
+not converge carries a ``fit status <status>: intervals not valid``
+warning.
+
+Every fit, tuning step and covariance runs on rows collapsed to their
+distinct (x, y, yhat) patterns with integer counts (``mlogit.group_rows``);
+covariances weight each pattern by its count and keep the 1/(m-1)
+divisor. A report's values match a row-by-row evaluation to about 1e-12
+relative, but their last bits may differ.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -36,14 +44,17 @@ import scipy.stats
 
 from . import mlogit
 from .errors import ParameterError, ShapeError
-from .mlogit import FitDiagnostics, NewtonOptions
-
-ESTIMATOR_TAGS = ("ground-truth", "classical", "naive", "multippi")
+from .mlogit import FitDiagnostics, NewtonOptions, RowPatterns
 
 
 @dataclass(frozen=True)
 class PpiInputs:
-    """Aligned labeled and unlabeled design rows with predictions on every row."""
+    """Aligned labeled and unlabeled design rows with predictions on every row.
+
+    Construction collapses the rows once: ``labeled`` into (x, y, yhat)
+    patterns (label columns 0 and 1), ``unlabeled`` into (x, yhat)
+    patterns (label column 0). Every fit on these inputs runs on them.
+    """
 
     x_labeled: np.ndarray
     y_labeled: np.ndarray
@@ -51,6 +62,8 @@ class PpiInputs:
     x_unlabeled: np.ndarray
     yhat_unlabeled: np.ndarray
     n_classes: int
+    labeled: RowPatterns = field(init=False, repr=False, compare=False)
+    unlabeled: RowPatterns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_labeled", np.asarray(self.x_labeled, dtype=float))
@@ -79,6 +92,10 @@ class PpiInputs:
                 raise ShapeError(f"{name} must be integer class indices")
             if arr.min() < 0 or arr.max() >= self.n_classes:
                 raise ShapeError(f"{name} outside [0, {self.n_classes})")
+        object.__setattr__(self, "labeled", mlogit.group_rows(
+            self.x_labeled, self.y_labeled, self.yhat_labeled))
+        object.__setattr__(self, "unlabeled", mlogit.group_rows(
+            self.x_unlabeled, self.yhat_unlabeled))
 
     @property
     def n_labeled(self) -> int:
@@ -233,50 +250,71 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _rectified_objective(inputs: PpiInputs, lam: float):
+    """(L_n - lam L_n^pred) + lam L_N^pred as one weighted objective.
+
+    psi weights (1 - lam)/n on labeled rows and lam/N on unlabeled rows,
+    plus the constant linear term of the three label sets.
+    """
+    n, big_n = inputs.n_labeled, inputs.n_unlabeled
+    return mlogit.weighted_objective(
+        [(inputs.labeled, 0, 1.0 / n), (inputs.labeled, 1, -lam / n),
+         (inputs.unlabeled, 0, lam / big_n)], inputs.n_classes)
+
+
 def rectified_loss(theta: np.ndarray, inputs: PpiInputs, lam: float) -> tuple[float, np.ndarray]:
     """Value and gradient of the rectified objective at ``theta``.
 
-    Grouped as ``(L_n - lam L_n^pred) + lam L_N^pred`` so the algebraic
-    cancellations at lam = 0 and at lam = 1 with perfect labeled
-    predictions are exact in floating point.
+    The terms are summed in the order ``(L_n - lam L_n^pred) + lam L_N^pred``
+    and zero-weight terms are skipped, so the algebraic cancellations at
+    lam = 0 and at lam = 1 with perfect labeled predictions are exact in
+    floating point.
     """
-    lam = _check_lambda(lam)
-    k = inputs.n_classes
-    value = mlogit.nll(theta, inputs.x_labeled, inputs.y_labeled, k)
-    grad = mlogit.nll_grad(theta, inputs.x_labeled, inputs.y_labeled, k)
-    if lam != 0.0:
-        value = (value - lam * mlogit.nll(theta, inputs.x_labeled, inputs.yhat_labeled, k)) \
-            + lam * mlogit.nll(theta, inputs.x_unlabeled, inputs.yhat_unlabeled, k)
-        grad = (grad - lam * mlogit.nll_grad(theta, inputs.x_labeled, inputs.yhat_labeled, k)) \
-            + lam * mlogit.nll_grad(theta, inputs.x_unlabeled, inputs.yhat_unlabeled, k)
-    return value, grad
+    return _rectified_objective(inputs, _check_lambda(lam)).value_and_grad(theta)
 
 
 def rectified_hessian(theta: np.ndarray, inputs: PpiInputs, lam: float) -> np.ndarray:
     """(1-lam) H_labeled + lam H_unlabeled; labels never enter."""
-    lam = _check_lambda(lam)
-    k = inputs.n_classes
-    h_l = mlogit.nll_hess(theta, inputs.x_labeled, k)
-    h_u = mlogit.nll_hess(theta, inputs.x_unlabeled, k)
-    return (1.0 - lam) * h_l + lam * h_u
+    return _rectified_objective(inputs, _check_lambda(lam)).hess(theta)
 
 
 def pooled_hessian(theta: np.ndarray, inputs: PpiInputs) -> np.ndarray:
-    """Empirical Hessian averaged over labeled and unlabeled rows together."""
-    k = inputs.n_classes
-    n, big_n = inputs.n_labeled, inputs.n_unlabeled
-    return (n * mlogit.nll_hess(theta, inputs.x_labeled, k)
-            + big_n * mlogit.nll_hess(theta, inputs.x_unlabeled, k)) / (n + big_n)
+    """Empirical Hessian averaged over labeled and unlabeled rows together.
+
+    Its patterns are the distinct x rows only, so predictions never enter.
+    """
+    w = 1.0 / (inputs.n_labeled + inputs.n_unlabeled)
+    return mlogit.weighted_objective(
+        [(inputs.labeled, None, w), (inputs.unlabeled, None, w)], inputs.n_classes).hess(theta)
 
 
-def _cross_cov(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sample cross-covariance with the 1/(m-1) divisor."""
-    m = a.shape[0]
+def _cross_cov(a: np.ndarray, b: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sample cross-covariance of rows repeated ``counts`` times, 1/(m-1) divisor."""
+    counts = np.asarray(counts, dtype=float)
+    m = counts.sum()
     if m < 2:
         raise ShapeError("need at least 2 rows for a sample covariance")
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    return ac.T @ bc / (m - 1)
+    ac = a - counts @ a / m
+    bc = b - counts @ b / m
+    return (ac * counts[:, None]).T @ bc / (m - 1)
+
+
+def _pattern_gradients(theta: np.ndarray, inputs: PpiInputs):
+    """Per-pattern gradients at ``theta`` with the pattern counts.
+
+    Returns (true-label and predicted-label gradients on the labeled
+    patterns, their counts, predicted-label gradients on all patterns,
+    their counts).
+    """
+    k = inputs.n_classes
+    lab, unl = inputs.labeled, inputs.unlabeled
+    probs_l = mlogit.class_probs(theta, lab.x, k)
+    probs_u = mlogit.class_probs(theta, unl.x, k)
+    grads_true = lab.gradients(probs_l, 0, k)
+    grads_pred_l = lab.gradients(probs_l, 1, k)
+    pred_all = np.vstack([grads_pred_l, unl.gradients(probs_u, 0, k)])
+    return (grads_true, grads_pred_l, lab.counts,
+            pred_all, np.concatenate([lab.counts, unl.counts]))
 
 
 def _regularized_inverse(h: np.ndarray, ridge: float = 1e-10) -> tuple[np.ndarray, bool]:
@@ -306,13 +344,10 @@ def fit_rectified(inputs: PpiInputs, lam: float,
 
     Non-convergence is reported through the diagnostics, not raised.
     """
-    lam = _check_lambda(lam)
+    objective = _rectified_objective(inputs, _check_lambda(lam))
     if theta0 is None:
         theta0 = np.zeros(inputs.n_params)
-    return mlogit.newton_minimize(
-        lambda t: rectified_loss(t, inputs, lam),
-        lambda t: rectified_hessian(t, inputs, lam),
-        theta0, options)
+    return mlogit.newton_minimize(objective.value_and_grad, objective.hess, theta0, options)
 
 
 def tune_lambda(inputs: PpiInputs, theta_pilot: np.ndarray) -> LambdaChoice:
@@ -326,20 +361,17 @@ def tune_lambda(inputs: PpiInputs, theta_pilot: np.ndarray) -> LambdaChoice:
     theta_pilot = np.asarray(theta_pilot, dtype=float)
     if not np.all(np.isfinite(theta_pilot)):
         raise ParameterError("pilot coefficients must be finite")
-    k = inputs.n_classes
     n, big_n = inputs.n_labeled, inputs.n_unlabeled
     warning = None
     h = pooled_hessian(theta_pilot, inputs)
     h_inv, warned = _regularized_inverse(h)
     if warned:
         warning = "pooled Hessian regularized for lambda tuning"
-    grads_true = mlogit.per_row_grads(theta_pilot, inputs.x_labeled, inputs.y_labeled, k)
-    grads_pred_l = mlogit.per_row_grads(theta_pilot, inputs.x_labeled, inputs.yhat_labeled, k)
-    grads_pred_u = mlogit.per_row_grads(theta_pilot, inputs.x_unlabeled, inputs.yhat_unlabeled, k)
-    cross = _cross_cov(grads_true, grads_pred_l)
+    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
+        _pattern_gradients(theta_pilot, inputs)
+    cross = _cross_cov(grads_true, grads_pred_l, counts_l)
     numerator = float(np.trace(h_inv @ (cross + cross.T) @ h_inv))
-    pred_all = np.vstack([grads_pred_l, grads_pred_u])
-    denominator = float(np.trace(h_inv @ _cross_cov(pred_all, pred_all) @ h_inv))
+    denominator = float(np.trace(h_inv @ _cross_cov(pred_all, pred_all, counts_all) @ h_inv))
     denominator *= 2.0 * (1.0 + n / big_n)
     if denominator <= 0.0:
         return LambdaChoice.from_raw(0.0, "tuned",
@@ -387,17 +419,14 @@ def sandwich_covariance(theta: np.ndarray, inputs: PpiInputs, lam: float) -> Cov
     """
     lam = _check_lambda(lam)
     theta = np.asarray(theta, dtype=float)
-    k = inputs.n_classes
     n, big_n = inputs.n_labeled, inputs.n_unlabeled
     h = pooled_hessian(theta, inputs)
     h_inv, warned = _regularized_inverse(h)
-    grads_true = mlogit.per_row_grads(theta, inputs.x_labeled, inputs.y_labeled, k)
-    grads_pred_l = mlogit.per_row_grads(theta, inputs.x_labeled, inputs.yhat_labeled, k)
-    grads_pred_u = mlogit.per_row_grads(theta, inputs.x_unlabeled, inputs.yhat_unlabeled, k)
-    pred_all = np.vstack([grads_pred_l, grads_pred_u])
-    v_f = lam ** 2 * _cross_cov(pred_all, pred_all)
-    delta_rows = grads_true - lam * grads_pred_l
-    v_delta = _cross_cov(delta_rows, delta_rows)
+    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
+        _pattern_gradients(theta, inputs)
+    v_f = lam ** 2 * _cross_cov(pred_all, pred_all, counts_all)
+    delta = grads_true - lam * grads_pred_l
+    v_delta = _cross_cov(delta, delta, counts_l)
     sigma = h_inv @ ((n / big_n) * v_f + v_delta) @ h_inv
     sigma = (sigma + sigma.T) / 2
     return CovarianceEstimate(sigma=sigma, hessian=h, v_f=v_f, v_delta=v_delta,
@@ -407,11 +436,17 @@ def sandwich_covariance(theta: np.ndarray, inputs: PpiInputs, lam: float) -> Cov
 def classical_covariance(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
                          n_classes: int) -> CovarianceEstimate:
     """Classical sandwich H^-1 Cov(grad) H^-1 on one set of labeled rows."""
+    return _classical_covariance(theta, mlogit.group_labeled(x, y, n_classes), n_classes)
+
+
+def _classical_covariance(theta: np.ndarray, patterns: RowPatterns,
+                          n_classes: int) -> CovarianceEstimate:
     theta = np.asarray(theta, dtype=float)
-    h = mlogit.nll_hess(theta, x, n_classes)
+    h = mlogit.weighted_objective(
+        [(patterns, None, 1.0 / patterns.n_rows)], n_classes).hess(theta)
     h_inv, warned = _regularized_inverse(h)
-    grads = mlogit.per_row_grads(theta, x, y, n_classes)
-    v = _cross_cov(grads, grads)
+    grads = patterns.gradients(mlogit.class_probs(theta, patterns.x, n_classes), 0, n_classes)
+    v = _cross_cov(grads, grads, patterns.counts)
     sigma = h_inv @ v @ h_inv
     sigma = (sigma + sigma.T) / 2
     return CovarianceEstimate(sigma=sigma, hessian=h, v_f=np.zeros_like(v),
@@ -449,6 +484,8 @@ def confidence_intervals(theta: np.ndarray, sigma: np.ndarray, n: int,
 def _report(estimator, theta, cov, n_denominator, alpha, lambda_choice,
             n_labeled, n_unlabeled, n_classes, diagnostics, **meta) -> InferenceReport:
     se, lower, upper, warns = confidence_intervals(theta, cov.sigma, n_denominator, alpha)
+    if diagnostics.status != "converged":
+        warns.insert(0, f"fit status {diagnostics.status}: intervals not valid")
     return InferenceReport(
         estimator=estimator, theta=theta, se=se, ci_lower=lower, ci_upper=upper,
         alpha=alpha, lambda_choice=lambda_choice, n_labeled=n_labeled,
@@ -471,8 +508,9 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
     if n < d * (n_classes - 1) + 1:
         raise ShapeError(
             f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
-    theta, diag = mlogit.fit_mle(x, y, n_classes, options=options)
-    cov = classical_covariance(theta, x, y, n_classes)
+    patterns = mlogit.group_labeled(x, y, n_classes)
+    theta, diag = mlogit.fit_grouped(patterns, n_classes, options=options)
+    cov = _classical_covariance(theta, patterns, n_classes)
     return _report(estimator, theta, cov, n, alpha,
                    LambdaChoice(0.0, 0.0, "fixed"), n, 0, n_classes, diag, **meta)
 
@@ -484,8 +522,9 @@ def fit_naive(x_all: np.ndarray, yhat_all: np.ndarray, n_classes: int,
     x_all = np.asarray(x_all, dtype=float)
     total = x_all.shape[0]
     n_labeled = total if n_labeled is None else n_labeled
-    theta, diag = mlogit.fit_mle(x_all, yhat_all, n_classes, options=options)
-    cov = classical_covariance(theta, x_all, yhat_all, n_classes)
+    patterns = mlogit.group_labeled(x_all, yhat_all, n_classes)
+    theta, diag = mlogit.fit_grouped(patterns, n_classes, options=options)
+    cov = _classical_covariance(theta, patterns, n_classes)
     return _report("naive", theta, cov, total, alpha,
                    LambdaChoice(0.0, 0.0, "fixed"), n_labeled,
                    total - n_labeled, n_classes, diag, **meta)

@@ -9,20 +9,21 @@ from multippi import mlogit
 from multippi.errors import NumericError, SeparationError, ShapeError
 
 
-def test_one_hot_reference_class():
-    assert np.array_equal(mlogit.one_hot(0, 5), np.zeros(4))
+def test_onehot_rows_reference_class():
+    assert np.array_equal(mlogit.onehot_rows(np.array([0]), 5), np.zeros((1, 4)))
 
 
-def test_one_hot_examples():
-    assert np.array_equal(mlogit.one_hot(3, 5), np.array([0.0, 0.0, 1.0, 0.0]))
-    assert np.array_equal(mlogit.one_hot(1, 2), np.array([1.0]))
+def test_onehot_rows_examples():
+    assert np.array_equal(mlogit.onehot_rows(np.array([3]), 5),
+                          np.array([[0.0, 0.0, 1.0, 0.0]]))
+    assert np.array_equal(mlogit.onehot_rows(np.array([1]), 2), np.array([[1.0]]))
 
 
-def test_one_hot_out_of_range():
+def test_onehot_rows_out_of_range():
     with pytest.raises(ShapeError):
-        mlogit.one_hot(5, 5)
+        mlogit.onehot_rows(np.array([5]), 5)
     with pytest.raises(ShapeError):
-        mlogit.one_hot(-1, 5)
+        mlogit.onehot_rows(np.array([-1]), 5)
 
 
 def test_class_probs_uniform_at_zero():

@@ -354,3 +354,23 @@ def test_ppi_inputs_validation():
         bad = y.copy()
         bad[0] = 7
         ppi.PpiInputs(x[:6], y[:6], bad[:6], x[6:], y[6:], 2)
+
+
+def test_report_warns_when_fit_did_not_converge():
+    # class 2 removed from the labeled truth: at lambda = 0.5 the rectified
+    # fit separates, and its report must say that its intervals are invalid
+    spec = simulate.default_spec(seed=3, n_labeled=60, n_unlabeled=400)
+    rng = np.random.default_rng(spec.seed)
+    data = simulate.generate(spec, rng)
+    yhat_l = simulate.corrupt(data.y_labeled, simulate.ASYMMETRIC_3CLASS, rng)
+    yhat_u = simulate.corrupt(data.y_unlabeled, simulate.ASYMMETRIC_3CLASS, rng)
+    keep = data.y_labeled != 2
+    inputs = ppi.PpiInputs(data.x_labeled[keep], data.y_labeled[keep], yhat_l[keep],
+                           data.x_unlabeled, yhat_u, 3)
+    report = ppi.fit_multippi_report(inputs, 0.5)
+    assert report.diagnostics.status == "separation"
+    assert report.warnings[0] == "fit status separation: intervals not valid"
+    assert report.to_dict()["warnings"][0] == report.warnings[0]
+    converged = ppi.fit_multippi_report(inputs, 0.0)
+    assert converged.diagnostics.status == "converged"
+    assert converged.warnings == ()
