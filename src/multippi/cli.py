@@ -162,8 +162,10 @@ def cmd_predict(args) -> int:
                                                 delimiter=args.delimiter).records
         else:
             train_records = records
-        model = experiment.train_predictor(train_records, spec)
-        predictions = textpred.predict_all(model, records)
+        corpus = textpred.tokenize_corpus([r.narrative for r in train_records])
+        model = experiment.train_predictor(corpus, [r.true_cause for r in train_records], spec)
+        predictions = textpred.predict_all(model, records,
+                                           None if args.train else corpus)
     _write_csv(out / "predictions.csv", config, predictions.to_rows())
     if model is not None:
         _write_text(out / "model.json",

@@ -263,13 +263,16 @@ class SiteReport:
         return rows
 
 
-def train_predictor(train_records: list[VaRecord], spec: PredictorSpec):
-    """Tokenize, build the vocabulary, and train the requested classifier."""
-    corpus = [textpred.tokenize(r.narrative) for r in train_records]
-    vocab = textpred.build_vocabulary(corpus, min_count=spec.min_count)
+def train_predictor(corpus: textpred.Corpus, labels: list[CodClass], spec: PredictorSpec,
+                    rows: np.ndarray | None = None):
+    """Build the vocabulary on the training rows of a tokenized corpus, and train.
+
+    ``rows`` (default: all) are the training documents, aligned with
+    ``labels``.
+    """
+    vocab = textpred.build_vocabulary(corpus, min_count=spec.min_count, rows=rows)
     weighting = spec.effective_weighting()
-    vectors = textpred.vectorize_corpus(corpus, vocab, weighting)
-    labels = [r.true_cause for r in train_records]
+    vectors = textpred.vectorize_corpus(corpus, vocab, weighting, rows)
     if spec.kind == "nb":
         return textpred.train_nb(vectors, labels, alpha=spec.nb_alpha,
                                  vocabulary=vocab, weighting=weighting)
@@ -376,6 +379,11 @@ def run_loso(records: list[VaRecord], predictor_spec: PredictorSpec,
             known_ids={r.record_id for r in records},
             majority_class=majority_true_cause(records),
             name=predictor_spec.external_name)
+    else:
+        # tokenized once: every site trains and predicts on rows of this corpus
+        corpus = textpred.tokenize_corpus([r.narrative for r in records])
+        site_of = np.asarray([r.site for r in records])
+        labels = [r.true_cause for r in records]
 
     def run_site(site: str) -> SiteReport:
         site_index = all_sites.index(site)
@@ -394,14 +402,16 @@ def run_loso(records: list[VaRecord], predictor_spec: PredictorSpec,
                 unclassified_count=sum(1 for rid in external_set.dropped + external_set.imputed
                                        if rid in site_ids))
         else:
-            train_records = [r for r in records if r.site != site]
+            train_rows = np.flatnonzero(site_of != site)
             try:
-                model = train_predictor(train_records, predictor_spec)
+                model = train_predictor(corpus, [labels[i] for i in train_rows],
+                                        predictor_spec, train_rows)
             except MultippiError as exc:
                 report = SiteReport(site=site, provenance=predictor_spec.kind)
                 report.errors["training"] = f"{type(exc).__name__}: {exc}"
                 return report
-            predictions = textpred.predict_all(model, site_records)
+            predictions = textpred.predict_all(model, site_records, corpus,
+                                               np.flatnonzero(site_of == site))
         report = evaluate_site(site_records, predictions, inference_spec,
                                split_seed, site, predictions.provenance)
         if keep_models:

@@ -111,7 +111,6 @@ class VaRecord:
     age: float
     narrative: str
     true_cause: CodClass | None = None
-    predicted_cause: CodClass | None = None
 
     def __post_init__(self):
         if not self.site:

@@ -342,8 +342,13 @@ def fit_rectified(inputs: PpiInputs, lam: float,
                   options: NewtonOptions = NewtonOptions()) -> tuple[np.ndarray, FitDiagnostics]:
     """Minimize the rectified objective at a fixed lambda.
 
-    Non-convergence is reported through the diagnostics, not raised.
+    Every class must appear among the labeled true labels, at every
+    lambda, as in ``mlogit.fit_mle``; otherwise ShapeError. Non-convergence
+    is reported through the diagnostics, not raised.
     """
+    missing = np.flatnonzero(np.bincount(inputs.y_labeled, minlength=inputs.n_classes) == 0)
+    if missing.size:
+        raise ShapeError(f"classes absent from labeled data: {missing.tolist()}")
     objective = _rectified_objective(inputs, _check_lambda(lam))
     if theta0 is None:
         theta0 = np.zeros(inputs.n_params)

@@ -1,11 +1,16 @@
 """Bag-of-words cause-of-death predictors and external prediction ingestion.
 
 Tokenization lowercases and splits on whitespace/punctuation, keeping
-decimal numbers intact. Vectors are sparse token counts or tf-idf with
-the smoothed weight ``tf * (ln((1+D)/(1+df)) + 1)``. The three bundled
-classifiers (multinomial Naive Bayes, cosine KNN, linear one-vs-rest
-SVM) are deterministic given their training data, hyperparameters, and
-seed; ties always break by the CodClass enumeration order.
+decimal numbers intact. A corpus is tokenized once (``tokenize_corpus``)
+into global token ids and one CSR count matrix, rows = documents. A
+vocabulary is built from any subset of those rows, and
+``vectorize_corpus`` maps rows onto it as a CSR matrix with sorted
+column indices: token counts, or tf-idf with the smoothed weight
+``tf * (ln((1+D)/(1+df)) + 1)``. CSR is the only sparse type; the three
+bundled classifiers (multinomial Naive Bayes, cosine KNN, linear
+one-vs-rest SVM) train and predict on CSR rows. They are deterministic
+given their training data, hyperparameters, and seed; ties always break
+by the CodClass enumeration order.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +32,53 @@ _TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+", re.UNICODE)
 
 UNCLASSIFIED_POLICIES = ("drop", "impute-majority", "keep-as-error")
 
+_SVM_BATCH = 256        # training rows per SVM mini-batch step
+_KNN_BLOCK = 256        # query rows per dense KNN similarity block
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens; punctuation-only fragments never survive."""
     return _TOKEN_RE.findall(text.lower())
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Documents tokenized once against one global token table.
+
+    ``tokens[g]`` is the text of global token id ``g`` (first occurrence
+    first). Document ``d``'s ids, in text order, are
+    ``ids[offsets[d]:offsets[d + 1]]``; ``counts`` holds its integer token
+    counts with sorted column indices.
+    """
+
+    tokens: tuple[str, ...]
+    ids: np.ndarray
+    offsets: np.ndarray
+    counts: scipy.sparse.csr_matrix
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.offsets) - 1
+
+    @classmethod
+    def from_tokens(cls, docs: list[list[str]]) -> "Corpus":
+        table: dict[str, int] = {}
+        ids = np.fromiter((table.setdefault(tok, len(table)) for doc in docs for tok in doc),
+                          dtype=np.int64)
+        offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(doc) for doc in docs])
+        counts = scipy.sparse.csr_matrix((np.ones(ids.size), ids, offsets),
+                                         shape=(len(docs), len(table)))
+        counts.sum_duplicates()
+        return cls(tokens=tuple(table), ids=ids, offsets=offsets, counts=counts)
+
+    def row_ids(self, rows: np.ndarray | None) -> np.ndarray:
+        """The given document rows as an index array; None means all of them."""
+        return np.arange(self.n_docs) if rows is None else np.asarray(rows, dtype=np.int64)
+
+
+def tokenize_corpus(texts: list[str]) -> Corpus:
+    return Corpus.from_tokens([tokenize(text) for text in texts])
 
 
 @dataclass(frozen=True)
@@ -66,105 +113,70 @@ class Vocabulary:
                    total_tokens_kept=int(data["total_tokens_kept"]))
 
 
-def build_vocabulary(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
-    """Index tokens with corpus frequency >= min_count, first occurrence first."""
-    if not corpus:
+def build_vocabulary(corpus: Corpus, min_count: int = 1,
+                     rows: np.ndarray | None = None) -> Vocabulary:
+    """Index tokens of the given rows with frequency >= min_count, first occurrence first.
+
+    Frequencies, first occurrences and document frequencies count only
+    the given rows (default: all), in the order given.
+    """
+    rows = corpus.row_ids(rows)
+    if rows.size == 0:
         raise ParameterError("cannot build a vocabulary from an empty corpus")
-    counts: Counter[str] = Counter()
-    order: dict[str, None] = {}
-    total_raw = 0
-    for tokens in corpus:
-        total_raw += len(tokens)
-        counts.update(tokens)
-        for tok in tokens:
-            order.setdefault(tok, None)
-    index = {}
-    kept_total = 0
-    for tok in order:
-        if counts[tok] >= min_count:
-            index[tok] = len(index)
-            kept_total += counts[tok]
-    if not index:
+    starts = corpus.offsets[rows]
+    lengths = corpus.offsets[rows + 1] - starts
+    ids = corpus.ids[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+                     + np.arange(lengths.sum())]
+    counts = np.bincount(ids, minlength=len(corpus.tokens))
+    first = np.full(len(corpus.tokens), ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))     # first position of each token
+    token_ids = np.flatnonzero((counts > 0) & (counts >= min_count))
+    if not token_ids.size:
         raise ParameterError(
             f"vocabulary is empty after filtering at min_count={min_count}")
-    doc_freq = np.zeros(len(index), dtype=np.int64)
-    for tokens in corpus:
-        for tok in set(tokens):
-            col = index.get(tok)
-            if col is not None:
-                doc_freq[col] += 1
-    return Vocabulary(index=index, doc_freq=doc_freq, n_docs=len(corpus),
-                      total_tokens_raw=total_raw, total_tokens_kept=kept_total)
+    token_ids = token_ids[np.argsort(first[token_ids])]
+    doc_freq = np.bincount(corpus.counts[rows].indices, minlength=len(corpus.tokens))
+    return Vocabulary(index={corpus.tokens[g]: i for i, g in enumerate(token_ids.tolist())},
+                      doc_freq=doc_freq[token_ids], n_docs=int(rows.size),
+                      total_tokens_raw=int(ids.size),
+                      total_tokens_kept=int(counts[token_ids].sum()))
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """(index, weight) pairs with strictly increasing indices."""
+def vectorize_corpus(corpus: Corpus, vocab: Vocabulary, weighting: str = "count",
+                     rows: np.ndarray | None = None) -> scipy.sparse.csr_matrix:
+    """The given rows (default: all) as counts or smoothed tf-idf over the vocabulary.
 
-    indices: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.indices.shape != self.weights.shape:
-            raise ParameterError("indices and weights must align")
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
-            raise ParameterError("indices must be strictly increasing")
-        if not np.all(np.isfinite(self.weights)):
-            raise ParameterError("weights must be finite")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.weights ** 2)))
-
-    def dot(self, other: "SparseVector") -> float:
-        """Sparse dot over shared indices (ascending order)."""
-        if self.nnz == 0 or other.nnz == 0:
-            return 0.0
-        pos = np.searchsorted(self.indices, other.indices)
-        match = pos < self.nnz
-        match[match] = self.indices[pos[match]] == other.indices[match]
-        return float(np.sum(self.weights[pos[match]] * other.weights[match]))
-
-
-def vectorize(tokens: list[str], vocab: Vocabulary, weighting: str = "count") -> SparseVector:
-    """Sparse counts (or smoothed tf-idf) of in-vocabulary tokens.
-
-    Out-of-vocabulary tokens are ignored. The tf-idf weight is
-    ``tf * (ln((1 + D) / (1 + df)) + 1)``: a token present in every
-    document contributes ln(1) = 0 through the log part.
+    Out-of-vocabulary tokens are dropped and column indices are sorted.
+    The tf-idf weight is ``tf * (ln((1 + D) / (1 + df)) + 1)``: a token
+    present in every document contributes ln(1) = 0 through the log part.
     """
     if weighting not in ("count", "tfidf"):
         raise ParameterError(f"unknown weighting {weighting!r}")
-    ids = [vocab.index[t] for t in tokens if t in vocab.index]
-    if not ids:
-        return SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
-    indices, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
-    weights = counts.astype(float)
+    rows = corpus.row_ids(rows)
+    column = np.fromiter((vocab.index.get(tok, -1) for tok in corpus.tokens),
+                         dtype=np.int64, count=len(corpus.tokens))
+    selected = corpus.counts[rows]
+    cols = column[selected.indices]
+    keep = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[selected.indptr]
+    cols = cols[keep]
+    data = selected.data[keep]
     if weighting == "tfidf":
-        idf = np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq[indices])) + 1.0
-        weights = weights * idf
-    return SparseVector(indices, weights)
+        data = data * (np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq[cols])) + 1.0)
+    out = scipy.sparse.csr_matrix((data, cols, indptr), shape=(rows.size, vocab.size))
+    out.sort_indices()
+    return out
 
 
-def vectorize_corpus(corpus: list[list[str]], vocab: Vocabulary,
-                     weighting: str = "count") -> list[SparseVector]:
-    return [vectorize(tokens, vocab, weighting) for tokens in corpus]
-
-
-def _to_csr(vectors: list[SparseVector], n_cols: int) -> scipy.sparse.csr_matrix:
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([v.nnz for v in vectors])
-    if len(vectors):
-        indices = np.concatenate([v.indices for v in vectors])
-        data = np.concatenate([v.weights for v in vectors])
-    else:
-        indices, data = np.empty(0, dtype=np.int64), np.empty(0)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), n_cols))
+def _check_training(trainer: str, vectors: scipy.sparse.csr_matrix, labels: list,
+                    vocabulary: Vocabulary | None) -> None:
+    if vectors.shape[0] != len(labels) or not labels:
+        raise ParameterError("need equally many vectors and labels, at least one")
+    if vocabulary is None:
+        raise ParameterError(f"{trainer} requires the vocabulary for model metadata")
+    if vectors.shape[1] != vocabulary.size:
+        raise ParameterError(f"vectors have {vectors.shape[1]} columns, "
+                             f"the vocabulary {vocabulary.size} tokens")
 
 
 def _class_ids(labels: list[CodClass]) -> np.ndarray:
@@ -191,37 +203,29 @@ class NbModel:
     weighting: str = "count"
     kind: str = "nb"
 
-    def decision_scores(self, vectors: list[SparseVector]) -> np.ndarray:
-        x = _to_csr(vectors, self.vocabulary.size)
-        return x @ self.log_likelihoods.T + self.log_priors
+    def decision_scores(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
+        return vectors @ self.log_likelihoods.T + self.log_priors
 
-    def predict_many(self, vectors: list[SparseVector]) -> list[CodClass]:
+    def predict_many(self, vectors: scipy.sparse.csr_matrix) -> list[CodClass]:
         scores = self.decision_scores(vectors)
         return [self.classes[j] for j in np.argmax(scores, axis=1)]
 
-    def predict(self, vector: SparseVector) -> CodClass:
-        return self.predict_many([vector])[0]
 
-
-def train_nb(vectors: list[SparseVector], labels: list[CodClass],
+def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
              alpha: float = 1.0, vocabulary: Vocabulary | None = None,
              weighting: str = "count") -> NbModel:
     """Fit multinomial NB; class-conditional token distributions each sum to 1."""
     if alpha <= 0:
         raise ParameterError(f"smoothing alpha must be positive, got {alpha}")
-    if len(vectors) != len(labels) or not vectors:
-        raise ParameterError("need equally many vectors and labels, at least one")
-    if vocabulary is None:
-        raise ParameterError("train_nb requires the vocabulary for model metadata")
-    v = vocabulary.size
+    _check_training("train_nb", vectors, labels, vocabulary)
     present = [c for c in CAUSE_CLASSES if c in set(labels)]
-    counts = np.zeros((len(present), v))
-    class_sizes = np.zeros(len(present))
     row_of = {c: i for i, c in enumerate(present)}
-    for vec, lab in zip(vectors, labels):
-        row = row_of[lab]
-        class_sizes[row] += 1
-        counts[row, vec.indices] += vec.weights
+    y = np.asarray([row_of[lab] for lab in labels], dtype=np.int64)
+    m = len(y)
+    # class-by-document membership; the product sums each class's rows in row order
+    member = scipy.sparse.csr_matrix((np.ones(m), (y, np.arange(m))), shape=(len(present), m))
+    counts = (member @ vectors).toarray()
+    class_sizes = np.bincount(y, minlength=len(present)).astype(float)
     log_priors = np.log(class_sizes / class_sizes.sum())
     smoothed = counts + alpha
     log_lik = np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None]
@@ -234,75 +238,68 @@ def train_nb(vectors: list[SparseVector], labels: list[CodClass],
 # K nearest neighbors
 
 
-def _cosine_sims(queries: list[SparseVector], train: list[SparseVector],
-                 n_cols: int) -> np.ndarray:
-    """Pairwise cosine similarity; zero-norm vectors score 0 everywhere."""
-    q = _to_csr(queries, n_cols)
-    t = _to_csr(train, n_cols)
-    dots = np.asarray((q @ t.T).todense())
-    qn = np.asarray([v.norm() for v in queries])
-    tn = np.asarray([v.norm() for v in train])
-    denom = np.outer(qn, tn)
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-    return sims
+def _row_norms(vectors: scipy.sparse.csr_matrix) -> np.ndarray:
+    return np.sqrt(np.asarray(vectors.multiply(vectors).sum(axis=1)).ravel())
 
 
-def _knn_vote(sims: np.ndarray, label_ids: np.ndarray, k: int) -> int:
-    # stable sort: equal similarities resolve to the lower training index
-    order = np.argsort(-sims, kind="stable")[:k]
-    votes = np.bincount(label_ids[order], minlength=len(CAUSE_CLASSES))
-    return int(np.argmax(votes))
+def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's k most similar columns.
+
+    Every column above the row's k-th largest value is in; columns equal
+    to it fill the remaining places from the lowest index up.
+    """
+    kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, [sims.shape[1] - k]]
+    above = sims > kth
+    tied = sims == kth
+    free = k - above.sum(axis=1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=1) <= free))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnModel:
-    """Memorized training vectors queried by cosine similarity."""
+    """Memorized training rows queried by cosine similarity.
 
-    vectors: tuple[SparseVector, ...]
+    Prediction is the majority label among the k most similar training
+    rows. Similarity ties resolve to the lower training index, vote ties
+    to the earlier class in enumeration order; zero-norm rows score 0
+    against everything.
+    """
+
+    vectors: scipy.sparse.csr_matrix
     labels: tuple[CodClass, ...]
     k: int
     vocabulary: Vocabulary
     weighting: str = "tfidf"
     kind: str = "knn"
+    norms: np.ndarray = field(init=False, repr=False)
 
-    def predict_many(self, queries: list[SparseVector]) -> list[CodClass]:
+    def __post_init__(self):
+        object.__setattr__(self, "norms", _row_norms(self.vectors))
+
+    def predict_many(self, queries: scipy.sparse.csr_matrix) -> list[CodClass]:
+        """Cosine similarities in blocks of ``_KNN_BLOCK`` query rows, then top-k votes."""
         label_ids = _class_ids(list(self.labels))
-        sims = _cosine_sims(queries, list(self.vectors), self.vocabulary.size)
-        return [CAUSE_CLASSES[_knn_vote(row, label_ids, self.k)] for row in sims]
-
-    def predict(self, query: SparseVector) -> CodClass:
-        return self.predict_many([query])[0]
-
-
-def predict_knn(train: list[tuple[SparseVector, CodClass]], query: SparseVector,
-                k: int = 9, n_cols: int | None = None) -> CodClass:
-    """Majority label among the k cosine-nearest training vectors.
-
-    Similarity ties resolve to the lower training index; vote ties to the
-    earlier class in enumeration order.
-    """
-    if not train:
-        raise ParameterError("KNN needs a non-empty training set")
-    if not 1 <= k <= len(train):
-        raise ParameterError(f"k must lie in [1, {len(train)}], got {k}")
-    vectors = [v for v, _ in train]
-    label_ids = _class_ids([lab for _, lab in train])
-    if n_cols is None:
-        highest = [v.indices[-1] for v in vectors + [query] if v.nnz]
-        n_cols = int(max(highest)) + 1 if highest else 1
-    sims = _cosine_sims([query], vectors, n_cols)[0]
-    return CAUSE_CLASSES[_knn_vote(sims, label_ids, k)]
+        n_classes = len(CAUSE_CLASSES)
+        query_norms = _row_norms(queries)
+        out = []
+        for start in range(0, queries.shape[0], _KNN_BLOCK):
+            block = slice(start, start + _KNN_BLOCK)
+            dots = np.ascontiguousarray((self.vectors @ queries[block].toarray().T).T)
+            denom = np.outer(query_norms[block], self.norms)
+            sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+            hit_rows, hit_cols = np.nonzero(_top_k(sims, self.k))
+            votes = np.bincount(hit_rows * n_classes + label_ids[hit_cols],
+                                minlength=len(sims) * n_classes).reshape(-1, n_classes)
+            out.extend(CAUSE_CLASSES[j] for j in np.argmax(votes, axis=1))
+        return out
 
 
-def train_knn(vectors: list[SparseVector], labels: list[CodClass], k: int = 9,
+def train_knn(vectors: scipy.sparse.csr_matrix, labels: list[CodClass], k: int = 9,
               vocabulary: Vocabulary | None = None, weighting: str = "tfidf") -> KnnModel:
-    if not vectors or len(vectors) != len(labels):
-        raise ParameterError("need equally many vectors and labels, at least one")
-    if not 1 <= k <= len(vectors):
-        raise ParameterError(f"k must lie in [1, {len(vectors)}], got {k}")
-    if vocabulary is None:
-        raise ParameterError("train_knn requires the vocabulary for model metadata")
-    return KnnModel(vectors=tuple(vectors), labels=tuple(labels), k=k,
+    _check_training("train_knn", vectors, labels, vocabulary)
+    if not 1 <= k <= len(labels):
+        raise ParameterError(f"k must lie in [1, {len(labels)}], got {k}")
+    return KnnModel(vectors=vectors, labels=tuple(labels), k=k,
                     vocabulary=vocabulary, weighting=weighting)
 
 
@@ -324,51 +321,45 @@ class SvmModel:
     weighting: str = "tfidf"
     kind: str = "svm"
 
-    def decision_scores(self, vectors: list[SparseVector]) -> np.ndarray:
-        x = _to_csr(vectors, self.vocabulary.size)
-        return x @ self.weights.T + self.biases
+    def decision_scores(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
+        return vectors @ self.weights.T + self.biases
 
-    def predict_many(self, vectors: list[SparseVector]) -> list[CodClass]:
+    def predict_many(self, vectors: scipy.sparse.csr_matrix) -> list[CodClass]:
         scores = self.decision_scores(vectors)
         return [self.classes[j] for j in np.argmax(scores, axis=1)]
 
-    def predict(self, vector: SparseVector) -> CodClass:
-        return self.predict_many([vector])[0]
 
-
-def train_svm_ovr(vectors: list[SparseVector], labels: list[CodClass],
+def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
                   c: float = 1.0, *, epochs: int = 60, seed: int = 0,
                   vocabulary: Vocabulary | None = None,
                   weighting: str = "tfidf") -> SvmModel:
-    """Hinge-loss one-vs-rest classifiers by deterministic subgradient descent.
+    """Hinge-loss one-vs-rest classifiers by deterministic mini-batch subgradient steps.
 
-    Per sample and class: shrink the weights by the L2 factor, and on a
-    margin violation step along C * y * x (bias unpenalized). The step
-    size decays harmonically; the returned weights average the epoch-end
-    iterates of the second half of training for stability.
+    Each epoch visits the rows in a seeded permutation, ``_SVM_BATCH``
+    rows per step. Every row in a batch takes its margins from the
+    batch-start weights; its own harmonic step size shrinks the weights
+    by the L2 factor, and on a margin violation it steps along C * y * x
+    (bias unpenalized). The shrink factors multiply into one lazy scale,
+    and the batch's updates go in as one CSR product. The returned
+    weights average the epoch-end iterates of the second half of
+    training. With one row per batch this is the per-sample trainer.
     """
     if c <= 0:
         raise ParameterError(f"C must be positive, got {c}")
-    if not vectors or len(vectors) != len(labels):
-        raise ParameterError("need equally many vectors and labels, at least one")
-    if vocabulary is None:
-        raise ParameterError("train_svm_ovr requires the vocabulary for model metadata")
+    _check_training("train_svm_ovr", vectors, labels, vocabulary)
     present = [cl for cl in CAUSE_CLASSES if cl in set(labels)]
     if len(present) < 2:
         raise DegenerateModelError(
             f"SVM training needs at least 2 classes, got {len(present)}")
-    m = len(vectors)
-    v = vocabulary.size
+    m = len(labels)
     n_classes = len(present)
-    signs = np.empty((m, n_classes))
-    for i, lab in enumerate(labels):
-        signs[i] = -1.0
-        signs[i, present.index(lab)] = 1.0
+    signs = np.full((m, n_classes), -1.0)
+    signs[np.arange(m), [present.index(lab) for lab in labels]] = 1.0
     lam = 1.0 / (c * m)                    # L2 strength of the mean objective
-    w = np.zeros((n_classes, v))
+    w = np.zeros((vocabulary.size, n_classes))     # one column per class
     scale = 1.0
     b = np.zeros(n_classes)
-    w_avg = np.zeros((n_classes, v))
+    w_avg = np.zeros_like(w)
     b_avg = np.zeros(n_classes)
     n_avg = 0
     avg_from = epochs // 2
@@ -376,18 +367,17 @@ def train_svm_ovr(vectors: list[SparseVector], labels: list[CodClass],
     step = 0
     for epoch in range(epochs):
         order = rng.permutation(m)
-        for i in order:
-            step += 1
-            eta = 1.0 / (lam * (step + m))
-            vec = vectors[i]
-            margins = signs[i] * (scale * (w[:, vec.indices] @ vec.weights) + b)
-            scale *= max(1.0 - eta * lam, 1e-12)
+        for start in range(0, m, _SVM_BATCH):
+            rows = order[start:start + _SVM_BATCH]
+            x = vectors[rows]
+            eta = 1.0 / (lam * (step + 1 + np.arange(rows.size) + m))
+            step += rows.size
+            margins = signs[rows] * (scale * (x @ w) + b)
+            scales = np.cumprod(np.concatenate([[scale], np.maximum(1.0 - eta * lam, 1e-12)]))[1:]
+            scale = scales[-1]
             violated = margins < 1.0
-            if violated.any():
-                coef = (eta / m) * signs[i, violated] / scale
-                w[np.ix_(np.nonzero(violated)[0], vec.indices)] += \
-                    coef[:, None] * vec.weights[None, :]
-                b[violated] += (eta / m) * signs[i, violated]
+            w += x.T @ np.where(violated, (eta / m)[:, None] * signs[rows] / scales[:, None], 0.0)
+            b += np.where(violated, (eta / m)[:, None] * signs[rows], 0.0).sum(axis=0)
             if scale < 1e-9:
                 w *= scale
                 scale = 1.0
@@ -397,13 +387,9 @@ def train_svm_ovr(vectors: list[SparseVector], labels: list[CodClass],
             n_avg += 1
     w_final = (w_avg / n_avg) if n_avg else scale * w
     b_final = (b_avg / n_avg) if n_avg else b
-    return SvmModel(classes=tuple(present), weights=w_final, biases=b_final,
-                    c=c, epochs=epochs, seed=seed, vocabulary=vocabulary,
+    return SvmModel(classes=tuple(present), weights=np.ascontiguousarray(w_final.T),
+                    biases=b_final, c=c, epochs=epochs, seed=seed, vocabulary=vocabulary,
                     weighting=weighting)
-
-
-def predict_svm(model: SvmModel, vector: SparseVector) -> CodClass:
-    return model.predict(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +419,6 @@ class PredictionSet:
             counts[cause.value] += 1
         counts["unclassified"] = self.unclassified_count
         return counts
-
-    def require_complete(self, record_ids: list[str]) -> None:
-        missing = [rid for rid in record_ids if rid not in self.predictions]
-        if missing:
-            raise AlignmentError(
-                f"{len(missing)} record(s) lack predictions, e.g. {missing[:5]}")
 
     def to_rows(self) -> list[dict]:
         return [{"record_id": rid, "predicted_label": cause.value}
@@ -503,11 +483,17 @@ def load_external_predictions(path: str | Path, policy: str,
                          unclassified_count=len(unclassified))
 
 
-def predict_all(model, records: list[VaRecord]) -> PredictionSet:
-    """One prediction per record from a trained bag-of-words model."""
-    vectors = [vectorize(tokenize(r.narrative), model.vocabulary, model.weighting)
-               for r in records]
-    predicted = model.predict_many(vectors)
+def predict_all(model, records: list[VaRecord], corpus: Corpus | None = None,
+                rows: np.ndarray | None = None) -> PredictionSet:
+    """One prediction per record from a trained bag-of-words model.
+
+    ``corpus`` (default: the records' narratives, tokenized here) holds
+    the records' documents at ``rows`` (default: all rows, in order).
+    """
+    if corpus is None:
+        corpus = tokenize_corpus([r.narrative for r in records])
+    predicted = model.predict_many(
+        vectorize_corpus(corpus, model.vocabulary, model.weighting, rows))
     return PredictionSet(
         predictions={r.record_id: cause for r, cause in zip(records, predicted)},
         provenance=model.kind, policy="drop")
@@ -528,10 +514,11 @@ def model_to_dict(model) -> dict:
                     log_priors=model.log_priors.tolist(),
                     log_likelihoods=model.log_likelihoods.tolist())
     elif model.kind == "knn":
+        x = model.vectors
         data.update(k=model.k,
                     labels=[c.value for c in model.labels],
-                    vectors=[{"indices": v.indices.tolist(),
-                              "weights": v.weights.tolist()} for v in model.vectors])
+                    vectors=[{"indices": x.indices[a:b].tolist(), "weights": x.data[a:b].tolist()}
+                             for a, b in zip(x.indptr[:-1], x.indptr[1:])])
         data["classes"] = None
     elif model.kind == "svm":
         data.update(c=model.c, epochs=model.epochs, seed=model.seed,
@@ -559,9 +546,12 @@ def model_from_dict(data: dict):
                        alpha=float(data["alpha"]), vocabulary=vocab,
                        weighting=data["weighting"])
     if kind == "knn":
-        vectors = tuple(SparseVector(np.asarray(v["indices"], dtype=np.int64),
-                                     np.asarray(v["weights"]))
-                        for v in data["vectors"])
+        rows = data["vectors"]
+        indptr = np.cumsum([0] + [len(v["indices"]) for v in rows])
+        vectors = scipy.sparse.csr_matrix(
+            (np.asarray([w for v in rows for w in v["weights"]], dtype=float),
+             np.asarray([i for v in rows for i in v["indices"]], dtype=np.int64), indptr),
+            shape=(len(rows), vocab.size))
         return KnnModel(vectors=vectors,
                         labels=tuple(_LABEL_BY_VALUE[v] for v in data["labels"]),
                         k=int(data["k"]), vocabulary=vocab, weighting=data["weighting"])

@@ -2,8 +2,11 @@
 
 Everything here is deliberately written along different code paths than
 the package: full-K softmax columns instead of K-1 blocks, textbook IRLS,
-plain finite differences, and loop-based cosine KNN.
+plain finite differences, loop-based cosine KNN, a per-document
+vocabulary and vectorizer, and the per-sample SVM trainer.
 """
+
+from collections import Counter
 
 import numpy as np
 import scipy.optimize
@@ -113,3 +116,82 @@ def brute_knn(train_dense, labels, query_dense, k, n_label_values):
     for i in order:
         votes[labels[i]] += 1
     return max(range(n_label_values), key=lambda c: (votes[c], -c))
+
+
+def svm_per_sample(vectors, labels, classes, c, epochs, seed):
+    """Per-sample one-vs-rest hinge subgradient trainer over CSR rows.
+
+    One step per row: margins from the current weights, an L2 shrink by
+    a lazy scale, then an update of the violated classes along C * y * x.
+    Returns (weights (C, V), biases) averaged over the epoch-end iterates
+    of the second half of training.
+    """
+    m, v = vectors.shape
+    n_classes = len(classes)
+    signs = np.empty((m, n_classes))
+    for i, lab in enumerate(labels):
+        signs[i] = -1.0
+        signs[i, classes.index(lab)] = 1.0
+    lam = 1.0 / (c * m)
+    w = np.zeros((n_classes, v))
+    scale = 1.0
+    b = np.zeros(n_classes)
+    w_avg = np.zeros((n_classes, v))
+    b_avg = np.zeros(n_classes)
+    n_avg = 0
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    step = 0
+    for epoch in range(epochs):
+        for i in rng.permutation(m):
+            step += 1
+            eta = 1.0 / (lam * (step + m))
+            lo, hi = vectors.indptr[i], vectors.indptr[i + 1]
+            idx, x = vectors.indices[lo:hi], vectors.data[lo:hi]
+            dots = np.zeros(n_classes)
+            for j, xj in zip(idx, x):    # the summation order of a CSR row product
+                dots += xj * w[:, j]
+            margins = signs[i] * (scale * dots + b)
+            scale *= max(1.0 - eta * lam, 1e-12)
+            violated = margins < 1.0
+            if violated.any():
+                coef = (eta / m) * signs[i, violated] / scale
+                w[np.ix_(np.nonzero(violated)[0], idx)] += coef[:, None] * x[None, :]
+                b[violated] += (eta / m) * signs[i, violated]
+            if scale < 1e-9:
+                w *= scale
+                scale = 1.0
+        if epoch >= epochs // 2:
+            w_avg += scale * w
+            b_avg += b
+            n_avg += 1
+    return (w_avg / n_avg, b_avg / n_avg) if n_avg else (scale * w, b)
+
+
+def vocabulary_rowwise(docs, min_count):
+    """Token -> column in first-occurrence order, document frequencies, and totals.
+
+    Walks the token lists one document at a time; an empty index means
+    nothing survived the min_count filter.
+    """
+    counts = Counter(tok for doc in docs for tok in doc)
+    index = {}
+    for doc in docs:
+        for tok in doc:
+            if counts[tok] >= min_count and tok not in index:
+                index[tok] = len(index)
+    doc_freq = [0] * len(index)
+    for doc in docs:
+        for tok in set(doc):
+            if tok in index:
+                doc_freq[index[tok]] += 1
+    kept = sum(counts[tok] for tok in index)
+    return index, doc_freq, sum(len(doc) for doc in docs), kept
+
+
+def vectorize_rowwise(doc, index, doc_freq, n_docs, weighting):
+    """One document's (sorted columns, weights); smoothed tf-idf per token."""
+    tf = Counter(index[tok] for tok in doc if tok in index)
+    cols = sorted(tf)
+    if weighting == "count":
+        return cols, [float(tf[j]) for j in cols]
+    return cols, [tf[j] * (np.log((1.0 + n_docs) / (1.0 + doc_freq[j])) + 1.0) for j in cols]

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from multippi import mlogit, ppi, simulate
+from multippi.mlogit import NewtonOptions
 from multippi.errors import ParameterError, ShapeError
 
 
@@ -135,7 +136,6 @@ def test_multippi_closer_to_truth_than_naive():
 def test_fit_rectified_nonconvergence_reported_not_raised():
     rng = np.random.default_rng(44)
     inputs, _, _ = make_inputs(rng, noise=simulate.NoiseModel.uniform(3))
-    from multippi.mlogit import NewtonOptions
     theta, diag = ppi.fit_rectified(inputs, 0.6,
                                     options=NewtonOptions(max_iterations=1,
                                                           grad_tol=1e-14))
@@ -357,20 +357,26 @@ def test_ppi_inputs_validation():
 
 
 def test_report_warns_when_fit_did_not_converge():
-    # class 2 removed from the labeled truth: at lambda = 0.5 the rectified
-    # fit separates, and its report must say that its intervals are invalid
+    # a Newton budget too small to converge: the report must say that its
+    # intervals are invalid
     spec = simulate.default_spec(seed=3, n_labeled=60, n_unlabeled=400)
     rng = np.random.default_rng(spec.seed)
     data = simulate.generate(spec, rng)
     yhat_l = simulate.corrupt(data.y_labeled, simulate.ASYMMETRIC_3CLASS, rng)
     yhat_u = simulate.corrupt(data.y_unlabeled, simulate.ASYMMETRIC_3CLASS, rng)
-    keep = data.y_labeled != 2
-    inputs = ppi.PpiInputs(data.x_labeled[keep], data.y_labeled[keep], yhat_l[keep],
+    inputs = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
                            data.x_unlabeled, yhat_u, 3)
-    report = ppi.fit_multippi_report(inputs, 0.5)
-    assert report.diagnostics.status == "separation"
-    assert report.warnings[0] == "fit status separation: intervals not valid"
+    report = ppi.fit_multippi_report(inputs, 0.5, options=NewtonOptions(max_iterations=1))
+    assert report.diagnostics.status == "max_iterations"
+    assert report.warnings[0] == "fit status max_iterations: intervals not valid"
     assert report.to_dict()["warnings"][0] == report.warnings[0]
-    converged = ppi.fit_multippi_report(inputs, 0.0)
+    converged = ppi.fit_multippi_report(inputs, 0.5)
     assert converged.diagnostics.status == "converged"
     assert converged.warnings == ()
+    # class 2 removed from the labeled truth: no lambda gives a fit
+    keep = data.y_labeled != 2
+    absent = ppi.PpiInputs(data.x_labeled[keep], data.y_labeled[keep], yhat_l[keep],
+                           data.x_unlabeled, yhat_u, 3)
+    for lam in (0.0, 0.5, 1.0, "tuned"):
+        with pytest.raises(ShapeError, match=r"classes absent from labeled data: \[2\]"):
+            ppi.fit_multippi_report(absent, lam)

@@ -1,9 +1,10 @@
-"""Tokenizer, vocabulary, the three classifiers, and prediction ingestion."""
+"""Tokenizer, corpus/vocabulary/CSR vectors, the three classifiers, and prediction ingestion."""
 
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -13,25 +14,46 @@ from multippi.errors import (AlignmentError, DegenerateModelError,
 from multippi.ingest import CAUSE_CLASSES, CodClass, VaRecord
 
 NC, COM, EXT, MAT, ATB = CAUSE_CLASSES
+WIDTH = 4                                    # columns of the hand-built test rows
 
 
 def vocab_of(corpus, min_count=1):
-    return tp.build_vocabulary([tp.tokenize(t) for t in corpus], min_count)
+    return tp.build_vocabulary(tp.tokenize_corpus(corpus), min_count)
 
 
-def make_vocab(tokens):
-    """Vocabulary stub over explicit feature names."""
-    return tp.Vocabulary(index={t: i for i, t in enumerate(tokens)},
-                         doc_freq=np.ones(len(tokens), dtype=np.int64),
-                         n_docs=1, total_tokens_raw=len(tokens),
-                         total_tokens_kept=len(tokens))
+def vectors_of(texts, vocab, weighting="count"):
+    return tp.vectorize_corpus(tp.tokenize_corpus(texts), vocab, weighting)
 
 
-def sv(pairs):
-    if not pairs:
-        return tp.SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
-    idx, w = zip(*pairs)
-    return tp.SparseVector(np.asarray(idx, dtype=np.int64), np.asarray(w, dtype=float))
+def vec(tokens, vocab, weighting="count"):
+    """One token list as a one-row CSR matrix over the vocabulary."""
+    return tp.vectorize_corpus(tp.Corpus.from_tokens([tokens]), vocab, weighting)
+
+
+def make_vocab(width):
+    """Vocabulary stub over ``width`` feature names."""
+    return tp.Vocabulary(index={f"f{i}": i for i in range(width)},
+                         doc_freq=np.ones(width, dtype=np.int64),
+                         n_docs=1, total_tokens_raw=width, total_tokens_kept=width)
+
+
+def sv(pairs, width=WIDTH):
+    """One-row CSR matrix from (column, weight) pairs."""
+    idx = [i for i, _ in pairs]
+    return scipy.sparse.csr_matrix(
+        (np.asarray([w for _, w in pairs], dtype=float), np.asarray(idx, dtype=np.int64),
+         [0, len(idx)]), shape=(1, width))
+
+
+def stack(rows):
+    return scipy.sparse.vstack(rows, format="csr")
+
+
+def knn_predict(train, query, k):
+    """k-NN label of one query row given (row, label) training pairs."""
+    rows, labels = zip(*train)
+    model = tp.train_knn(stack(rows), list(labels), k=k, vocabulary=make_vocab(WIDTH))
+    return model.predict_many(query)[0]
 
 
 # -- tokenize ----------------------------------------------------------------
@@ -59,85 +81,127 @@ def test_tokenize_properties(text):
         assert not all(not ch.isalnum() and ch != "." for ch in tok)
 
 
-# -- vocabulary / vectorize ----------------------------------------------------
+# -- corpus / vocabulary / vectorize -------------------------------------------
+
+def test_corpus_from_tokens_counts_and_ids():
+    corpus = tp.Corpus.from_tokens([["b", "a", "b"], [], ["c", "a"]])
+    assert corpus.tokens == ("b", "a", "c")
+    assert corpus.ids.tolist() == [0, 1, 0, 2, 1]
+    assert corpus.offsets.tolist() == [0, 3, 3, 5]
+    assert corpus.counts.toarray().tolist() == [[2, 1, 0], [0, 0, 0], [0, 1, 1]]
+
 
 def test_build_vocabulary_first_occurrence_order():
-    vocab = tp.build_vocabulary([["a", "b"], ["b", "c"]], 1)
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["b", "c"]]), 1)
     assert vocab.index == {"a": 0, "b": 1, "c": 2}
     assert vocab.total_tokens_raw == 4 and vocab.total_tokens_kept == 4
 
 
 def test_build_vocabulary_min_count():
-    vocab = tp.build_vocabulary([["a", "b"], ["b", "c"]], 2)
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["b", "c"]]), 2)
     assert vocab.index == {"b": 0}
     assert vocab.total_tokens_kept == 2
 
 
 def test_build_vocabulary_reports_totals():
-    vocab = tp.build_vocabulary([["x", "x", "y"], ["y", "z"]], 2)
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["x", "x", "y"], ["y", "z"]]), 2)
     assert vocab.total_tokens_raw == 5
     assert vocab.total_tokens_kept == 4          # x twice + y twice
 
 
+def test_build_vocabulary_counts_only_given_rows_in_their_order():
+    corpus = tp.Corpus.from_tokens([["a", "b"], ["c"], ["d", "c", "b"]])
+    vocab = tp.build_vocabulary(corpus, 1, rows=np.array([2, 1]))
+    assert vocab.index == {"d": 0, "c": 1, "b": 2}
+    assert vocab.doc_freq.tolist() == [1, 2, 1] and vocab.n_docs == 2
+    assert tp.vectorize_corpus(corpus, vocab, "count", rows=np.array([0])).toarray() \
+        .tolist() == [[0.0, 0.0, 1.0]]
+
+
 def test_build_vocabulary_errors():
     with pytest.raises(ParameterError):
-        tp.build_vocabulary([], 1)
+        tp.build_vocabulary(tp.Corpus.from_tokens([]), 1)
     with pytest.raises(ParameterError):
-        tp.build_vocabulary([["a"], ["b"]], 5)
+        tp.build_vocabulary(tp.Corpus.from_tokens([["a"], ["b"]]), 5)
 
 
 def test_vectorize_counts():
-    vocab = tp.build_vocabulary([["a", "b"], ["b", "c"]], 1)
-    vec = tp.vectorize(["b", "b", "c"], vocab, "count")
-    assert vec.indices.tolist() == [1, 2]
-    assert vec.weights.tolist() == [2.0, 1.0]
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["b", "c"]]), 1)
+    row = vec(["b", "b", "c"], vocab, "count")
+    assert row.indices.tolist() == [1, 2]
+    assert row.data.tolist() == [2.0, 1.0]
 
 
 def test_vectorize_out_of_vocabulary_empty():
-    vocab = tp.build_vocabulary([["a"]], 1)
-    vec = tp.vectorize(["q", "r"], vocab, "count")
-    assert vec.nnz == 0
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a"]]), 1)
+    row = vec(["q", "r"], vocab, "count")
+    assert row.nnz == 0 and row.shape == (1, 1)
+
+
+def test_vectorize_unknown_weighting():
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a"]]), 1)
+    with pytest.raises(ParameterError):
+        vec(["a"], vocab, "binary")
 
 
 def test_vectorize_tfidf_hand_computed():
     # three documents: a appears in all, b in one, c in one
-    corpus = [["a", "b"], ["a", "c"], ["a"]]
-    vocab = tp.build_vocabulary(corpus, 1)
-    vec = tp.vectorize(["a", "a", "b"], vocab, "tfidf")
+    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["a", "c"], ["a"]]), 1)
+    row = vec(["a", "a", "b"], vocab, "tfidf")
     # token in every document: log((1+3)/(1+3)) = 0, weight = tf * 1
     idf_a = np.log(4.0 / 4.0) + 1.0
     idf_b = np.log(4.0 / 2.0) + 1.0
-    assert vec.weights[0] == pytest.approx(2.0 * idf_a, abs=1e-12)
-    assert vec.weights[1] == pytest.approx(1.0 * idf_b, abs=1e-12)
+    assert row.data[0] == pytest.approx(2.0 * idf_a, abs=1e-12)
+    assert row.data[1] == pytest.approx(1.0 * idf_b, abs=1e-12)
 
 
-def test_sparse_vector_validation():
-    with pytest.raises(ParameterError):
-        tp.SparseVector(np.array([2, 1]), np.array([1.0, 1.0]))
-    with pytest.raises(ParameterError):
-        tp.SparseVector(np.array([0]), np.array([np.inf]))
+_DOCS = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), min_size=1, max_size=12)
 
 
-def test_sparse_vector_dot():
-    a = sv([(0, 1.0), (3, 2.0), (7, 1.5)])
-    b = sv([(3, 4.0), (5, 1.0), (7, 2.0)])
-    assert a.dot(b) == pytest.approx(2.0 * 4.0 + 1.5 * 2.0)
-    assert sv([]).dot(a) == 0.0
+@given(docs=_DOCS, held_out=st.lists(st.lists(st.sampled_from("abcdefgxyz"), max_size=8),
+                                     max_size=4),
+       min_count=st.integers(1, 4), weighting=st.sampled_from(["count", "tfidf"]),
+       data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_tokenize_once_matches_rowwise_reference(docs, held_out, min_count, weighting, data):
+    # the corpus is tokenized once; training rows are any subset, in any order
+    corpus = tp.Corpus.from_tokens(docs + held_out)
+    train = data.draw(st.permutations(range(len(docs))).flatmap(
+        lambda p: st.integers(1, len(p)).map(lambda n: list(p[:n]))))
+    train_docs = [docs[i] for i in train]
+    index, doc_freq, raw, kept = oracles.vocabulary_rowwise(train_docs, min_count)
+    if not index:
+        with pytest.raises(ParameterError, match="vocabulary is empty"):
+            tp.build_vocabulary(corpus, min_count, rows=np.asarray(train))
+        return
+    vocab = tp.build_vocabulary(corpus, min_count, rows=np.asarray(train))
+    assert list(vocab.index.items()) == list(index.items())
+    assert vocab.doc_freq.tolist() == doc_freq
+    assert (vocab.n_docs, vocab.total_tokens_raw, vocab.total_tokens_kept) == \
+        (len(train), raw, kept)
+    rows = train + list(range(len(docs), len(docs) + len(held_out)))   # + out-of-vocabulary
+    x = tp.vectorize_corpus(corpus, vocab, weighting, rows=np.asarray(rows))
+    assert x.shape == (len(rows), len(index)) and x.has_sorted_indices
+    for r, doc in enumerate(train_docs + held_out):
+        cols, weights = oracles.vectorize_rowwise(doc, index, doc_freq, len(train), weighting)
+        lo, hi = x.indptr[r], x.indptr[r + 1]
+        assert x.indices[lo:hi].tolist() == cols
+        assert x.data[lo:hi].tolist() == weights              # exactly, bit for bit
 
 
 # -- naive bayes ----------------------------------------------------------------
 
 def test_nb_single_class_always_predicted():
     vocab = vocab_of(["fever cough", "fever chills"])
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in ["fever cough", "fever chills"]], vocab)
+    vectors = vectors_of(["fever cough", "fever chills"], vocab)
     model = tp.train_nb(vectors, [COM, COM], vocabulary=vocab)
-    assert model.predict(tp.vectorize(["anything"], vocab)) is COM
+    assert model.predict_many(vec(["anything"], vocab)) == [COM]
 
 
 def test_nb_hand_computed_two_class():
     corpus = ["cough fever", "crash road cough"]
     vocab = vocab_of(corpus)          # cough:0 fever:1 crash:2 road:3
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in corpus], vocab)
+    vectors = vectors_of(corpus, vocab)
     model = tp.train_nb(vectors, [COM, EXT], alpha=1.0, vocabulary=vocab)
     # class COM: counts (1,1,0,0), total 2, V=4 -> smoothed (2,2,1,1)/6
     # class EXT: counts (1,0,1,1), total 3, V=4 -> smoothed (2,1,2,2)/7
@@ -152,7 +216,7 @@ def test_nb_rows_normalize():
     rng = np.random.default_rng(0)
     corpus = [" ".join(rng.choice(list("abcdefg"), size=6)) for _ in range(20)]
     vocab = vocab_of(corpus)
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in corpus], vocab)
+    vectors = vectors_of(corpus, vocab)
     labels = [CAUSE_CLASSES[i % 3] for i in range(20)]
     model = tp.train_nb(vectors, labels, alpha=0.7, vocabulary=vocab)
     sums = np.exp(model.log_likelihoods).sum(axis=1)
@@ -164,38 +228,45 @@ def test_nb_duplicated_corpus_same_priors_and_predictions():
     corpus = ["cough fever", "crash road", "fever chills", "road fall"]
     labels = [COM, EXT, COM, EXT]
     vocab = vocab_of(corpus)
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in corpus], vocab)
+    vectors = vectors_of(corpus, vocab)
+    twice = stack([vectors, vectors])
     model_once = tp.train_nb(vectors, labels, vocabulary=vocab)
-    model_twice = tp.train_nb(vectors * 2, labels * 2, vocabulary=vocab)
+    model_twice = tp.train_nb(twice, labels * 2, vocabulary=vocab)
     assert np.array_equal(model_once.log_priors, model_twice.log_priors)
-    queries = [tp.vectorize(tp.tokenize(t), vocab) for t in corpus + ["fever road"]]
+    queries = vectors_of(corpus + ["fever road"], vocab)
     assert model_once.predict_many(queries) == model_twice.predict_many(queries)
     # with negligible smoothing the observed-token distributions match too
     # (zero-count cells keep a total-count dependence through the smoothing)
     tiny_once = tp.train_nb(vectors, labels, alpha=1e-9, vocabulary=vocab)
-    tiny_twice = tp.train_nb(vectors * 2, labels * 2, alpha=1e-9, vocabulary=vocab)
+    tiny_twice = tp.train_nb(twice, labels * 2, alpha=1e-9, vocabulary=vocab)
     observed = np.exp(tiny_once.log_likelihoods) > 1e-6
     assert np.allclose(tiny_once.log_likelihoods[observed],
                        tiny_twice.log_likelihoods[observed], atol=1e-6)
 
 
 def test_nb_alpha_validation():
-    vocab = make_vocab(["t"])
     with pytest.raises(ParameterError):
-        tp.train_nb([sv([(0, 1.0)])], [COM], alpha=0.0, vocabulary=vocab)
+        tp.train_nb(sv([(0, 1.0)], 1), [COM], alpha=0.0, vocabulary=make_vocab(1))
+
+
+def test_trainers_reject_vectors_wider_than_vocabulary():
+    for train in (tp.train_nb, tp.train_knn, tp.train_svm_ovr):
+        with pytest.raises(ParameterError, match="columns"):
+            train(stack([sv([(0, 1.0)]), sv([(1, 1.0)])]), [COM, EXT],
+                  vocabulary=make_vocab(2))
 
 
 # -- knn ----------------------------------------------------------------------
 
 def test_knn_identical_vector_k1():
     train = [(sv([(0, 1.0)]), COM), (sv([(1, 1.0)]), EXT), (sv([(2, 1.0)]), MAT)]
-    assert tp.predict_knn(train, sv([(1, 1.0)]), k=1) is EXT
+    assert knn_predict(train, sv([(1, 1.0)]), k=1) is EXT
 
 
 def test_knn_k_equals_train_size_majority():
     train = [(sv([(0, 1.0)]), COM), (sv([(1, 1.0)]), EXT),
              (sv([(0, 1.0), (1, 1.0)]), EXT)]
-    assert tp.predict_knn(train, sv([(0, 2.0)]), k=3) is EXT
+    assert knn_predict(train, sv([(0, 2.0)]), k=3) is EXT
 
 
 def test_knn_matches_brute_force_oracle():
@@ -207,7 +278,7 @@ def test_knn_matches_brute_force_oracle():
              for i in range(5)]
     for _ in range(20):
         q = rng.uniform(0, 1, dim)
-        got = tp.predict_knn(train, sv([(j, q[j]) for j in range(dim)]), k=3)
+        got = knn_predict(train, sv([(j, q[j]) for j in range(dim)]), k=3)
         want = oracles.brute_knn(train_dense, labels, q, 3, 5)
         assert got is CAUSE_CLASSES[want]
 
@@ -215,100 +286,134 @@ def test_knn_matches_brute_force_oracle():
 def test_knn_zero_norm_query_similarity_zero():
     train = [(sv([(0, 1.0)]), EXT), (sv([(1, 1.0)]), COM)]
     # all similarities 0: the k=1 nearest is the lowest training index
-    assert tp.predict_knn(train, sv([]), k=1) is EXT
+    assert knn_predict(train, sv([]), k=1) is EXT
 
 
 def test_knn_similarity_tie_lower_index_wins():
     train = [(sv([(0, 1.0)]), MAT), (sv([(0, 2.0)]), COM)]
     # identical direction: both cosines are exactly 1; index 0 wins
-    assert tp.predict_knn(train, sv([(0, 3.0)]), k=1) is MAT
+    assert knn_predict(train, sv([(0, 3.0)]), k=1) is MAT
 
 
 def test_knn_vote_tie_class_order_wins():
     train = [(sv([(0, 1.0)]), EXT), (sv([(0, 1.0), (1, 0.1)]), COM)]
     # one vote each at k=2: enumeration order puts COM before EXT
-    assert tp.predict_knn(train, sv([(0, 1.0)]), k=2) is COM
+    assert knn_predict(train, sv([(0, 1.0)]), k=2) is COM
 
 
 def test_knn_parameter_validation():
     with pytest.raises(ParameterError):
-        tp.predict_knn([], sv([]), k=1)
-    train = [(sv([(0, 1.0)]), COM)]
+        tp.train_knn(scipy.sparse.csr_matrix((0, WIDTH)), [], k=1,
+                     vocabulary=make_vocab(WIDTH))
     with pytest.raises(ParameterError):
-        tp.predict_knn(train, sv([]), k=2)
+        tp.train_knn(sv([(0, 1.0)]), [COM], k=2, vocabulary=make_vocab(WIDTH))
 
 
 def test_knn_model_bulk_matches_single():
     rng = np.random.default_rng(6)
     corpus = [" ".join(rng.choice(list("abcdefgh"), size=5)) for _ in range(15)]
     vocab = vocab_of(corpus)
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in corpus], vocab, "tfidf")
+    vectors = vectors_of(corpus, vocab, "tfidf")
     labels = [CAUSE_CLASSES[i % 4] for i in range(15)]
     model = tp.train_knn(vectors, labels, k=5, vocabulary=vocab)
     queries = vectors[:6]
-    assert model.predict_many(queries) == [model.predict(q) for q in queries]
+    assert model.predict_many(queries) == [model.predict_many(queries[i])[0] for i in range(6)]
+
+
+def test_knn_blocks_and_top_k_ties_match_brute_force(monkeypatch):
+    # weights on a small integer grid make many cosines exactly equal, so
+    # ties straddle the k-th place; two-row blocks put them across block edges
+    monkeypatch.setattr(tp, "_KNN_BLOCK", 2)
+    rng = np.random.default_rng(11)
+    train_dense = rng.integers(0, 3, (14, WIDTH)).astype(float)
+    train_dense[3] = train_dense[7] = train_dense[12] = [1.0, 1.0, 0.0, 0.0]
+    train_dense[5] = 0.0                                 # zero norm: similarity 0
+    queries = rng.integers(0, 3, (9, WIDTH)).astype(float)
+    queries[1] = [2.0, 2.0, 0.0, 0.0]
+    queries[4] = 0.0
+    labels = rng.integers(0, len(CAUSE_CLASSES), 14).tolist()
+    for k in (1, 2, 3, 4, 5, 14):
+        model = tp.train_knn(scipy.sparse.csr_matrix(train_dense),
+                             [CAUSE_CLASSES[i] for i in labels], k=k,
+                             vocabulary=make_vocab(WIDTH))
+        got = model.predict_many(scipy.sparse.csr_matrix(queries))
+        want = [CAUSE_CLASSES[oracles.brute_knn(train_dense, labels, q, k, 5)]
+                for q in queries]
+        assert got == want
 
 
 # -- svm ----------------------------------------------------------------------
 
 def test_svm_separable_toy_perfect_training_accuracy():
-    vocab = make_vocab(["f0", "f1"])
-    vectors = [sv([(0, 2.0), (1, 0.1)]), sv([(0, 1.8)]),
-               sv([(1, 2.2)]), sv([(0, 0.1), (1, 1.9)]),
-               sv([(0, 2.4), (1, 0.2)]), sv([(0, 0.2), (1, 2.0)])]
+    vectors = stack([sv([(0, 2.0), (1, 0.1)], 2), sv([(0, 1.8)], 2),
+                     sv([(1, 2.2)], 2), sv([(0, 0.1), (1, 1.9)], 2),
+                     sv([(0, 2.4), (1, 0.2)], 2), sv([(0, 0.2), (1, 2.0)], 2)])
     labels = [COM, COM, EXT, EXT, COM, EXT]
-    model = tp.train_svm_ovr(vectors, labels, c=1.0, vocabulary=vocab)
+    model = tp.train_svm_ovr(vectors, labels, c=1.0, vocabulary=make_vocab(2))
     assert model.predict_many(vectors) == labels
 
 
 def test_svm_constant_features_majority_fallback():
-    vocab = make_vocab(["f0"])
-    vectors = [sv([(0, 1.0)])] * 5
+    vectors = stack([sv([(0, 1.0)], 1)] * 5)
     labels = [EXT, EXT, EXT, COM, COM]
-    model = tp.train_svm_ovr(vectors, labels, c=1.0, vocabulary=vocab)
+    model = tp.train_svm_ovr(vectors, labels, c=1.0, vocabulary=make_vocab(1))
     # closed-form hinge minimum on constant features: decision +1 for the
     # majority class, -1 for the minority, reached through the biases
-    assert model.predict(sv([(0, 1.0)])) is EXT
-    scores = model.decision_scores([sv([(0, 1.0)])])[0]
+    assert model.predict_many(sv([(0, 1.0)], 1)) == [EXT]
+    scores = model.decision_scores(sv([(0, 1.0)], 1))[0]
     assert scores[model.classes.index(EXT)] > scores[model.classes.index(COM)]
 
 
 def test_svm_feature_scaling_with_rescaled_c():
     rng = np.random.default_rng(7)
-    vocab = make_vocab(["f0", "f1", "f2"])
-    vectors, labels = [], []
+    rows, labels = [], []
     for i in range(30):
         center = np.array([2.0, 0.2, 1.0]) if i % 2 else np.array([0.2, 2.0, 1.0])
         dense = np.maximum(center + rng.normal(0, 0.3, 3), 0.0)
-        vectors.append(sv([(j, dense[j]) for j in range(3) if dense[j] > 0]))
+        rows.append(sv([(j, dense[j]) for j in range(3) if dense[j] > 0], 3))
         labels.append(COM if i % 2 else EXT)
-    model = tp.train_svm_ovr(vectors, labels, c=1.0, vocabulary=vocab)
-    scaled = [tp.SparseVector(v.indices, v.weights * 2.0) for v in vectors]
-    model_scaled = tp.train_svm_ovr(scaled, labels, c=0.25, vocabulary=vocab)
+    vectors = stack(rows)
+    model = tp.train_svm_ovr(vectors, labels, c=1.0, vocabulary=make_vocab(3))
+    scaled = vectors * 2.0
+    model_scaled = tp.train_svm_ovr(scaled, labels, c=0.25, vocabulary=make_vocab(3))
     assert model.predict_many(vectors) == model_scaled.predict_many(scaled)
 
 
 def test_svm_single_class_error():
-    vocab = make_vocab(["f0"])
     with pytest.raises(DegenerateModelError):
-        tp.train_svm_ovr([sv([(0, 1.0)])] * 3, [COM] * 3, vocabulary=vocab)
+        tp.train_svm_ovr(stack([sv([(0, 1.0)], 1)] * 3), [COM] * 3, vocabulary=make_vocab(1))
 
 
 def test_svm_c_validation():
-    vocab = make_vocab(["f0"])
     with pytest.raises(ParameterError):
-        tp.train_svm_ovr([sv([(0, 1.0)])] * 2, [COM, EXT], c=0.0, vocabulary=vocab)
+        tp.train_svm_ovr(stack([sv([(0, 1.0)], 1)] * 2), [COM, EXT], c=0.0,
+                         vocabulary=make_vocab(1))
 
 
 def test_svm_deterministic():
     rng = np.random.default_rng(8)
-    vocab = make_vocab(list("abcd"))
-    vectors = [sv([(j, float(rng.integers(1, 4))) for j in range(4)]) for _ in range(12)]
+    vectors = stack([sv([(j, float(rng.integers(1, 4))) for j in range(4)])
+                     for _ in range(12)])
     labels = [CAUSE_CLASSES[i % 3] for i in range(12)]
-    m1 = tp.train_svm_ovr(vectors, labels, vocabulary=vocab, seed=3)
-    m2 = tp.train_svm_ovr(vectors, labels, vocabulary=vocab, seed=3)
+    m1 = tp.train_svm_ovr(vectors, labels, vocabulary=make_vocab(WIDTH), seed=3)
+    m2 = tp.train_svm_ovr(vectors, labels, vocabulary=make_vocab(WIDTH), seed=3)
     assert np.array_equal(m1.weights, m2.weights)
     assert np.array_equal(m1.biases, m2.biases)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_svm_batch_of_one_is_the_per_sample_trainer(monkeypatch, seed):
+    monkeypatch.setattr(tp, "_SVM_BATCH", 1)
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(0, 3, (30, 9)) * (rng.random((30, 9)) < 0.5)
+    vectors = scipy.sparse.csr_matrix(dense)
+    labels = [CAUSE_CLASSES[i] for i in rng.integers(0, 3, 30)]
+    present = [c for c in CAUSE_CLASSES if c in labels]
+    model = tp.train_svm_ovr(vectors, labels, c=0.7, epochs=9, seed=seed,
+                             vocabulary=make_vocab(9))
+    weights, biases = oracles.svm_per_sample(vectors, labels, present, 0.7, 9, seed)
+    assert np.array_equal(model.weights, weights)       # bit for bit
+    assert np.array_equal(model.biases, biases)
 
 
 # -- external predictions / prediction sets ------------------------------------
@@ -383,7 +488,7 @@ def test_predict_all_one_per_record_and_deterministic():
     train_texts = ["fever cough", "road crash", "fire burnt", "cough chills"]
     train_labels = [COM, EXT, EXT, COM]
     vocab = vocab_of(train_texts)
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in train_texts], vocab)
+    vectors = vectors_of(train_texts, vocab)
     model = tp.train_nb(vectors, train_labels, vocabulary=vocab)
     records = make_records(texts)
     ps1 = tp.predict_all(model, records)
@@ -400,7 +505,7 @@ def test_predict_all_confusion_marginals_match_hand_tally():
              "crash bus"]
     truth = [COM, COM, EXT, EXT, EXT, COM, EXT, COM, EXT, EXT]
     vocab = vocab_of(texts)
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in texts], vocab)
+    vectors = vectors_of(texts, vocab)
     model = tp.train_nb(vectors, truth, vocabulary=vocab)
     records = make_records(texts, causes=truth)
     ps = tp.predict_all(model, records)
@@ -421,7 +526,7 @@ def test_model_serialization_round_trip(kind):
     labels = [CAUSE_CLASSES[i % 3] for i in range(12)]
     vocab = vocab_of(corpus)
     weighting = "count" if kind == "nb" else "tfidf"
-    vectors = tp.vectorize_corpus([tp.tokenize(t) for t in corpus], vocab, weighting)
+    vectors = vectors_of(corpus, vocab, weighting)
     if kind == "nb":
         model = tp.train_nb(vectors, labels, vocabulary=vocab, weighting=weighting)
     elif kind == "knn":
