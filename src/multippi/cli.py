@@ -42,17 +42,20 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_csv(path: Path, config: dict, rows: list[dict]) -> None:
+def _write_csv(path: Path, config: dict, rows: list, header: list[str] | None = None) -> None:
+    """The three comment lines, then ``rows``: dicts sharing the first one's
+    keys, or value sequences under ``header``."""
+    if header is None and rows:
+        header, rows = list(rows[0]), [list(row.values()) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(f"# tool: multippi {__version__}\n")
         handle.write(f"# master_seed: {config.get('seed')}\n")
         handle.write("# run_config: " + json.dumps(config, sort_keys=True) + "\n")
-        if not rows:
-            return
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        if rows:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def _resolve_columns(spec: str) -> tuple[ingest.ColumnMap, dict]:
@@ -128,15 +131,14 @@ def cmd_ingest(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
     result = _load(args)
+    table = result.records
     out = Path(args.out)
     _write_text(out / "ingest.json", _json_artifact(config, {"summary": result.summary()}))
-    rows = [{
-        "record_id": r.record_id, "site": r.site, "age": r.age,
-        "narrative": r.narrative,
-        "cause": r.true_cause.value if r.true_cause else "",
-    } for r in result.records]
-    _write_csv(out / "records.csv", config, rows)
-    print(f"ingested {len(result.records)} records "
+    _write_csv(out / "records.csv", config,
+               list(zip(table.ids, table.sites, table.ages.tolist(), table.narratives,
+                        ingest.VALUE_OF_CODE[table.causes])),
+               header=["record_id", "site", "age", "narrative", "cause"])
+    print(f"ingested {len(table)} records "
           f"({result.n_filtered_age} under-age filtered, "
           f"{len(result.row_errors)} row errors)", file=sys.stderr)
     return EXIT_OK
@@ -145,28 +147,26 @@ def cmd_ingest(args) -> int:
 def cmd_predict(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
-    result = _load(args)
-    records = result.records
+    table = _load(args).records
     spec = _predictor_spec(args)
     out = Path(args.out)
     if spec.kind == "external":
         predictions = textpred.load_external_predictions(
-            spec.external_path, spec.unclassified_policy,
-            known_ids={r.record_id for r in records},
-            majority_class=experiment.majority_true_cause(records))
+            spec.external_path, spec.unclassified_policy, table,
+            majority_class=experiment.majority_true_cause(table))
         model = None
     else:
         if args.train:
             train_map, _ = _resolve_columns(args.columns)
-            train_records = ingest.load_records(args.train, train_map,
-                                                delimiter=args.delimiter).records
+            train = ingest.load_records(args.train, train_map, delimiter=args.delimiter).records
         else:
-            train_records = records
-        corpus = textpred.tokenize_corpus([r.narrative for r in train_records])
-        model = experiment.train_predictor(corpus, [r.true_cause for r in train_records], spec)
-        predictions = textpred.predict_all(model, records,
-                                           None if args.train else corpus)
-    _write_csv(out / "predictions.csv", config, predictions.to_rows())
+            train = table
+        corpus = textpred.tokenize_corpus(train.narratives.tolist())
+        labels = ingest.CLASS_OF_CODE[train.causes].tolist()
+        model = experiment.train_predictor(corpus, labels, spec)
+        predictions = textpred.predict_all(model, table, None if args.train else corpus)
+    _write_csv(out / "predictions.csv", config, predictions.to_rows(table.ids),
+               header=["record_id", "predicted_label"])
     if model is not None:
         _write_text(out / "model.json",
                     _json_artifact(config, {"model": textpred.model_to_dict(model)}))
@@ -174,12 +174,9 @@ def cmd_predict(args) -> int:
                      "class_counts": predictions.class_counts(),
                      "dropped": list(predictions.dropped),
                      "imputed": list(predictions.imputed)}
-    scored = [r for r in records
-              if r.true_cause is not None and r.record_id in predictions.predictions]
-    if scored:
-        cm = experiment.confusion_matrix(
-            [r.true_cause for r in scored],
-            [predictions.predictions[r.record_id] for r in scored])
+    scored = (table.causes != ingest.NO_CAUSE) & (predictions.codes != ingest.NO_CAUSE)
+    if scored.any():
+        cm = experiment.confusion_matrix(table.causes[scored], predictions.codes[scored])
         payload["confusion"] = cm.to_dict()
         payload["accuracy"] = experiment.accuracy(cm)
         payload["macro_f1"] = experiment.macro_f1(cm)
@@ -191,19 +188,21 @@ def cmd_predict(args) -> int:
 def cmd_infer(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
-    result = _load(args)
-    records = [r for r in result.records if r.true_cause is not None]
-    if not records:
+    table = _load(args).records
+    labeled = table.causes != ingest.NO_CAUSE
+    if not labeled.all():
+        table = table.take(np.flatnonzero(labeled))
+    if not len(table):
         raise ParameterError("infer needs records with true causes (bind a cause column)")
     predictions = textpred.load_external_predictions(
-        args.predictions, args.unclassified_policy,
-        known_ids={r.record_id for r in records},
-        majority_class=experiment.majority_true_cause(records))
-    usable = [r for r in records if r.record_id in predictions.predictions]
+        args.predictions, args.unclassified_policy, table,
+        majority_class=experiment.majority_true_cause(table))
+    predicted = predictions.codes != ingest.NO_CAUSE
+    usable = table if predicted.all() else table.take(np.flatnonzero(predicted))
     data_split = ingest.split(usable, ingest.SplitSpec(
         strategy=args.split, labeled_fraction=args.labeled_fraction, seed=args.seed))
     design, yhat = experiment.build_design(usable, _reference_class(args.reference_class),
-                                           predictions.predictions)
+                                           predictions.codes[predicted])
     meta = {"class_names": tuple(c.value for c in design.classes),
             "covariate_names": design.covariate_names,
             "standardization": design.standardization}

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import ppi, textpred
 from .errors import MultippiError, ParameterError, ShapeError
-from .ingest import CAUSE_CLASSES, CodClass, DataSplit, SplitSpec, VaRecord, split
+from .ingest import (CAUSE_CLASSES, CLASS_OF_CODE, NO_CAUSE, CodClass, DataSplit,
+                     RecordTable, SplitSpec, split)
 from .textpred import PredictionSet
 
 LABELED_SUBSET_SOURCE = "held-out site only"
@@ -65,14 +66,18 @@ class ConfusionMatrix:
         return rows
 
 
-def confusion_matrix(true: list[CodClass], predicted: list[CodClass],
+def confusion_matrix(true: np.ndarray, predicted: np.ndarray,
                      classes: tuple[CodClass, ...] = CAUSE_CLASSES) -> ConfusionMatrix:
-    if len(true) != len(predicted):
-        raise ShapeError("true and predicted label lists must align")
-    pos = {c: i for i, c in enumerate(classes)}
-    counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for t, p in zip(true, predicted):
-        counts[pos[t], pos[p]] += 1
+    """Counts of (true, predicted) label pairs; labels are indices into ``classes``."""
+    true = np.asarray(true, dtype=np.intp)
+    predicted = np.asarray(predicted, dtype=np.intp)
+    if true.shape != predicted.shape:
+        raise ShapeError("true and predicted label arrays must align")
+    k = len(classes)
+    if true.size and not (0 <= min(true.min(), predicted.min())
+                          and max(true.max(), predicted.max()) < k):
+        raise ShapeError(f"labels must be class indices in [0, {k})")
+    counts = np.bincount(true * k + predicted, minlength=k * k).reshape(k, k)
     return ConfusionMatrix(counts=counts, classes=classes)
 
 
@@ -182,31 +187,30 @@ def class_order(present: set[CodClass], reference: CodClass) -> tuple[CodClass, 
     return (reference,) + tuple(c for c in CAUSE_CLASSES if c in present and c != reference)
 
 
-def build_design(records: list[VaRecord], reference_class: CodClass,
-                 predicted: dict[str, CodClass] | None = None) -> tuple[Design, np.ndarray]:
-    """Design matrix, true labels, and (optionally) aligned predicted labels.
+def build_design(records: RecordTable, reference_class: CodClass,
+                 predicted: np.ndarray | None = None) -> tuple[Design, np.ndarray]:
+    """Design matrix, true labels, and (optionally) predicted labels.
 
-    Age is z-standardized with moments pooled over all given records; the
-    class set is every class seen among true or predicted labels.
+    ``predicted`` holds a cause code per record. Age is z-standardized
+    with moments pooled over all given records; the class set is every
+    class seen among true or predicted labels.
     """
-    if any(r.true_cause is None for r in records):
+    if (records.causes == NO_CAUSE).any():
         raise ShapeError("every record needs a true cause to build the design")
-    ages = np.asarray([r.age for r in records], dtype=float)
+    ages = records.ages
     mean = float(ages.mean())
     sd = float(ages.std())
     if sd == 0.0:
         sd = 1.0
     x = np.column_stack([np.ones(len(records)), (ages - mean) / sd])
-    present = {r.true_cause for r in records}
+    seen = np.bincount(records.causes, minlength=len(CAUSE_CLASSES)) > 0
     if predicted is not None:
-        present |= {predicted[r.record_id] for r in records}
-    classes = class_order(present, reference_class)
-    pos = {c: i for i, c in enumerate(classes)}
-    y = np.asarray([pos[r.true_cause] for r in records], dtype=np.int64)
-    yhat = None
-    if predicted is not None:
-        yhat = np.asarray([pos[predicted[r.record_id]] for r in records], dtype=np.int64)
-    design = Design(x=x, y=y, classes=classes,
+        seen |= np.bincount(predicted, minlength=len(CAUSE_CLASSES)) > 0
+    classes = class_order({c for c, s in zip(CAUSE_CLASSES, seen) if s}, reference_class)
+    position = np.zeros(len(CAUSE_CLASSES), dtype=np.int64)
+    position[[CAUSE_CLASSES.index(c) for c in classes]] = np.arange(len(classes))
+    yhat = None if predicted is None else position[predicted]
+    design = Design(x=x, y=position[records.causes], classes=classes,
                     covariate_names=("intercept", "age_z"),
                     standardization={"age": {"mean": mean, "sd": sd}})
     return design, yhat
@@ -228,7 +232,6 @@ class SiteReport:
     degenerate_classes: list[str] = field(default_factory=list)
     errors: dict[str, str] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    model: object | None = None             # populated only with keep_models
 
     def to_dict(self) -> dict:
         return {
@@ -289,7 +292,7 @@ def _site_seed(master_seed: int, site_index: int) -> int:
                .generate_state(1)[0])
 
 
-def evaluate_site(site_records: list[VaRecord], predictions: PredictionSet,
+def evaluate_site(site_records: RecordTable, predictions: PredictionSet,
                   inference_spec: InferenceSpec, split_seed: int,
                   site: str, provenance: str) -> SiteReport:
     """Metrics and the three-estimator comparison for one site's predictions."""
@@ -299,14 +302,13 @@ def evaluate_site(site_records: list[VaRecord], predictions: PredictionSet,
         "inference": inference_spec.to_dict(),
         "split_seed": split_seed,
     }
-    usable = [r for r in site_records if r.record_id in predictions.predictions]
+    predicted = predictions.codes != NO_CAUSE
+    usable = site_records.take(np.flatnonzero(predicted))
     report.dropped_unclassified = predictions.dropped
     if len(usable) < 2:
         report.errors["site"] = f"only {len(usable)} usable record(s) after prediction alignment"
         return report
-    predicted_list = [predictions.predictions[r.record_id] for r in usable]
-    true_list = [r.true_cause for r in usable]
-    cm = confusion_matrix(true_list, predicted_list)
+    cm = confusion_matrix(usable.causes, predictions.codes[predicted])
     report.confusion = cm
     report.accuracy = accuracy(cm)
     report.macro_f1 = macro_f1(cm)
@@ -317,7 +319,7 @@ def evaluate_site(site_records: list[VaRecord], predictions: PredictionSet,
                                          seed=split_seed))
     report.split = data_split
     design, yhat = build_design(usable, inference_spec.reference_class,
-                                predictions.predictions)
+                                predictions.codes[predicted])
     k = design.n_classes
     meta = {
         "class_names": tuple(c.value for c in design.classes),
@@ -352,9 +354,9 @@ def evaluate_site(site_records: list[VaRecord], predictions: PredictionSet,
     return report
 
 
-def run_loso(records: list[VaRecord], predictor_spec: PredictorSpec,
+def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
              inference_spec: InferenceSpec, sites: list[str] | None = None,
-             threads: int = 1, keep_models: bool = False) -> list[SiteReport]:
+             threads: int = 1) -> list[SiteReport]:
     """Leave-one-site-out transportability experiment.
 
     For each site, the predictor trains on every other site's narratives
@@ -363,9 +365,9 @@ def run_loso(records: list[VaRecord], predictor_spec: PredictorSpec,
     subset (true causes retained) and an unlabeled remainder carrying
     only predictions.
     """
-    if any(r.true_cause is None for r in records):
+    if (records.causes == NO_CAUSE).any():
         raise ShapeError("run_loso needs true causes on every record")
-    all_sites = sorted({r.site for r in records})
+    all_sites = sorted(set(records.sites.tolist()))
     if len(all_sites) < 2:
         raise ShapeError(f"need at least 2 sites, got {all_sites}")
     chosen = all_sites if sites is None else [s for s in all_sites if s in set(sites)]
@@ -375,48 +377,30 @@ def run_loso(records: list[VaRecord], predictor_spec: PredictorSpec,
     external_set = None
     if predictor_spec.kind == "external":
         external_set = textpred.load_external_predictions(
-            predictor_spec.external_path, predictor_spec.unclassified_policy,
-            known_ids={r.record_id for r in records},
-            majority_class=majority_true_cause(records),
-            name=predictor_spec.external_name)
+            predictor_spec.external_path, predictor_spec.unclassified_policy, records,
+            majority_class=majority_true_cause(records), name=predictor_spec.external_name)
     else:
         # tokenized once: every site trains and predicts on rows of this corpus
-        corpus = textpred.tokenize_corpus([r.narrative for r in records])
-        site_of = np.asarray([r.site for r in records])
-        labels = [r.true_cause for r in records]
+        corpus = textpred.tokenize_corpus(records.narratives.tolist())
 
     def run_site(site: str) -> SiteReport:
-        site_index = all_sites.index(site)
-        site_records = [r for r in records if r.site == site]
-        split_seed = _site_seed(inference_spec.seed, site_index)
-        model = None
+        site_rows = np.flatnonzero(records.sites == site)
+        site_records = records.take(site_rows)
+        split_seed = _site_seed(inference_spec.seed, all_sites.index(site))
         if external_set is not None:
-            site_ids = {r.record_id for r in site_records}
-            predictions = PredictionSet(
-                predictions={rid: c for rid, c in external_set.predictions.items()
-                             if rid in site_ids},
-                provenance=external_set.provenance,
-                policy=external_set.policy,
-                dropped=tuple(rid for rid in external_set.dropped if rid in site_ids),
-                imputed=tuple(rid for rid in external_set.imputed if rid in site_ids),
-                unclassified_count=sum(1 for rid in external_set.dropped + external_set.imputed
-                                       if rid in site_ids))
+            predictions = external_set.take(site_rows, site_records.ids)
         else:
-            train_rows = np.flatnonzero(site_of != site)
+            train_rows = np.flatnonzero(records.sites != site)
+            labels = CLASS_OF_CODE[records.causes[train_rows]].tolist()
             try:
-                model = train_predictor(corpus, [labels[i] for i in train_rows],
-                                        predictor_spec, train_rows)
+                model = train_predictor(corpus, labels, predictor_spec, train_rows)
             except MultippiError as exc:
                 report = SiteReport(site=site, provenance=predictor_spec.kind)
                 report.errors["training"] = f"{type(exc).__name__}: {exc}"
                 return report
-            predictions = textpred.predict_all(model, site_records, corpus,
-                                               np.flatnonzero(site_of == site))
-        report = evaluate_site(site_records, predictions, inference_spec,
-                               split_seed, site, predictions.provenance)
-        if keep_models:
-            report.model = model
-        return report
+            predictions = textpred.predict_all(model, site_records, corpus, site_rows)
+        return evaluate_site(site_records, predictions, inference_spec,
+                             split_seed, site, predictions.provenance)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -424,52 +408,8 @@ def run_loso(records: list[VaRecord], predictor_spec: PredictorSpec,
     return [run_site(site) for site in chosen]
 
 
-def majority_true_cause(records: list[VaRecord]) -> CodClass:
-    counts = {c: 0 for c in CAUSE_CLASSES}
-    for r in records:
-        if r.true_cause is not None:
-            counts[r.true_cause] += 1
-    return max(counts, key=lambda c: (counts[c], -CAUSE_CLASSES.index(c)))
-
-
-def benchmark_site_predictors(records: list[VaRecord], site: str,
-                              predictor_kinds: tuple[str, ...] = ("nb", "knn"),
-                              inference_spec: InferenceSpec = InferenceSpec(),
-                              threads: int = 1) -> dict[str, SiteReport]:
-    """Hold out one site and score each bag-of-words predictor on it.
-
-    Returns one SiteReport per predictor kind; the standard recipe for
-    checking predictor accuracy on a real multi-site corpus.
-    """
-    out = {}
-    for kind in predictor_kinds:
-        reports = run_loso(records, PredictorSpec(kind=kind), inference_spec,
-                           sites=[site], threads=threads)
-        out[kind] = reports[0]
-    return out
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    lam: float
-    theta: np.ndarray
-    se: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"lambda": float(self.lam),
-                "theta": [float(v) for v in self.theta],
-                "se": [float(v) for v in self.se]}
-
-
-def lambda_sweep(inputs: ppi.PpiInputs, grid: list[float],
-                 alpha: float = 0.05) -> list[SweepRow]:
-    """Fixed-lambda fits across a grid in [0, 1].
-
-    The lambda = 0 endpoint reproduces the classical labeled-only fit and
-    lambda = 1 the unweighted rectified fit.
-    """
-    rows = []
-    for lam in grid:
-        report = ppi.fit_multippi_report(inputs, float(lam), alpha)
-        rows.append(SweepRow(lam=float(lam), theta=report.theta, se=report.se))
-    return rows
+def majority_true_cause(records: RecordTable) -> CodClass:
+    """The most frequent true cause; ties go to the earlier class."""
+    counts = np.bincount(records.causes[records.causes != NO_CAUSE],
+                         minlength=len(CAUSE_CLASSES))
+    return CAUSE_CLASSES[int(np.argmax(counts))]

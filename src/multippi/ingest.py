@@ -1,16 +1,23 @@
-"""PHMRC-style CSV ingestion: cause mapping, adult filtering, and splits.
+"""PHMRC-style CSV ingestion into a columnar RecordTable: cause mapping,
+adult filtering, and splits.
 
 Input files are UTF-8 CSV with a header row (RFC 4180 quoting). Column
 roles are bound by configuration rather than hard-coded names, so any
-file with the same roles loads unchanged. Records for decedents under
-12 years are dropped at load time and counted in the summary.
+file with the same roles loads unchanged. ``load_records`` streams the
+bound fields into one list per column and returns a ``RecordTable``:
+id, site and narrative columns, a float age array, and an int8 cause
+code per record over ``CAUSE_CLASSES`` (``NO_CAUSE`` = -1). Ages and
+cause labels are parsed once per distinct string. Records for decedents
+under 12 years are dropped at load time and counted in the summary.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +92,17 @@ MALARIA_NOTE = (
 
 ADULT_MIN_AGE = 12.0
 
-_BROAD_BY_VALUE = {c.value: c for c in CAUSE_CLASSES}
+# A record's cause is coded as its index into CAUSE_CLASSES.
+NO_CAUSE = -1                   # code of a record without a true cause
+_UNKNOWN_CAUSE = -2             # code of a label map_cause rejects
+
+# Indexed by cause code: the class / its value; NO_CAUSE reads None / "".
+CLASS_OF_CODE = np.array(CAUSE_CLASSES + (None,), dtype=object)
+VALUE_OF_CODE = np.array([c.value for c in CAUSE_CLASSES] + [""], dtype=object)
+# Lowercased label -> code: fine labels, then broad class names.
+# "unclassified" is never a true cause, and "" is no cause.
+_CAUSE_CODE = {"": NO_CAUSE, **{label: CAUSE_CLASSES.index(c) for label, c in CAUSE_MAP.items()},
+               **{c.value: i for i, c in enumerate(CAUSE_CLASSES)}}
 
 
 def map_cause(fine_label: str) -> CodClass:
@@ -94,31 +111,10 @@ def map_cause(fine_label: str) -> CodClass:
     Broad class names are accepted as-is so non-PHMRC files that already
     carry broad labels ingest unchanged.
     """
-    key = fine_label.strip().lower()
-    if key in _BROAD_BY_VALUE:
-        return _BROAD_BY_VALUE[key]
-    if key in CAUSE_MAP:
-        return CAUSE_MAP[key]
-    raise CauseMapError(f"unknown cause label: {fine_label!r}")
-
-
-@dataclass(frozen=True)
-class VaRecord:
-    """One death record: identifiers, covariates, narrative, optional labels."""
-
-    record_id: str
-    site: str
-    age: float
-    narrative: str
-    true_cause: CodClass | None = None
-
-    def __post_init__(self):
-        if not self.site:
-            raise SchemaError(f"record {self.record_id!r} has an empty site")
-        if self.age < 0:
-            raise SchemaError(f"record {self.record_id!r} has negative age")
-        if self.narrative is None:
-            raise SchemaError(f"record {self.record_id!r} has no narrative field")
+    code = _CAUSE_CODE.get(fine_label.strip().lower(), _UNKNOWN_CAUSE)
+    if code < 0:
+        raise CauseMapError(f"unknown cause label: {fine_label!r}")
+    return CAUSE_CLASSES[code]
 
 
 @dataclass(frozen=True)
@@ -179,6 +175,46 @@ def column_map_from_config(entries: dict[str, str]) -> ColumnMap:
     return ColumnMap.from_pairs(roles)
 
 
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Death records as columns; row i of every column is one record.
+
+    ``ids``, ``sites`` and ``narratives`` are object arrays of str,
+    ``ages`` is float64, and ``causes`` holds each record's index into
+    ``CAUSE_CLASSES`` as int8, ``NO_CAUSE`` where the record has none.
+    """
+
+    ids: np.ndarray
+    sites: np.ndarray
+    ages: np.ndarray
+    narratives: np.ndarray
+    causes: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ids", "sites", "narratives"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=object))
+        ages, causes = np.asarray(self.ages, dtype=float), np.asarray(self.causes)
+        if {len(self.sites), len(ages), len(self.narratives), len(causes)} != {len(self.ids)}:
+            raise SchemaError("record table columns differ in length")
+        if causes.size and not NO_CAUSE <= causes.min() <= causes.max() < len(CAUSE_CLASSES):
+            raise SchemaError(f"cause codes must lie in [{NO_CAUSE}, {len(CAUSE_CLASSES)})")
+        object.__setattr__(self, "ages", ages)
+        object.__setattr__(self, "causes", causes.astype(np.int8))
+        for bad, problem in ((self.sites == "", "an empty site"),
+                             (~np.isfinite(ages), "a non-finite age"),
+                             (ages < 0, "negative age")):
+            if bad.any():
+                raise SchemaError(f"record {self.ids[np.argmax(bad)]!r} has {problem}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray) -> "RecordTable":
+        """The records at ``rows``, in that order."""
+        return RecordTable(ids=self.ids[rows], sites=self.sites[rows], ages=self.ages[rows],
+                           narratives=self.narratives[rows], causes=self.causes[rows])
+
+
 @dataclass(frozen=True)
 class RowError:
     row_number: int             # 1-based, header is row 1
@@ -189,15 +225,15 @@ class RowError:
 class LoadResult:
     """Records plus the load summary (filter counts, row errors, notes)."""
 
-    records: list[VaRecord]
+    records: RecordTable
     n_rows_read: int = 0
     n_filtered_age: int = 0
     row_errors: list[RowError] = field(default_factory=list)
-    site_counts: dict[str, int] = field(default_factory=dict)
-    cause_counts: dict[str, int] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
     def summary(self) -> dict:
+        causes = self.records.causes
+        per_cause = np.bincount(causes[causes != NO_CAUSE], minlength=len(CAUSE_CLASSES))
         return {
             "n_records": len(self.records),
             "n_rows_read": self.n_rows_read,
@@ -205,72 +241,101 @@ class LoadResult:
             "n_row_errors": len(self.row_errors),
             "row_errors": [{"row": e.row_number, "message": e.message}
                            for e in self.row_errors],
-            "site_counts": dict(sorted(self.site_counts.items())),
-            "cause_counts": dict(sorted(self.cause_counts.items())),
+            "site_counts": dict(sorted(Counter(self.records.sites.tolist()).items())),
+            "cause_counts": dict(sorted((c.value, int(n))
+                                        for c, n in zip(CAUSE_CLASSES, per_cause) if n)),
             "notes": list(self.notes),
         }
 
 
+def _parse_age(raw: str) -> float | str:
+    """The age in a raw field, or the row-error message it earns."""
+    text = raw.strip()
+    try:
+        age = float(text)
+    except ValueError:
+        return f"unparseable age {text!r}"
+    if not math.isfinite(age):
+        return f"non-finite age {text!r}"
+    if age < 0:
+        return f"negative age {age}"
+    return age
+
+
 def load_records(path: str | Path, column_map: ColumnMap, *,
                  delimiter: str = ",", min_age: float = ADULT_MIN_AGE) -> LoadResult:
-    """Load VA records from CSV, mapping causes and applying the adult filter.
+    """Load VA records from CSV into a RecordTable, mapping causes and
+    applying the adult filter.
 
-    Malformed rows (unparseable age) are collected as row errors and the
-    load continues; unknown cause labels fail hard. Rows with age below
-    ``min_age`` are dropped and counted.
+    Rows whose age does not parse, is not finite or is negative become
+    row errors and the load continues; rows aged below ``min_age`` are
+    dropped and counted. Only the remaining rows have their cause mapped
+    and their site checked: the first of them with an unknown cause label
+    raises CauseMapError, or with an empty site SchemaError (cause first
+    within a row). Row numbers count CSV records, header = 1, blank lines
+    skipped; a short row reads its missing fields as "".
     """
     path = Path(path)
-    result = LoadResult(records=[])
+    roles = ("id", "site", "age", "narrative", "cause")
+    bound = {role: getattr(column_map, role) for role in roles
+             if getattr(column_map, role) is not None}
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = reader.fieldnames or []
-        bound = {"id": column_map.id, "site": column_map.site,
-                 "age": column_map.age, "narrative": column_map.narrative}
-        if column_map.cause is not None:
-            bound["cause"] = column_map.cause
-        missing = {role: col for role, col in bound.items() if col not in header}
-        if missing:
-            raise SchemaError(
-                f"{path}: bound columns not in header: "
-                + ", ".join(f"{role}->{col!r}" for role, col in sorted(missing.items())))
-        saw_malaria = False
-        for row_number, row in enumerate(reader, start=2):
-            result.n_rows_read += 1
-            raw_age = (row.get(column_map.age) or "").strip()
-            try:
-                age = float(raw_age)
-            except ValueError:
-                result.row_errors.append(RowError(row_number, f"unparseable age {raw_age!r}"))
-                continue
-            if age < 0:
-                result.row_errors.append(RowError(row_number, f"negative age {age}"))
-                continue
-            if age < min_age:
-                result.n_filtered_age += 1
-                continue
-            true_cause = None
-            if column_map.cause is not None:
-                raw_cause = (row.get(column_map.cause) or "").strip()
-                if raw_cause:
-                    if raw_cause.lower() == "malaria":
-                        saw_malaria = True
-                    # map_cause rejects "unclassified": it is never a true cause
-                    true_cause = map_cause(raw_cause)
-            record = VaRecord(
-                record_id=(row.get(column_map.id) or "").strip(),
-                site=(row.get(column_map.site) or "").strip(),
-                age=age,
-                narrative=row.get(column_map.narrative) or "",
-                true_cause=true_cause,
-            )
-            result.records.append(record)
-            result.site_counts[record.site] = result.site_counts.get(record.site, 0) + 1
-            if true_cause is not None:
-                result.cause_counts[true_cause.value] = \
-                    result.cause_counts.get(true_cause.value, 0) + 1
-        if saw_malaria:
-            result.notes.append(MALARIA_NOTE)
-            warnings.warn(MALARIA_NOTE, UserWarning, stacklevel=2)
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, [])
+        for problem, wrong in (("not in header", lambda col: col not in header),
+                               ("more than once in header", lambda col: header.count(col) > 1)):
+            if any(map(wrong, bound.values())):
+                raise SchemaError(f"{path}: bound columns {problem}: " + ", ".join(
+                    f"{role}->{col!r}" for role, col in sorted(bound.items()) if wrong(col)))
+        # without a cause column the id field is read twice; the copy is unused
+        at = [header.index(bound[role]) for role in ("id", "site", "age", "narrative")]
+        at.append(header.index(bound.get("cause", column_map.id)))
+        i_id, i_site, i_age, i_text, i_cause = at
+        width = max(at) + 1
+        ids, sites, ages, texts, causes = [], [], [], [], []
+        for row in filter(None, reader):        # blank lines are skipped
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            ids.append(row[i_id])
+            sites.append(row[i_site])
+            ages.append(row[i_age])
+            texts.append(row[i_text])
+            causes.append(row[i_cause])
+    # ages and causes are parsed once per distinct string
+    age_or_error = {raw: _parse_age(raw) for raw in dict.fromkeys(ages)}
+    age_of = {raw: v if isinstance(v, float) else np.nan for raw, v in age_or_error.items()}
+    age = np.fromiter(map(age_of.__getitem__, ages), dtype=float, count=len(ages))
+    bad = np.isnan(age)
+    young = age < min_age
+    keep = np.flatnonzero(~bad & ~young)
+
+    def kept(column: list[str]) -> list[str]:
+        return np.asarray(column, dtype=object)[keep].tolist()
+
+    ids = np.asarray(list(map(str.strip, kept(ids))), dtype=object)
+    sites = np.asarray(list(map(str.strip, kept(sites))), dtype=object)
+    codes = np.full(len(keep), NO_CAUSE, dtype=np.int8)
+    saw_malaria = False
+    if column_map.cause is not None:
+        causes = kept(causes)
+        code_of = {raw: _CAUSE_CODE.get(raw.strip().lower(), _UNKNOWN_CAUSE)
+                   for raw in dict.fromkeys(causes)}
+        codes = np.fromiter(map(code_of.__getitem__, causes), dtype=np.int8, count=len(causes))
+        saw_malaria = any(raw.strip().lower() == "malaria" for raw in code_of)
+    offending = np.flatnonzero((codes == _UNKNOWN_CAUSE) | (sites == ""))
+    if offending.size:
+        j = offending[0]
+        if codes[j] == _UNKNOWN_CAUSE:
+            map_cause(causes[j].strip())        # raises CauseMapError
+        raise SchemaError(f"record {ids[j]!r} has an empty site")
+    result = LoadResult(
+        records=RecordTable(ids=ids, sites=sites, ages=age[keep],
+                            narratives=kept(texts), causes=codes),
+        n_rows_read=len(ages), n_filtered_age=int(young.sum()),
+        row_errors=[RowError(int(j) + 2, age_or_error[ages[j]]) for j in np.flatnonzero(bad)])
+    if saw_malaria:
+        result.notes.append(MALARIA_NOTE)
+        warnings.warn(MALARIA_NOTE, UserWarning, stacklevel=2)
     return result
 
 
@@ -310,7 +375,7 @@ def _round_half_up(value: float) -> int:
     return int(np.floor(value + 0.5))
 
 
-def split(records: list[VaRecord], spec: SplitSpec) -> DataSplit:
+def split(records: RecordTable, spec: SplitSpec) -> DataSplit:
     """Deterministic labeled/unlabeled partition of record indices.
 
     full-random draws round(fraction * total) indices uniformly;
@@ -327,19 +392,16 @@ def split(records: list[VaRecord], spec: SplitSpec) -> DataSplit:
         labeled = np.sort(perm[:n_labeled])
         unlabeled = np.sort(perm[n_labeled:])
     else:
-        missing = [r.record_id for r in records if r.true_cause is None]
-        if missing:
+        n_missing = int((records.causes == NO_CAUSE).sum())
+        if n_missing:
             raise SplitError(
                 f"stratified-by-cause split needs every record labeled; "
-                f"{len(missing)} records lack a true cause")
-        groups: dict[CodClass, list[int]] = {}
-        for idx, record in enumerate(records):
-            groups.setdefault(record.true_cause, []).append(idx)
+                f"{n_missing} records lack a true cause")
         labeled_parts, unlabeled_parts = [], []
-        for cause in CAUSE_CLASSES:
-            if cause not in groups:
+        for code, cause in enumerate(CAUSE_CLASSES):
+            members = np.flatnonzero(records.causes == code)
+            if not members.size:
                 continue
-            members = np.asarray(groups[cause])
             if len(members) < 2:
                 raise SplitError(
                     f"cause class {cause.value!r} has {len(members)} record(s); "

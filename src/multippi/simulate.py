@@ -78,9 +78,6 @@ class NoiseModel:
     def uniform(cls, n_classes: int) -> "NoiseModel":
         return cls(np.full((n_classes, n_classes), 1.0 / n_classes))
 
-    def expected_accuracy(self, class_marginals: np.ndarray) -> float:
-        return float(np.asarray(class_marginals) @ np.diag(self.matrix))
-
 
 # Validation default for 3-class experiments: ~0.6 overall accuracy under
 # DEFAULT_THETA_STAR marginals. Errors mix the two non-reference classes

@@ -16,9 +16,9 @@ by the CodClass enumeration order.
 from __future__ import annotations
 
 import csv
-import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import scipy.sparse
 
 from .errors import (AlignmentError, DegenerateModelError, ParameterError,
                      PredictionFormatError)
-from .ingest import CAUSE_CLASSES, CodClass, VaRecord
+from .ingest import CAUSE_CLASSES, NO_CAUSE, VALUE_OF_CODE, CodClass, RecordTable
 
 _TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+", re.UNICODE)
 
@@ -396,94 +396,138 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
 # Prediction sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Record-id aligned predictions with the unclassified policy applied."""
+    """Predicted causes aligned to the rows of a RecordTable, with the
+    unclassified policy applied.
 
-    predictions: dict[str, CodClass]
+    ``codes[i]`` is row i's predicted index into CAUSE_CLASSES, or
+    NO_CAUSE where the row has no prediction (absent from an external
+    file, or dropped as unclassified). ``order`` lists the predicted rows
+    in the order they were given (default: row order).
+    """
+
+    codes: np.ndarray
     provenance: str
     policy: str
     dropped: tuple[str, ...] = ()
     imputed: tuple[str, ...] = ()
-    unclassified_count: int = 0
+    order: np.ndarray | None = None
 
     def __post_init__(self):
-        bad = [rid for rid, c in self.predictions.items() if c is CodClass.UNCLASSIFIED]
-        if bad:
+        codes = np.asarray(self.codes)
+        if codes.size and not NO_CAUSE <= codes.min() <= codes.max() < len(CAUSE_CLASSES):
             raise PredictionFormatError(
-                f"UNCLASSIFIED predictions survived policy resolution: {bad[:5]}")
+                f"prediction codes must lie in [{NO_CAUSE}, {len(CAUSE_CLASSES)}); "
+                "UNCLASSIFIED predictions must be resolved by the policy")
+        object.__setattr__(self, "codes", codes.astype(np.int8))
+        if self.order is None:
+            object.__setattr__(self, "order", np.flatnonzero(self.codes != NO_CAUSE))
+
+    def take(self, rows: np.ndarray, ids: np.ndarray) -> "PredictionSet":
+        """The predictions of table rows ``rows``, whose record ids are ``ids``."""
+        keep = set(ids.tolist())
+        dropped = tuple(rid for rid in self.dropped if rid in keep)
+        imputed = tuple(rid for rid in self.imputed if rid in keep)
+        return PredictionSet(codes=self.codes[rows], provenance=self.provenance,
+                             policy=self.policy, dropped=dropped, imputed=imputed)
+
+    @property
+    def unclassified_count(self) -> int:
+        return len(self.dropped) + len(self.imputed)
 
     def class_counts(self) -> dict[str, int]:
-        counts = {c.value: 0 for c in CAUSE_CLASSES}
-        for cause in self.predictions.values():
-            counts[cause.value] += 1
-        counts["unclassified"] = self.unclassified_count
-        return counts
+        counts = np.bincount(self.codes[self.order], minlength=len(CAUSE_CLASSES))
+        return {**{c.value: int(n) for c, n in zip(CAUSE_CLASSES, counts)},
+                "unclassified": self.unclassified_count}
 
-    def to_rows(self) -> list[dict]:
-        return [{"record_id": rid, "predicted_label": cause.value}
-                for rid, cause in self.predictions.items()]
+    def to_rows(self, ids: np.ndarray) -> list[tuple[str, str]]:
+        """(record_id, predicted_label) pairs in ``order``, given the table's ids."""
+        return list(zip(ids[self.order], VALUE_OF_CODE[self.codes[self.order]]))
 
 
-_LABEL_BY_VALUE = {c.value: c for c in CodClass}
+# Predicted label -> its index in CodClass: UNCLASSIFIED follows the cause classes.
+_LABEL_CODE = {c.value: i for i, c in enumerate(CodClass)}
+_UNCLASSIFIED_CODE = _LABEL_CODE[CodClass.UNCLASSIFIED.value]
+_BAD_LABEL = -2
 
 
-def load_external_predictions(path: str | Path, policy: str,
-                              known_ids: set[str] | list[str],
+def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
                               majority_class: CodClass | None = None,
                               name: str = "external") -> PredictionSet:
-    """Read (record_id, predicted_label) CSV and resolve unclassified rows.
+    """Read a (record_id, predicted_label) CSV, align it to ``table``'s rows,
+    and resolve unclassified rows.
 
     drop removes them (and enumerates the ids); impute-majority replaces
     them with the labeled subset's majority class; keep-as-error fails if
-    any are present.
+    any are present. The first offending row raises: an id not in the
+    table or given twice (AlignmentError), then an unknown label
+    (PredictionFormatError).
     """
     if policy not in UNCLASSIFIED_POLICIES:
         raise ParameterError(f"unknown unclassified policy {policy!r}")
     if policy == "impute-majority" and majority_class is None:
         raise ParameterError("impute-majority requires the labeled majority class")
-    known = set(known_ids)
     path = Path(path)
-    raw: dict[str, CodClass] = {}
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         if "record_id" not in header or "predicted_label" not in header:
             raise PredictionFormatError(
                 f"{path}: header must contain record_id and predicted_label")
-        for row_number, row in enumerate(reader, start=2):
-            rid = (row.get("record_id") or "").strip()
-            label = (row.get("predicted_label") or "").strip().lower()
-            if rid not in known:
-                raise AlignmentError(
-                    f"{path}:{row_number}: record id {rid!r} not in the loaded dataset")
-            if rid in raw:
-                raise AlignmentError(f"{path}:{row_number}: duplicate record id {rid!r}")
-            if label not in _LABEL_BY_VALUE:
-                raise PredictionFormatError(
-                    f"{path}:{row_number}: unknown predicted label {label!r}")
-            raw[rid] = _LABEL_BY_VALUE[label]
-    unclassified = [rid for rid, c in raw.items() if c is CodClass.UNCLASSIFIED]
+        # a repeated column name reads its last occurrence
+        i_id, i_label = (len(header) - 1 - header[::-1].index(col)
+                         for col in ("record_id", "predicted_label"))
+        width = max(i_id, i_label) + 1
+        rids, labels = [], []
+        for row in filter(None, reader):        # blank lines are skipped
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            rids.append(row[i_id])
+            labels.append(row[i_label])
+    rids = list(map(str.strip, rids))
+    row_of = dict(zip(table.ids.tolist(), range(len(table))))
+    rows = np.fromiter(map(row_of.get, rids, repeat(-1)), dtype=np.intp, count=len(rids))
+    codes = np.fromiter(map({raw: _LABEL_CODE.get(raw.strip().lower(), _BAD_LABEL)
+                             for raw in dict.fromkeys(labels)}.__getitem__, labels),
+                        dtype=np.int8, count=len(labels))
+    unknown = rows < 0
+    repeated = np.ones(len(rows), dtype=bool)
+    repeated[np.unique(rows, return_index=True)[1]] = False
+    offending = np.flatnonzero(unknown | repeated | (codes == _BAD_LABEL))
+    if offending.size:
+        j = offending[0]
+        where = f"{path}:{j + 2}"
+        if unknown[j]:
+            raise AlignmentError(f"{where}: record id {rids[j]!r} not in the loaded dataset")
+        if repeated[j]:
+            raise AlignmentError(f"{where}: duplicate record id {rids[j]!r}")
+        raise PredictionFormatError(
+            f"{where}: unknown predicted label {labels[j].strip().lower()!r}")
+    unclassified = codes == _UNCLASSIFIED_CODE
+    unclassified_ids = sorted(rids[j] for j in np.flatnonzero(unclassified))
     dropped: tuple[str, ...] = ()
     imputed: tuple[str, ...] = ()
-    if policy == "keep-as-error" and unclassified:
+    if policy == "keep-as-error" and unclassified_ids:
         raise PredictionFormatError(
-            f"{path}: {len(unclassified)} unclassified prediction(s) under "
-            f"keep-as-error policy: {sorted(unclassified)}")
+            f"{path}: {len(unclassified_ids)} unclassified prediction(s) under "
+            f"keep-as-error policy: {unclassified_ids}")
     if policy == "drop":
-        for rid in unclassified:
-            del raw[rid]
-        dropped = tuple(sorted(unclassified))
+        rows, codes = rows[~unclassified], codes[~unclassified]
+        dropped = tuple(unclassified_ids)
     elif policy == "impute-majority":
-        for rid in unclassified:
-            raw[rid] = majority_class
-        imputed = tuple(sorted(unclassified))
-    return PredictionSet(predictions=raw, provenance=f"external:{name}",
-                         policy=policy, dropped=dropped, imputed=imputed,
-                         unclassified_count=len(unclassified))
+        codes[unclassified] = CAUSE_CLASSES.index(majority_class)
+        imputed = tuple(unclassified_ids)
+    aligned = np.full(len(table), NO_CAUSE, dtype=np.int8)
+    aligned[rows] = codes
+    if len(row_of) < len(table):        # rows sharing an id share its prediction
+        aligned = aligned[np.fromiter(map(row_of.__getitem__, table.ids.tolist()),
+                                      dtype=np.intp, count=len(table))]
+    return PredictionSet(codes=aligned, provenance=f"external:{name}", policy=policy,
+                         dropped=dropped, imputed=imputed, order=rows)
 
 
-def predict_all(model, records: list[VaRecord], corpus: Corpus | None = None,
+def predict_all(model, records: RecordTable, corpus: Corpus | None = None,
                 rows: np.ndarray | None = None) -> PredictionSet:
     """One prediction per record from a trained bag-of-words model.
 
@@ -491,18 +535,17 @@ def predict_all(model, records: list[VaRecord], corpus: Corpus | None = None,
     the records' documents at ``rows`` (default: all rows, in order).
     """
     if corpus is None:
-        corpus = tokenize_corpus([r.narrative for r in records])
+        corpus = tokenize_corpus(records.narratives.tolist())
     predicted = model.predict_many(
         vectorize_corpus(corpus, model.vocabulary, model.weighting, rows))
-    return PredictionSet(
-        predictions={r.record_id: cause for r, cause in zip(records, predicted)},
-        provenance=model.kind, policy="drop")
+    return PredictionSet(codes=_class_ids(predicted), provenance=model.kind, policy="drop")
 
 
 # ---------------------------------------------------------------------------
 # Model serialization (versioned, text-only)
 
 _MODEL_FORMAT = "multippi-text-model"
+_LABEL_BY_VALUE = {c.value: c for c in CodClass}
 
 
 def model_to_dict(model) -> dict:
@@ -526,10 +569,6 @@ def model_to_dict(model) -> dict:
     else:
         raise ParameterError(f"cannot serialize model kind {model.kind!r}")
     return data
-
-
-def model_to_json(model) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True) + "\n"
 
 
 def model_from_dict(data: dict):
@@ -562,7 +601,3 @@ def model_from_dict(data: dict):
                         epochs=int(data["epochs"]), seed=int(data["seed"]),
                         vocabulary=vocab, weighting=data["weighting"])
     raise PredictionFormatError(f"unknown model kind {kind!r}")
-
-
-def model_from_json(text: str):
-    return model_from_dict(json.loads(text))

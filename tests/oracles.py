@@ -3,14 +3,21 @@
 Everything here is deliberately written along different code paths than
 the package: full-K softmax columns instead of K-1 blocks, textbook IRLS,
 plain finite differences, loop-based cosine KNN, a per-document
-vocabulary and vectorizer, and the per-sample SVM trainer.
+vocabulary and vectorizer, the per-sample SVM trainer, and the
+row-at-a-time CSV loader.
 """
 
+import csv
+import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import scipy.optimize
 import scipy.special
+
+from multippi.errors import SchemaError
+from multippi.ingest import CAUSE_CLASSES, MALARIA_NOTE, NO_CAUSE, RecordTable, map_cause
 
 
 def make_instance(rng, n_classes, n_features, n_rows, theta_scale=1.0):
@@ -195,3 +202,68 @@ def vectorize_rowwise(doc, index, doc_freq, n_docs, weighting):
     if weighting == "count":
         return cols, [float(tf[j]) for j in cols]
     return cols, [tf[j] * (np.log((1.0 + n_docs) / (1.0 + doc_freq[j])) + 1.0) for j in cols]
+
+
+def load_records_rowwise(path, column_map, delimiter=",", min_age=12.0):
+    """The row-at-a-time loader: one DictReader loop, one record per row.
+
+    Returns (records, summary): records are (id, site, age, narrative,
+    cause class or None) tuples in file order, and the summary has the
+    keys of ``LoadResult.summary()``. Unknown causes and empty sites raise
+    at the first kept row that has one, the cause checked first.
+    """
+    records, row_errors, n_rows, n_young = [], [], 0, 0
+    site_counts, cause_counts, saw_malaria = {}, {}, False
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle, delimiter=delimiter)
+        bound = [column_map.id, column_map.site, column_map.age, column_map.narrative,
+                 column_map.cause]
+        if any(col is not None and col not in (reader.fieldnames or []) for col in bound):
+            raise SchemaError(f"{path}: bound columns not in header")
+        for row_number, row in enumerate(reader, start=2):
+            n_rows += 1
+            raw_age = (row.get(column_map.age) or "").strip()
+            try:
+                age = float(raw_age)
+            except ValueError:
+                row_errors.append({"row": row_number, "message": f"unparseable age {raw_age!r}"})
+                continue
+            if not math.isfinite(age):
+                row_errors.append({"row": row_number, "message": f"non-finite age {raw_age!r}"})
+                continue
+            if age < 0:
+                row_errors.append({"row": row_number, "message": f"negative age {age}"})
+                continue
+            if age < min_age:
+                n_young += 1
+                continue
+            cause = None
+            if column_map.cause is not None:
+                raw_cause = (row.get(column_map.cause) or "").strip()
+                if raw_cause:
+                    saw_malaria |= raw_cause.lower() == "malaria"
+                    cause = map_cause(raw_cause)
+            record_id = (row.get(column_map.id) or "").strip()
+            site = (row.get(column_map.site) or "").strip()
+            if not site:
+                raise SchemaError(f"record {record_id!r} has an empty site")
+            records.append((record_id, site, age, row.get(column_map.narrative) or "", cause))
+            site_counts[site] = site_counts.get(site, 0) + 1
+            if cause is not None:
+                cause_counts[cause.value] = cause_counts.get(cause.value, 0) + 1
+    summary = {
+        "n_records": len(records), "n_rows_read": n_rows, "n_filtered_age": n_young,
+        "n_row_errors": len(row_errors), "row_errors": row_errors,
+        "site_counts": dict(sorted(site_counts.items())),
+        "cause_counts": dict(sorted(cause_counts.items())),
+        "notes": [MALARIA_NOTE] if saw_malaria else [],
+    }
+    return records, summary
+
+
+def record_table(rows):
+    """A RecordTable from (id, site, age, narrative, cause class or None) tuples."""
+    ids, sites, ages, texts, causes = zip(*rows) if rows else ([],) * 5
+    codes = [NO_CAUSE if c is None else CAUSE_CLASSES.index(c) for c in causes]
+    return RecordTable(ids=list(ids), sites=list(sites), ages=list(ages),
+                       narratives=list(texts), causes=np.asarray(codes, dtype=np.int8))

@@ -131,6 +131,36 @@ def test_infer_lambda_zero_matches_classical(tmp_path, monkeypatch):
     assert multippi["report"]["lambda"]["clipped"] == 0.0
 
 
+def test_infer_skips_a_non_finite_age_row(tmp_path, monkeypatch, capsys):
+    # a row aged nan is a row error, not a record: a prediction for it is
+    # misaligned like one for an under-age row, and without it infer fits
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv", n_per_site=200)
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    lines = (tmp_path / "synth.csv").read_text().splitlines()
+    rid, site, _, text, cause = lines[7].split(",")
+    lines[7] = ",".join([rid, site, "nan", text, cause])
+    (tmp_path / "synth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = "id=id,site=site,age=age,narrative=open_text,cause=cause"
+    args = ["infer", "--input", "synth.csv", "--columns", columns, "--predictions",
+            "preds.csv", "--seed", 9, "--out", "inferred", "--threads", 1]
+    capsys.readouterr()
+    assert run_cli(args) == cli.EXIT_DATA_ERROR
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "AlignmentError" and rid in record["message"]
+    preds = [line for line in (tmp_path / "preds.csv").read_text().splitlines()
+             if not line.startswith(rid + ",")]
+    (tmp_path / "preds.csv").write_text("\n".join(preds) + "\n", encoding="utf-8")
+    assert run_cli(args) == 0, capsys.readouterr().err
+    doc = json.loads((tmp_path / "inferred" / "report_ground-truth.json").read_text())
+    assert doc["report"]["n_labeled"] == 399
+    assert doc["report"]["diagnostics"]["status"] == "converged"
+    assert run_cli(["ingest", "--input", "synth.csv", "--columns", columns,
+                    "--out", "ingested", "--threads", 1]) == 0
+    summary = json.loads((tmp_path / "ingested" / "ingest.json").read_text())["summary"]
+    assert summary["row_errors"] == [{"row": 8, "message": "non-finite age 'nan'"}]
+
+
 def test_infer_tuned_lambda_recorded(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_synth_csv(tmp_path / "synth.csv")

@@ -1,15 +1,15 @@
-"""Metrics, design building, the LOSO protocol, and the lambda sweep."""
+"""Metrics, design building, the LOSO protocol, and fixed-lambda fits."""
 
 import numpy as np
 import pytest
 
+import oracles
 from multippi import experiment, mlogit, ppi, simulate, textpred
 from multippi.errors import ParameterError, ShapeError
 from multippi.experiment import (ConfusionMatrix, InferenceSpec, PredictorSpec,
                                  accuracy, build_design, class_order,
-                                 confusion_matrix, lambda_sweep, macro_f1,
-                                 run_loso)
-from multippi.ingest import CAUSE_CLASSES, VaRecord
+                                 confusion_matrix, macro_f1, run_loso)
+from multippi.ingest import CAUSE_CLASSES, CLASS_OF_CODE, RecordTable
 
 NC, COM, EXT, MAT, ATB = CAUSE_CLASSES
 
@@ -48,20 +48,24 @@ def test_accuracy_empty_matrix_error():
 
 
 def test_confusion_matrix_builder_marginals():
-    true = [NC, COM, COM, EXT, NC]
-    pred = [NC, NC, COM, EXT, EXT]
+    true = [0, 1, 1, 2, 0]
+    pred = [0, 0, 1, 2, 2]
     cm = confusion_matrix(true, pred)
-    for i, cause in enumerate(CAUSE_CLASSES):
-        assert cm.counts[i].sum() == true.count(cause)
-        assert cm.counts[:, i].sum() == pred.count(cause)
+    for i in range(len(CAUSE_CLASSES)):
+        assert cm.counts[i].sum() == true.count(i)
+        assert cm.counts[:, i].sum() == pred.count(i)
+    assert cm.counts[1, 0] == 1 and cm.counts[0, 2] == 1 and cm.counts[2, 0] == 0
+    with pytest.raises(ShapeError):
+        confusion_matrix([0, 1], [0])
+    with pytest.raises(ShapeError):
+        confusion_matrix([0, 5], [0, 1])
 
 
 # -- design --------------------------------------------------------------------
 
 def records_from_arrays(ages, causes, site="s", prefix="r"):
-    return [VaRecord(record_id=f"{prefix}{i}", site=site, age=float(a),
-                     narrative="n", true_cause=c)
-            for i, (a, c) in enumerate(zip(ages, causes))]
+    return oracles.record_table([(f"{prefix}{i}", site, float(a), "n", c)
+                                 for i, (a, c) in enumerate(zip(ages, causes))])
 
 
 def test_class_order_reference_first():
@@ -91,17 +95,15 @@ def toy_multisite_records(n_sites=6, per_site=30, seed=0):
     rng = np.random.default_rng(seed)
     token_of = {NC: "tumor", COM: "fever", EXT: "crash", MAT: "childbirth", ATB: "hiv"}
     filler = ["the", "person", "was", "ill", "for", "days", "then", "died"]
-    records = []
+    rows = []
     for s in range(n_sites):
         for i in range(per_site):
             cause = CAUSE_CLASSES[i % 5]
             words = [token_of[cause]] * 3 + list(rng.choice(filler, size=4))
             rng.shuffle(words)
-            records.append(VaRecord(
-                record_id=f"s{s}r{i}", site=f"site{s}",
-                age=float(20 + rng.integers(0, 60)),
-                narrative=" ".join(words), true_cause=cause))
-    return records
+            rows.append((f"s{s}r{i}", f"site{s}", float(20 + rng.integers(0, 60)),
+                         " ".join(words), cause))
+    return oracles.record_table(rows)
 
 
 def test_run_loso_produces_one_report_per_site():
@@ -123,19 +125,26 @@ def test_run_loso_site_filter():
     assert len(reports) == 1 and reports[0].site == "site1"
 
 
-def test_run_loso_never_trains_on_held_out_site():
+def test_run_loso_never_trains_on_held_out_site(monkeypatch):
     records = toy_multisite_records(n_sites=3)
     # a token that exists only in the held-out site's narratives
-    records = [
-        VaRecord(r.record_id, r.site, r.age,
-                 r.narrative + (" zebrafoo" if r.site == "site1" else ""),
-                 r.true_cause)
-        for r in records
-    ]
-    reports = run_loso(records, PredictorSpec(kind="nb"),
-                       InferenceSpec(labeled_fraction=0.3, seed=5),
-                       sites=["site1"], keep_models=True)
-    vocab = reports[0].model.vocabulary
+    held_out = records.sites == "site1"
+    narratives = records.narratives.copy()
+    narratives[held_out] = narratives[held_out] + " zebrafoo"
+    records = RecordTable(ids=records.ids, sites=records.sites, ages=records.ages,
+                            narratives=narratives, causes=records.causes)
+    models = []
+
+    def spy(*args, **kwargs):
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    train = experiment.train_predictor
+    monkeypatch.setattr(experiment, "train_predictor", spy)
+    run_loso(records, PredictorSpec(kind="nb"),
+             InferenceSpec(labeled_fraction=0.3, seed=5), sites=["site1"])
+    assert len(models) == 1
+    vocab = models[0].vocabulary
     assert "zebrafoo" not in vocab.index
     assert "fever" in vocab.index
 
@@ -144,7 +153,7 @@ def test_run_loso_perfect_predictor_estimators_agree(tmp_path):
     records = toy_multisite_records(n_sites=2, per_site=120, seed=3)
     pred_path = tmp_path / "perfect.csv"
     rows = ["record_id,predicted_label"] + [
-        f"{r.record_id},{r.true_cause.value}" for r in records]
+        f"{rid},{cause.value}" for rid, cause in zip(records.ids, CLASS_OF_CODE[records.causes])]
     pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     reports = run_loso(records, PredictorSpec(kind="external",
                                               external_path=str(pred_path)),
@@ -179,9 +188,8 @@ def test_evaluate_site_degeneracy_flag():
     causes = [NC] * 6 + [COM] * 5 + [MAT]
     ages = 30 + 3 * np.arange(12)
     records = records_from_arrays(ages, causes)
-    predictions = textpred.PredictionSet(
-        predictions={r.record_id: r.true_cause for r in records},
-        provenance="external:perfect", policy="drop")
+    predictions = textpred.PredictionSet(codes=records.causes,
+                                         provenance="external:perfect", policy="drop")
     flagged = None
     for seed in range(60):
         report = experiment.evaluate_site(
@@ -233,16 +241,19 @@ def test_run_loso_transportability_coverage(tmp_path):
     covered = {"multippi": [], "naive": []}
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(321, spawn_key=(rep,)))
-        all_records, rows = [], ["record_id,predicted_label"]
+        tables, rows = [], ["record_id,predicted_label"]
         for s, (site, theta) in enumerate(thetas.items()):
             records, y = synthetic_site_records(theta, n_per_site, site, rng,
                                                 prefix=f"{site}_")
             yhat = simulate.corrupt(y, noise, rng)
-            rows.extend(f"{r.record_id},{CAUSE_CLASSES[v].value}"
-                        for r, v in zip(records, yhat))
-            all_records.extend(records)
+            rows.extend(f"{rid},{CAUSE_CLASSES[v].value}"
+                        for rid, v in zip(records.ids, yhat))
+            tables.append(records)
         pred_path = tmp_path / f"pred_{rep}.csv"
         pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        all_records = RecordTable(
+            *(np.concatenate([getattr(t, name) for t in tables])
+              for name in ("ids", "sites", "ages", "narratives", "causes")))
         reports = run_loso(all_records,
                            PredictorSpec(kind="external", external_path=str(pred_path)),
                            InferenceSpec(labeled_fraction=0.2, seed=rep))
@@ -259,7 +270,7 @@ def test_run_loso_transportability_coverage(tmp_path):
     assert np.all(naive_cov < 0.5), naive_cov
 
 
-# -- lambda sweep -----------------------------------------------------------------
+# -- fixed-lambda fits ---------------------------------------------------------------
 
 def sweep_inputs(seed=77):
     spec = simulate.default_spec(seed=seed, n_labeled=150, n_unlabeled=450)
@@ -271,18 +282,23 @@ def sweep_inputs(seed=77):
                          data.x_unlabeled, yhat_u, 3)
 
 
+def lambda_sweep(inputs, grid):
+    """Fixed-lambda reports across a grid in [0, 1]."""
+    return [ppi.fit_multippi_report(inputs, float(lam)) for lam in grid]
+
+
 def test_lambda_sweep_zero_grid_matches_classical():
     inputs = sweep_inputs()
-    rows = lambda_sweep(inputs, [0.0])
+    reports = lambda_sweep(inputs, [0.0])
     theta_classical, _ = mlogit.fit_mle(inputs.x_labeled, inputs.y_labeled, 3)
-    assert np.max(np.abs(rows[0].theta - theta_classical)) < 1e-10
+    assert np.max(np.abs(reports[0].theta - theta_classical)) < 1e-10
 
 
 def test_lambda_sweep_structure():
     inputs = sweep_inputs()
-    rows = lambda_sweep(inputs, [0.0, 0.5, 1.0])
-    assert [row.lam for row in rows] == [0.0, 0.5, 1.0]
-    assert all(row.theta.shape == (4,) and row.se.shape == (4,) for row in rows)
+    reports = lambda_sweep(inputs, [0.0, 0.5, 1.0])
+    assert [r.lambda_choice.clipped for r in reports] == [0.0, 0.5, 1.0]
+    assert all(r.theta.shape == (4,) and r.se.shape == (4,) for r in reports)
 
 
 def test_lambda_sweep_continuity():

@@ -11,7 +11,7 @@ import oracles
 from multippi import textpred as tp
 from multippi.errors import (AlignmentError, DegenerateModelError,
                              ParameterError, PredictionFormatError)
-from multippi.ingest import CAUSE_CLASSES, CodClass, VaRecord
+from multippi.ingest import CAUSE_CLASSES, CLASS_OF_CODE, NO_CAUSE, CodClass
 
 NC, COM, EXT, MAT, ATB = CAUSE_CLASSES
 WIDTH = 4                                    # columns of the hand-built test rows
@@ -424,13 +424,18 @@ def write_predictions(path, rows):
     return path
 
 
+def id_table(ids, causes=None):
+    causes = causes or [None] * len(ids)
+    return oracles.record_table([(rid, "a", 40.0, "", c) for rid, c in zip(ids, causes)])
+
+
 def test_load_external_drop_policy(tmp_path):
     rows = [f"r{i},communicable" for i in range(8)] + \
         ["r8,unclassified", "r9,unclassified"]
     path = write_predictions(tmp_path / "p.csv", rows)
-    known = {f"r{i}" for i in range(10)}
-    ps = tp.load_external_predictions(path, "drop", known)
-    assert len(ps.predictions) == 8
+    ps = tp.load_external_predictions(path, "drop", id_table([f"r{i}" for i in range(10)]))
+    assert (ps.codes != NO_CAUSE).sum() == 8
+    assert ps.codes[8] == ps.codes[9] == NO_CAUSE
     assert ps.dropped == ("r8", "r9")
     assert ps.unclassified_count == 2
 
@@ -439,48 +444,75 @@ def test_load_external_keep_as_error(tmp_path):
     rows = ["r0,external", "r1,unclassified", "r2,unclassified"]
     path = write_predictions(tmp_path / "p.csv", rows)
     with pytest.raises(PredictionFormatError) as err:
-        tp.load_external_predictions(path, "keep-as-error", {"r0", "r1", "r2"})
+        tp.load_external_predictions(path, "keep-as-error", id_table(["r0", "r1", "r2"]))
     assert "r1" in str(err.value) and "r2" in str(err.value)
 
 
 def test_load_external_impute_majority(tmp_path):
     rows = ["r0,external", "r1,unclassified", "r2,unclassified"]
     path = write_predictions(tmp_path / "p.csv", rows)
-    ps = tp.load_external_predictions(path, "impute-majority", {"r0", "r1", "r2"},
+    ps = tp.load_external_predictions(path, "impute-majority", id_table(["r0", "r1", "r2"]),
                                       majority_class=CodClass.NON_COMMUNICABLE)
-    assert ps.predictions["r1"] is CodClass.NON_COMMUNICABLE
-    assert ps.predictions["r2"] is CodClass.NON_COMMUNICABLE
+    assert CLASS_OF_CODE[ps.codes].tolist() == [EXT, NC, NC]
     assert ps.imputed == ("r1", "r2")
 
 
 def test_load_external_unknown_id(tmp_path):
     path = write_predictions(tmp_path / "p.csv", ["zz,external"])
     with pytest.raises(AlignmentError, match="zz"):
-        tp.load_external_predictions(path, "drop", {"r0"})
+        tp.load_external_predictions(path, "drop", id_table(["r0"]))
 
 
 def test_load_external_unknown_label(tmp_path):
     path = write_predictions(tmp_path / "p.csv", ["r0,banana"])
     with pytest.raises(PredictionFormatError, match="banana"):
-        tp.load_external_predictions(path, "drop", {"r0"})
+        tp.load_external_predictions(path, "drop", id_table(["r0"]))
 
 
 def test_load_external_requires_majority_for_impute(tmp_path):
     path = write_predictions(tmp_path / "p.csv", ["r0,external"])
     with pytest.raises(ParameterError):
-        tp.load_external_predictions(path, "impute-majority", {"r0"})
+        tp.load_external_predictions(path, "impute-majority", id_table(["r0"]))
+
+
+def test_load_external_aligns_to_table_rows(tmp_path):
+    # file order differs from table order; r1 appears twice in the table
+    path = write_predictions(tmp_path / "p.csv",
+                             [" r2 , Maternal", "", "r1,aids-tb", "r9,unclassified"])
+    table = id_table(["r1", "r2", "r3", "r1", "r9"])
+    ps = tp.load_external_predictions(path, "drop", table)
+    assert CLASS_OF_CODE[ps.codes].tolist() == [ATB, MAT, None, ATB, None]
+    assert ps.to_rows(table.ids) == [("r2", "maternal"), ("r1", "aids-tb")]
+    assert ps.class_counts() == {"non-communicable": 0, "communicable": 0, "external": 0,
+                                 "maternal": 1, "aids-tb": 1, "unclassified": 1}
+    site = ps.take(np.array([4, 1]), table.ids[[4, 1]])
+    assert site.codes.tolist() == [NO_CAUSE, CAUSE_CLASSES.index(MAT)]
+    assert site.dropped == ("r9",) and site.unclassified_count == 1
+
+
+def test_load_external_first_offending_row_raises(tmp_path):
+    table = id_table(["r0", "r1"])
+    # row numbers count CSV records: the blank line is skipped
+    path = write_predictions(tmp_path / "p.csv", ["r0,banana", "", "r0,external", "zz,x"])
+    with pytest.raises(PredictionFormatError, match=r"p.csv:2: unknown predicted label 'banana'"):
+        tp.load_external_predictions(path, "drop", table)
+    path = write_predictions(tmp_path / "q.csv", ["r0,external", "", "r0,banana", "zz,x"])
+    with pytest.raises(AlignmentError, match=r"q.csv:3: duplicate record id 'r0'"):
+        tp.load_external_predictions(path, "drop", table)
+    path = write_predictions(tmp_path / "s.csv", ["r0,external", "r1", "zz,x"])
+    with pytest.raises(PredictionFormatError, match=r"s.csv:3: unknown predicted label ''"):
+        tp.load_external_predictions(path, "drop", table)
 
 
 def test_prediction_set_rejects_surviving_unclassified():
     with pytest.raises(PredictionFormatError):
-        tp.PredictionSet(predictions={"r0": CodClass.UNCLASSIFIED},
-                         provenance="external:x", policy="drop")
+        tp.PredictionSet(codes=[len(CAUSE_CLASSES)], provenance="external:x", policy="drop")
 
 
 def make_records(texts, causes=None, site="a"):
     causes = causes or [None] * len(texts)
-    return [VaRecord(record_id=f"r{i}", site=site, age=40.0, narrative=t,
-                     true_cause=c) for i, (t, c) in enumerate(zip(texts, causes))]
+    return oracles.record_table([(f"r{i}", site, 40.0, t, c)
+                                 for i, (t, c) in enumerate(zip(texts, causes))])
 
 
 def test_predict_all_one_per_record_and_deterministic():
@@ -493,9 +525,9 @@ def test_predict_all_one_per_record_and_deterministic():
     records = make_records(texts)
     ps1 = tp.predict_all(model, records)
     ps2 = tp.predict_all(model, records)
-    assert len(ps1.predictions) == 3
+    assert len(ps1.codes) == 3 and (ps1.codes != NO_CAUSE).all()
     assert ps1.provenance == "nb"
-    assert ps1.predictions == ps2.predictions
+    assert np.array_equal(ps1.codes, ps2.codes)
 
 
 def test_predict_all_confusion_marginals_match_hand_tally():
@@ -509,9 +541,9 @@ def test_predict_all_confusion_marginals_match_hand_tally():
     model = tp.train_nb(vectors, truth, vocabulary=vocab)
     records = make_records(texts, causes=truth)
     ps = tp.predict_all(model, records)
-    cm = experiment.confusion_matrix(truth, [ps.predictions[r.record_id] for r in records])
+    cm = experiment.confusion_matrix(records.causes, ps.codes)
     # independent tally of marginals
-    pred_list = [ps.predictions[r.record_id] for r in records]
+    pred_list = CLASS_OF_CODE[ps.codes].tolist()
     for i, cause in enumerate(CAUSE_CLASSES):
         assert cm.counts[i].sum() == sum(1 for t in truth if t is cause)
         assert cm.counts[:, i].sum() == sum(1 for p in pred_list if p is cause)
@@ -533,8 +565,8 @@ def test_model_serialization_round_trip(kind):
         model = tp.train_knn(vectors, labels, k=3, vocabulary=vocab)
     else:
         model = tp.train_svm_ovr(vectors, labels, vocabulary=vocab)
-    text = tp.model_to_json(model)
-    loaded = tp.model_from_json(text)
+    text = json.dumps(tp.model_to_dict(model), sort_keys=True)
+    loaded = tp.model_from_dict(json.loads(text))
     queries = vectors[:5]
     assert loaded.predict_many(queries) == model.predict_many(queries)
     doc = json.loads(text)
