@@ -292,7 +292,6 @@ def cmd_simulate(args) -> int:
         noise = simulate.NoiseModel(np.asarray(rows))
     report = simulate.coverage_experiment(spec, noise, args.reps, alpha=args.alpha,
                                           lambda_mode=_parse_lambda(args.lam),
-                                          threads=args.threads,
                                           keep_replications=args.dump_reps)
     out = Path(args.out)
     _write_text(out / "coverage.json", _json_artifact(config, {"coverage": report.to_dict()}))
@@ -326,7 +325,8 @@ def _add_io_flags(p, needs_columns=True):
 
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker threads for the loso site pool (other commands run on one)")
 
 
 def _add_predictor_flags(p):

@@ -25,6 +25,15 @@ one pass of class probabilities per block of distinct design rows (see
 kernel. Sums run in pattern order rather than row order, so results agree
 with a row-by-row evaluation to about 1e-12 relative; their last bits may
 differ.
+
+Replication axis
+----------------
+The kernel works on R datasets at once: ``PatternStack`` stacks their
+patterns on a leading axis, and the objective and ``newton_batch`` take
+theta of shape (R, p). Every product is made per replication (one BLAS
+call per slice), so a replication's numbers do not depend on which others
+share its stack. A single dataset is the R = 1 case of the same code (see
+``docs/math.md``, "Batched replications").
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NumericError, SeparationError, ShapeError
 
@@ -59,17 +68,20 @@ class FitDiagnostics:
     status: str = "converged"       # converged | max_iterations | stalled | separation
 
 
+FIT_STATUSES = ("converged", "max_iterations", "stalled", "separation")
+
+
 def onehot_rows(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Length-(K-1) indicator rows, shape (n, K-1); the reference class (0) maps to zeros."""
+    """Length-(K-1) indicator rows, shape y.shape + (K-1,); the reference class (0) maps to zeros."""
     y = np.asarray(y)
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ShapeError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{y.min()}, {y.max()}]"
         )
-    out = np.zeros((y.shape[0], n_classes - 1))
+    out = np.zeros(y.shape + (n_classes - 1,))
     nonref = y > 0
-    out[np.nonzero(nonref)[0], y[nonref] - 1] = 1.0
+    out[nonref, y[nonref] - 1] = 1.0
     return out
 
 
@@ -78,35 +90,53 @@ def _as_matrix(x: np.ndarray) -> np.ndarray:
     return x[None, :] if x.ndim == 1 else x
 
 
-def linear_predictors(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
-    """eta = X @ Theta with Theta the (d, K-1) block-unstacked coefficients."""
-    x = _as_matrix(x)
-    d = x.shape[1]
-    blocks = np.asarray(theta, dtype=float).reshape(n_classes - 1, d)
-    return x @ blocks.T
-
-
 def class_probs(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     """Non-reference class probabilities, shape (K-1,) or (n, K-1).
 
+    Stacked theta (R, p) with stacked rows x (R, n, d) gives (R, n, K-1).
     Evaluated with max-subtraction so large linear predictors saturate
     instead of overflowing. The reference probability is
     ``1 - probs.sum(axis=-1)`` and stays positive.
     """
-    probs, _ = _probs_and_psi(theta, x, n_classes)
-    return probs[0] if np.asarray(x).ndim == 1 else probs
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if theta.ndim == 2:
+        return _probs_and_psi(theta, x, n_classes)[0]
+    probs = _probs_and_psi(theta[None], _as_matrix(x)[None], n_classes)[0][0]
+    return probs[0] if x.ndim == 1 else probs
 
 
 def _probs_and_psi(theta: np.ndarray, x: np.ndarray,
                    n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities and the log normalizer psi per row, overflow-safe."""
-    eta = linear_predictors(theta, x, n_classes)
+    """Class probabilities (R, m, K-1) and log normalizer psi (R, m), overflow-safe.
+
+    ``theta`` is (R, p) and ``x`` is (R, m, d).
+    """
+    r, _, d = x.shape
+    eta = x @ theta.reshape(r, n_classes - 1, d).transpose(0, 2, 1)
     if not np.all(np.isfinite(eta)):
         raise NumericError("non-finite linear predictor")
-    m = np.maximum(eta.max(axis=1), 0.0)
-    expo = np.exp(eta - m[:, None])
-    denom = np.exp(-m) + expo.sum(axis=1)
-    return expo / denom[:, None], m + np.log(denom)
+    m = np.maximum(_class_reduce(np.maximum, eta), 0.0)
+    expo = np.exp(eta - m[:, :, None])
+    denom = np.exp(-m) + _class_reduce(np.add, expo)
+    return expo / denom[:, :, None], m + np.log(denom)
+
+
+def _class_reduce(op, a: np.ndarray) -> np.ndarray:
+    """``op`` folded over the short class axis (last) one column at a time.
+
+    Left to right, which is the order numpy's own reduction takes below
+    eight terms, but without its per-row cost on a length-(K-1) axis.
+    """
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = op(out, a[..., j])
+    return out
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-replication dot products of (R, m) arrays: one BLAS dot per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _check_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,18 +176,7 @@ class RowPatterns:
 
     def class_counts(self, column: int, n_classes: int) -> np.ndarray:
         """(P, K) count of rows per distinct design row and class of label ``column``."""
-        flat = self.x_index * n_classes + self.labels[:, column]
-        return np.bincount(flat, weights=self.counts,
-                           minlength=self.x.shape[0] * n_classes).reshape(-1, n_classes)
-
-    def gradients(self, probs: np.ndarray, column: int, n_classes: int) -> np.ndarray:
-        """Per-pattern NLL gradients (p - onehot(label)) (x) x, shape (T, d*(K-1)).
-
-        ``probs`` are the non-reference class probabilities at ``self.x``.
-        """
-        resid = probs[self.x_index] - onehot_rows(self.labels[:, column], n_classes)
-        x = self.x[self.x_index]
-        return (resid[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+        return PatternStack.of([self]).class_counts(column, n_classes)[0]
 
 
 def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
@@ -192,108 +211,226 @@ def group_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatterns:
     return group_rows(*_check_labeled(x, y, n_classes))
 
 
+@dataclass(frozen=True)
+class PatternStack:
+    """The ``RowPatterns`` of R datasets on a leading replication axis.
+
+    Shapes: ``x`` (R, P, d), ``x_counts`` (R, P), ``x_index`` (R, T),
+    ``labels`` (R, T, L), ``counts`` (R, T), ``n_rows`` (R,). A dataset
+    with fewer patterns is padded at the end: padded design rows are zero
+    with count 0, padded patterns point at design row 0 with label 0 and
+    count 0, so every padded entry adds an exact zero.
+    """
+
+    x: np.ndarray
+    x_counts: np.ndarray
+    x_index: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    n_rows: np.ndarray
+
+    @classmethod
+    def of(cls, patterns: list[RowPatterns], size: int | None = None) -> "PatternStack":
+        """Stack ``patterns``, padded to ``size`` entries (default: the longest)."""
+        n_x = size or max(p.x.shape[0] for p in patterns)
+        n_t = size or max(p.counts.shape[0] for p in patterns)
+        first = patterns[0]
+        r = len(patterns)
+        x = np.zeros((r, n_x, first.x.shape[1]))
+        x_counts = np.zeros((r, n_x))
+        x_index = np.zeros((r, n_t), dtype=first.x_index.dtype)
+        labels = np.zeros((r, n_t, first.labels.shape[1]), dtype=first.labels.dtype)
+        counts = np.zeros((r, n_t), dtype=first.counts.dtype)
+        for i, p in enumerate(patterns):
+            m, t = p.x.shape[0], p.counts.shape[0]
+            x[i, :m], x_counts[i, :m] = p.x, p.x_counts
+            x_index[i, :t], labels[i, :t], counts[i, :t] = p.x_index, p.labels, p.counts
+        return cls(x, x_counts, x_index, labels, counts,
+                   np.array([p.n_rows for p in patterns]))
+
+    @property
+    def size(self) -> int:
+        return self.x.shape[0]
+
+    def take(self, index) -> "PatternStack":
+        """The replications at positions ``index``."""
+        return PatternStack(self.x[index], self.x_counts[index], self.x_index[index],
+                            self.labels[index], self.counts[index], self.n_rows[index])
+
+    def class_counts(self, column: int, n_classes: int) -> np.ndarray:
+        """(R, P, K) count of rows per distinct design row and class of label ``column``."""
+        r, n_x = self.x_counts.shape
+        flat = (np.arange(r)[:, None] * n_x + self.x_index) * n_classes \
+            + self.labels[:, :, column]
+        return np.bincount(flat.ravel(), weights=self.counts.ravel(),
+                           minlength=r * n_x * n_classes).reshape(r, n_x, n_classes)
+
+    def gradients(self, probs: np.ndarray, column: int, n_classes: int) -> np.ndarray:
+        """Per-pattern NLL gradients (p - onehot(label)) (x) x, shape (R, T, d*(K-1)).
+
+        ``probs`` (R, P, K-1) are the non-reference class probabilities at ``self.x``.
+        """
+        rows = np.arange(self.size)[:, None]
+        resid = probs[rows, self.x_index] - onehot_rows(self.labels[:, :, column], n_classes)
+        return _outer_columns(resid, self.x[rows, self.x_index])
+
+
 def _weighted_hessian(x: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_i w_i (diag(p_i) - p_i p_i^T) (x) x_i x_i^T, one GEMM over row outer products."""
-    n, d = x.shape
-    km1 = p.shape[1]
-    curv = -p[:, :, None] * p[:, None, :]
-    idx = np.arange(km1)
-    curv[:, idx, idx] += p
-    outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-    h = (w[:, None] * curv.reshape(n, km1 * km1)).T @ outer
-    return h.reshape(km1, km1, d, d).transpose(0, 2, 1, 3).reshape(km1 * d, km1 * d)
+    """sum_i w_i (diag(p_i) - p_i p_i^T) (x) x_i x_i^T per replication, one GEMM each.
+
+    ``x`` is (R, m, d), ``w`` (R, m) and ``p`` (R, m, K-1); the result is (R, p, p).
+    """
+    r, n, d = x.shape
+    km1 = p.shape[2]
+    curv = _outer_columns(-p, p)
+    curv[..., ::km1 + 1] += p
+    h = np.matmul((w[..., None] * curv).transpose(0, 2, 1), _outer_columns(x, x))
+    return h.reshape(r, km1, km1, d, d).transpose(0, 1, 3, 2, 4).reshape(r, km1 * d, km1 * d)
+
+
+def _outer_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products a_i b_i^T of (..., k) and (..., l), flattened to (..., k*l).
+
+    Built one output column at a time: with short k and l this is far
+    cheaper than broadcasting over two trailing axes.
+    """
+    k, l = a.shape[-1], b.shape[-1]
+    out = np.empty(a.shape[:-1] + (k * l,))
+    for i in range(k):
+        for j in range(l):
+            np.multiply(a[..., i], b[..., j], out=out[..., i * l + j])
+    return out
 
 
 class _Objective:
-    """sum_b sum_p w_bp psi(theta, x_bp) - b . theta over blocks of distinct design rows.
+    """sum_b sum_p w_rbp psi(theta_r, x_rbp) - b_r . theta_r for each replication r.
 
-    Each block's probabilities are computed once per theta and give the
-    value, gradient and Hessian. The last theta's probabilities are kept
-    for the Hessian the Newton solver asks for at the point it accepted.
+    Blocks hold distinct design rows (R, m, d) with weights (R, m). Each
+    method takes theta (R', p) for the replications at positions ``index``
+    (all R when None) and returns one value, gradient or Hessian per row
+    of theta. Each block's probabilities are computed once per theta and
+    give the value, gradient and Hessian; the last probabilities of every
+    replication are kept for the Hessian the Newton solver asks for at the
+    point it accepted.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]],
-                 linear: np.ndarray | None, n_classes: int):
+                 linear: np.ndarray | None, n_classes: int, n_replications: int):
         self.blocks = blocks
         self.linear = linear
         self.n_classes = n_classes
-        self._theta = None
+        self.n_replications = n_replications
+        self._theta: np.ndarray | None = None
         self._probs: list[np.ndarray] = []
 
-    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        theta = np.asarray(theta, dtype=float)
-        value = 0.0
-        grad = np.zeros(theta.shape[0])
-        probs = []
+    def _rows(self, index):
         for x, w in self.blocks:
+            yield (x, w) if index is None else (x[index], w[index])
+
+    def value_and_grad(self, theta: np.ndarray, index=None) -> tuple[np.ndarray, np.ndarray]:
+        theta = np.asarray(theta, dtype=float)
+        r, n_params = theta.shape
+        value = np.zeros(r)
+        grad = np.zeros((r, n_params))
+        probs = []
+        for x, w in self._rows(index):
             p, psi = _probs_and_psi(theta, x, self.n_classes)
             probs.append(p)
-            value += w @ psi
-            grad += ((w[:, None] * p).T @ x).ravel()
-        self._theta, self._probs = theta.copy(), probs
+            value += _rowdot(w, psi)
+            grad += np.matmul((w[:, :, None] * p).transpose(0, 2, 1), x).reshape(r, n_params)
+        self._remember(theta, index, probs)
         if self.linear is not None:
-            value -= self.linear @ theta
-            grad -= self.linear
-        return float(value), grad
+            linear = self.linear if index is None else self.linear[index]
+            value -= _rowdot(linear, theta)
+            grad -= linear
+        return value, grad
 
-    def hess(self, theta: np.ndarray) -> np.ndarray:
+    def _remember(self, theta: np.ndarray, index, probs: list[np.ndarray]) -> None:
+        if index is None:
+            self._theta, self._probs = theta.copy(), probs
+            return
+        if self._theta is None:
+            self._theta = np.full((self.n_replications, theta.shape[1]), np.nan)
+            self._probs = [np.empty((self.n_replications,) + p.shape[1:]) for p in probs]
+        self._theta[index] = theta
+        for cache, p in zip(self._probs, probs):
+            cache[index] = p
+
+    def hess(self, theta: np.ndarray, index=None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if self._theta is not None and np.array_equal(theta, self._theta):
-            probs = self._probs
-        else:
-            probs = [_probs_and_psi(theta, x, self.n_classes)[0] for x, _ in self.blocks]
-        h = np.zeros((theta.shape[0], theta.shape[0]))
-        for (x, w), p in zip(self.blocks, probs):
+        probs = None
+        if self._theta is not None:
+            known = self._theta if index is None else self._theta[index]
+            if np.array_equal(theta, known):
+                probs = self._probs if index is None else [p[index] for p in self._probs]
+        r, n_params = theta.shape
+        h = np.zeros((r, n_params, n_params))
+        for b, (x, w) in enumerate(self._rows(index)):
+            p = probs[b] if probs is not None else _probs_and_psi(theta, x, self.n_classes)[0]
             h += _weighted_hessian(x, w, p)
         return h
 
 
-def weighted_objective(terms: list[tuple[RowPatterns, int | None, float]],
+def weighted_objective(terms: list[tuple[PatternStack, int | None, float | np.ndarray]],
                        n_classes: int) -> _Objective:
-    """A weighted sum of NLL terms over grouped rows, as one objective.
+    """A weighted sum of NLL terms over grouped rows, as one objective per replication.
 
-    Each term ``(patterns, column, weight)`` adds ``weight`` times the
-    summed NLL of the patterns' rows under label ``column``; a ``column``
-    of None adds the label-free psi part only, which is all a Hessian
-    needs. Since ``-eta_y`` is linear in theta, the labels collapse into
-    one constant vector ``b``, and terms on the same patterns share one
-    psi block. Zero-weight terms and blocks are skipped, not added as
-    zeros, so lambda = 0 and the lambda = 1 cancellation stay exact.
+    Each term ``(patterns, column, weight)`` adds ``weight`` (a scalar or
+    one value per replication) times the summed NLL of the patterns' rows
+    under label ``column``; a ``column`` of None adds the label-free psi
+    part only, which is all a Hessian needs. Since ``-eta_y`` is linear in
+    theta, the labels collapse into one constant vector ``b`` per
+    replication, and terms on the same patterns share one psi block. A
+    term or block whose weights are zero for every replication is skipped;
+    a zero weight on one replication adds exact zeros. Either way
+    lambda = 0 and the lambda = 1 cancellation stay exact.
     """
+    n_rep = terms[0][0].size
     psi_weights: dict[int, list] = {}
     linear = None
     for patterns, column, weight in terms:
-        if weight == 0.0:
+        weight = np.broadcast_to(np.asarray(weight, dtype=float), (n_rep,))
+        if not weight.any():
             continue
         entry = psi_weights.setdefault(id(patterns), [patterns, 0.0])
-        entry[1] += weight
+        entry[1] = entry[1] + weight
         if column is not None:
-            counts = patterns.class_counts(column, n_classes)[:, 1:]
-            part = weight * (counts.T @ patterns.x).ravel()
+            counts = patterns.class_counts(column, n_classes)[:, :, 1:]
+            part = weight[:, None] * np.matmul(counts.transpose(0, 2, 1),
+                                               patterns.x).reshape(n_rep, -1)
             linear = part if linear is None else linear + part
-    blocks = [(p.x, w * p.x_counts) for p, w in psi_weights.values() if w != 0.0]
-    return _Objective(blocks, linear, n_classes)
+    blocks = [(p.x, w[:, None] * p.x_counts) for p, w in psi_weights.values() if w.any()]
+    return _Objective(blocks, linear, n_classes, n_rep)
 
 
-def _mean_nll(patterns: RowPatterns, n_classes: int, column: int | None = 0) -> _Objective:
+def _mean_nll(patterns: PatternStack, n_classes: int, column: int | None = 0) -> _Objective:
     return weighted_objective([(patterns, column, 1.0 / patterns.n_rows)], n_classes)
+
+
+def _single(x: np.ndarray, *labels: np.ndarray) -> PatternStack:
+    return PatternStack.of([group_rows(x, *labels)])
 
 
 def nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> float:
     """Mean negative log likelihood over labeled rows."""
-    return _mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[0]
+    stack = _single(*_check_labeled(x, y, n_classes))
+    theta = np.asarray(theta, dtype=float)[None]
+    return float(_mean_nll(stack, n_classes).value_and_grad(theta)[0][0])
 
 
 def per_row_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-row gradients (probs - onehot(y)) (x) x, shape (n, d*(K-1))."""
     patterns = group_labeled(x, y, n_classes)
-    probs, _ = _probs_and_psi(theta, patterns.x, n_classes)
-    return patterns.gradients(probs, 0, n_classes)[patterns.inverse]
+    stack = PatternStack.of([patterns])
+    probs = class_probs(np.asarray(theta, dtype=float)[None], stack.x, n_classes)
+    return stack.gradients(probs, 0, n_classes)[0][patterns.inverse]
 
 
 def nll_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Gradient of nll, block layout matching theta."""
-    return _mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[1]
+    stack = _single(*_check_labeled(x, y, n_classes))
+    theta = np.asarray(theta, dtype=float)[None]
+    return _mean_nll(stack, n_classes).value_and_grad(theta)[1][0]
 
 
 def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
@@ -302,85 +439,138 @@ def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     Per row the (K-1, K-1) curvature is diag(p) - p p^T, and the full
     Hessian is the mean of its Kronecker product with x x^T.
     """
-    return _mean_nll(group_rows(x), n_classes, column=None).hess(theta)
+    theta = np.asarray(theta, dtype=float)[None]
+    return _mean_nll(_single(x), n_classes, column=None).hess(theta)[0]
 
 
-def _solve_newton_step(hess: np.ndarray, grad: np.ndarray, ridge: float) -> tuple[np.ndarray, bool]:
-    """Cholesky solve of H step = -grad, ridging H upward until it succeeds."""
-    h = hess
+def _ridged_solve(h: np.ndarray, b: np.ndarray,
+                  ridge: float) -> tuple[np.ndarray, bool] | None:
+    """Cholesky solve of h x = b, ridging h upward by powers of 100 until it succeeds.
+
+    Returns (x, whether h was ridged), or None when every attempt failed.
+    Calls LAPACK's potrf/potrs as ``scipy.linalg.cho_factor``/``cho_solve``
+    do, without their per-call checks.
+    """
+    candidate = h
     regularized = False
     reg = ridge
     for _ in range(12):
-        try:
-            c = scipy.linalg.cho_factor(h, check_finite=False)
-            step = scipy.linalg.cho_solve(c, -grad, check_finite=False)
-            if np.all(np.isfinite(step)):
-                return step, regularized
-        except scipy.linalg.LinAlgError:
-            pass
-        h = hess + reg * np.eye(hess.shape[0])
+        c, info = scipy.linalg.lapack.dpotrf(candidate, lower=0, clean=0)
+        if info == 0:
+            x, info = scipy.linalg.lapack.dpotrs(c, b, lower=0)
+            if info == 0 and np.all(np.isfinite(x)):
+                return x, regularized
+        candidate = h + reg * np.eye(h.shape[0])
         regularized = True
         reg *= 100.0
-    raise NumericError("Hessian solve failed even after regularization")
+    return None
+
+
+class _Callables:
+    """Scalar ``value_and_grad(theta)`` and ``hess(theta)`` as a one-replication objective."""
+
+    def __init__(self, value_and_grad, hess):
+        self._value_and_grad = value_and_grad
+        self._hess = hess
+
+    def value_and_grad(self, theta: np.ndarray, index=None):
+        value, grad = self._value_and_grad(theta[0])
+        return np.array([value], dtype=float), np.asarray(grad, dtype=float)[None]
+
+    def hess(self, theta: np.ndarray, index=None) -> np.ndarray:
+        return np.asarray(self._hess(theta[0]), dtype=float)[None]
 
 
 def newton_minimize(value_and_grad, hess, theta0: np.ndarray,
                     options: NewtonOptions = NewtonOptions()) -> tuple[np.ndarray, FitDiagnostics]:
-    """Damped Newton with Armijo backtracking.
+    """Damped Newton with Armijo backtracking on one objective.
 
     ``value_and_grad(theta) -> (float, ndarray)`` and ``hess(theta) ->
-    ndarray`` define the objective. Does not raise on non-convergence;
-    the outcome is in the returned diagnostics.
+    ndarray`` define the objective. The R = 1 case of ``newton_batch``.
+    """
+    theta, diagnostics = newton_batch(_Callables(value_and_grad, hess),
+                                      np.asarray(theta0, dtype=float)[None], options)
+    return theta[0], diagnostics[0]
+
+
+def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonOptions()
+                 ) -> tuple[np.ndarray, list[FitDiagnostics]]:
+    """Damped Newton with Armijo backtracking, one iterate per replication.
+
+    ``objective.value_and_grad(theta, index)`` and ``objective.hess(theta,
+    index)`` evaluate the replications at positions ``index`` (all when
+    None). Each replication keeps its own step length, convergence test,
+    iteration count, ridge retries and status, and stops being evaluated
+    once it stops. Does not raise on non-convergence; the outcome is in
+    the returned diagnostics. Raises NumericError when a Hessian cannot be
+    solved even after ridging.
     """
     theta = np.array(theta0, dtype=float)
-    condition_warning = False
-    value, grad = value_and_grad(theta)
-    prev_value = np.inf
-    iterations = 0
-    status = "max_iterations"
-    for iterations in range(1, options.max_iterations + 1):
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gnorm <= options.grad_tol:
-            status = "converged"
-            iterations -= 1
+    n_rep, n_params = theta.shape
+    value, grad = objective.value_and_grad(theta)
+    prev_value = np.full(n_rep, np.inf)
+    iterations = np.full(n_rep, options.max_iterations)
+    status = np.full(n_rep, "max_iterations", dtype=object)
+    condition_warning = np.zeros(n_rep, dtype=bool)
+    active = np.arange(n_rep)
+    for it in range(1, options.max_iterations + 1):
+        done = np.abs(grad[active]).max(axis=1, initial=0.0) <= options.grad_tol
+        status[active[done]] = "converged"
+        iterations[active[done]] = it - 1
+        active = active[~done]
+        if not active.size:
             break
-        step, regularized = _solve_newton_step(hess(theta), grad, options.ridge)
-        condition_warning = condition_warning or regularized
-        slope = float(grad @ step)
-        if slope >= 0:
+        index = None if active.size == n_rep else active
+        h = objective.hess(theta[active], index)
+        g = grad[active]
+        step = np.empty_like(g)
+        for j, r in enumerate(active):
+            solved = _ridged_solve(h[j], -g[j], options.ridge)
+            if solved is None:
+                raise NumericError("Hessian solve failed even after regularization")
+            step[j], regularized = solved
+            condition_warning[r] |= regularized
+        slope = _rowdot(g, step)
+        uphill = slope >= 0
+        if uphill.any():
             # not a descent direction (extreme ill-conditioning): fall back
-            step = -grad
-            slope = float(grad @ step)
-        t = 1.0
-        new_theta = theta + step
-        new_value, new_grad = value_and_grad(new_theta)
-        while not (np.isfinite(new_value) and
-                   new_value <= value + options.armijo_c * t * slope):
-            t *= options.backtrack_factor
-            if t < options.min_step:
-                break
-            new_theta = theta + t * step
-            new_value, new_grad = value_and_grad(new_theta)
-        if t < options.min_step:
-            status = "stalled"
-            break
-        decreasing = new_value < prev_value
-        prev_value, theta, value, grad = value, new_theta, new_value, new_grad
-        if np.max(np.abs(theta)) > options.coef_bound and decreasing:
-            status = "separation"
-            break
-    else:
-        iterations = options.max_iterations
-    gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if status != "converged" and gnorm <= options.grad_tol:
-        status = "converged"
-    return theta, FitDiagnostics(
-        iterations=iterations,
-        gradient_norm=gnorm,
-        converged=status == "converged",
-        condition_warning=condition_warning,
-        status=status,
-    )
+            step[uphill] = -g[uphill]
+            slope[uphill] = _rowdot(g[uphill], step[uphill])
+        t = np.ones(active.size)
+        new_theta = theta[active] + step
+        new_value, new_grad = objective.value_and_grad(new_theta, index)
+        pending = np.arange(active.size)
+        while pending.size:
+            accepted = np.isfinite(new_value[pending]) & (
+                new_value[pending] <= value[active[pending]]
+                + options.armijo_c * t[pending] * slope[pending])
+            pending = pending[~accepted]
+            t[pending] *= options.backtrack_factor
+            pending = pending[t[pending] >= options.min_step]
+            if pending.size:
+                trial = theta[active[pending]] + t[pending, None] * step[pending]
+                new_value[pending], new_grad[pending] = objective.value_and_grad(
+                    trial, active[pending])
+                new_theta[pending] = trial
+        stalled = t < options.min_step
+        status[active[stalled]] = "stalled"
+        iterations[active[stalled]] = it
+        moved, keep = active[~stalled], ~stalled
+        decreasing = new_value[keep] < prev_value[moved]
+        prev_value[moved] = value[moved]
+        theta[moved], value[moved], grad[moved] = new_theta[keep], new_value[keep], new_grad[keep]
+        separated = (np.abs(theta[moved]).max(axis=1, initial=0.0) > options.coef_bound) \
+            & decreasing
+        status[moved[separated]] = "separation"
+        iterations[moved[separated]] = it
+        active = moved[~separated]
+    gnorm = np.abs(grad).max(axis=1, initial=0.0)
+    status[gnorm <= options.grad_tol] = "converged"
+    return theta, [
+        FitDiagnostics(iterations=int(iterations[r]), gradient_norm=float(gnorm[r]),
+                       converged=status[r] == "converged",
+                       condition_warning=bool(condition_warning[r]), status=status[r])
+        for r in range(n_rep)]
 
 
 def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int,
@@ -399,17 +589,34 @@ def fit_grouped(patterns: RowPatterns, n_classes: int,
                 options: NewtonOptions = NewtonOptions(),
                 theta0: np.ndarray | None = None) -> tuple[np.ndarray, FitDiagnostics]:
     """``fit_mle`` on rows already grouped by ``group_labeled``."""
-    present = np.unique(patterns.labels[:, 0])
-    if len(present) != n_classes:
-        missing = sorted(set(range(n_classes)) - set(present.tolist()))
-        raise ShapeError(f"classes absent from data: {missing}")
+    theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
+    theta, diagnostics = fit_stack(PatternStack.of([patterns]), n_classes, options, theta0)
+    return theta[0], diagnostics[0]
+
+
+def require_classes(patterns: PatternStack, n_classes: int, rows: str = "data") -> None:
+    """ShapeError unless every class appears under label column 0 in every replication."""
+    present = patterns.class_counts(0, n_classes).sum(axis=1) > 0
+    for row in present:
+        if not row.all():
+            raise ShapeError(f"classes absent from {rows}: {np.flatnonzero(~row).tolist()}")
+
+
+def fit_stack(patterns: PatternStack, n_classes: int,
+              options: NewtonOptions = NewtonOptions(),
+              theta0: np.ndarray | None = None) -> tuple[np.ndarray, list[FitDiagnostics]]:
+    """``fit_grouped`` for every replication of a stack (label column 0), as one Newton.
+
+    Raises ShapeError when a class is absent from some replication and
+    SeparationError when some replication separates.
+    """
+    require_classes(patterns, n_classes)
     if theta0 is None:
-        theta0 = np.zeros(patterns.x.shape[1] * (n_classes - 1))
-    objective = _mean_nll(patterns, n_classes)
-    theta, diag = newton_minimize(objective.value_and_grad, objective.hess, theta0, options)
-    if diag.status == "separation":
+        theta0 = np.zeros((patterns.size, patterns.x.shape[2] * (n_classes - 1)))
+    theta, diagnostics = newton_batch(_mean_nll(patterns, n_classes), theta0, options)
+    if any(d.status == "separation" for d in diagnostics):
         raise SeparationError(
             f"coefficient max-norm exceeded {options.coef_bound:g} while the "
             "loss was still decreasing; data are (quasi-)separated"
         )
-    return theta, diag
+    return theta, diagnostics

@@ -31,6 +31,12 @@ distinct (x, y, yhat) patterns with integer counts (``mlogit.group_rows``);
 covariances weight each pattern by its count and keep the 1/(m-1)
 divisor. A report's values match a row-by-row evaluation to about 1e-12
 relative, but their last bits may differ.
+
+Fits, tuning and covariances work on R datasets stacked on a leading
+axis (``mlogit.PatternStack``). The single-dataset functions are the
+R = 1 case; ``fit_classical_many``, ``fit_naive_many`` and
+``fit_multippi_report_many`` fit many datasets as one stack, and each
+dataset's report equals the one its single-dataset call returns.
 """
 
 from __future__ import annotations
@@ -39,12 +45,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from . import mlogit
-from .errors import ParameterError, ShapeError
-from .mlogit import FitDiagnostics, NewtonOptions, RowPatterns
+from .errors import MultippiError, ParameterError, ShapeError
+from .mlogit import FitDiagnostics, NewtonOptions, PatternStack, RowPatterns
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,7 @@ class LambdaChoice:
     clipped: float
     mode: str                      # "fixed" | "tuned"
     warning: str | None = None
+    pilot_fallback: bool = False   # tuned at the labeled-only MLE: the lambda=1 pilot failed
 
     @classmethod
     def from_raw(cls, raw: float, mode: str, warning: str | None = None) -> "LambdaChoice":
@@ -250,8 +256,43 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _rectified_objective(inputs: PpiInputs, lam: float):
-    """(L_n - lam L_n^pred) + lam L_N^pred as one weighted objective.
+@dataclass(frozen=True)
+class _InputStack:
+    """The labeled and unlabeled patterns of R input sets, on a leading axis."""
+
+    labeled: PatternStack
+    unlabeled: PatternStack
+    n_classes: int
+
+    @classmethod
+    def of(cls, inputs: list[PpiInputs], padded: bool = False) -> "_InputStack":
+        """Stack ``inputs``; ``padded`` pads each set to the largest row counts."""
+        if len({(i.n_classes, i.n_features) for i in inputs}) != 1:
+            raise ShapeError("stacked inputs must share class and feature counts")
+        n = max(i.n_labeled for i in inputs) if padded else None
+        big_n = max(i.n_unlabeled for i in inputs) if padded else None
+        return cls(PatternStack.of([i.labeled for i in inputs], n),
+                   PatternStack.of([i.unlabeled for i in inputs], big_n),
+                   inputs[0].n_classes)
+
+    @property
+    def size(self) -> int:
+        return self.labeled.size
+
+    @property
+    def n_labeled(self) -> np.ndarray:
+        return self.labeled.n_rows
+
+    @property
+    def n_unlabeled(self) -> np.ndarray:
+        return self.unlabeled.n_rows
+
+    def take(self, index) -> "_InputStack":
+        return _InputStack(self.labeled.take(index), self.unlabeled.take(index), self.n_classes)
+
+
+def _rectified_objective(inputs: _InputStack, lam: np.ndarray):
+    """(L_n - lam L_n^pred) + lam L_N^pred as one weighted objective per replication.
 
     psi weights (1 - lam)/n on labeled rows and lam/N on unlabeled rows,
     plus the constant linear term of the three label sets.
@@ -270,12 +311,21 @@ def rectified_loss(theta: np.ndarray, inputs: PpiInputs, lam: float) -> tuple[fl
     lam = 0 and at lam = 1 with perfect labeled predictions are exact in
     floating point.
     """
-    return _rectified_objective(inputs, _check_lambda(lam)).value_and_grad(theta)
+    objective = _rectified_objective(_InputStack.of([inputs]), np.array([_check_lambda(lam)]))
+    value, grad = objective.value_and_grad(np.asarray(theta, dtype=float)[None])
+    return float(value[0]), grad[0]
 
 
 def rectified_hessian(theta: np.ndarray, inputs: PpiInputs, lam: float) -> np.ndarray:
     """(1-lam) H_labeled + lam H_unlabeled; labels never enter."""
-    return _rectified_objective(inputs, _check_lambda(lam)).hess(theta)
+    objective = _rectified_objective(_InputStack.of([inputs]), np.array([_check_lambda(lam)]))
+    return objective.hess(np.asarray(theta, dtype=float)[None])[0]
+
+
+def _pooled_hessian(theta: np.ndarray, inputs: _InputStack) -> np.ndarray:
+    w = 1.0 / (inputs.n_labeled + inputs.n_unlabeled)
+    return mlogit.weighted_objective(
+        [(inputs.labeled, None, w), (inputs.unlabeled, None, w)], inputs.n_classes).hess(theta)
 
 
 def pooled_hessian(theta: np.ndarray, inputs: PpiInputs) -> np.ndarray:
@@ -283,24 +333,25 @@ def pooled_hessian(theta: np.ndarray, inputs: PpiInputs) -> np.ndarray:
 
     Its patterns are the distinct x rows only, so predictions never enter.
     """
-    w = 1.0 / (inputs.n_labeled + inputs.n_unlabeled)
-    return mlogit.weighted_objective(
-        [(inputs.labeled, None, w), (inputs.unlabeled, None, w)], inputs.n_classes).hess(theta)
+    return _pooled_hessian(np.asarray(theta, dtype=float)[None], _InputStack.of([inputs]))[0]
 
 
 def _cross_cov(a: np.ndarray, b: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sample cross-covariance of rows repeated ``counts`` times, 1/(m-1) divisor."""
+    """Sample cross-covariance per replication of rows repeated ``counts`` times.
+
+    ``a`` and ``b`` are (R, T, ·), ``counts`` (R, T); 1/(m-1) divisor.
+    """
     counts = np.asarray(counts, dtype=float)
-    m = counts.sum()
-    if m < 2:
+    m = counts.sum(axis=1)
+    if np.any(m < 2):
         raise ShapeError("need at least 2 rows for a sample covariance")
-    ac = a - counts @ a / m
-    bc = b - counts @ b / m
-    return (ac * counts[:, None]).T @ bc / (m - 1)
+    ac = a - (counts[:, None, :] @ a) / m[:, None, None]
+    bc = b - (counts[:, None, :] @ b) / m[:, None, None]
+    return np.matmul((ac * counts[:, :, None]).transpose(0, 2, 1), bc) / (m - 1)[:, None, None]
 
 
-def _pattern_gradients(theta: np.ndarray, inputs: PpiInputs):
-    """Per-pattern gradients at ``theta`` with the pattern counts.
+def _pattern_gradients(theta: np.ndarray, inputs: _InputStack):
+    """Per-pattern gradients at ``theta`` (R, p) with the pattern counts.
 
     Returns (true-label and predicted-label gradients on the labeled
     patterns, their counts, predicted-label gradients on all patterns,
@@ -312,29 +363,33 @@ def _pattern_gradients(theta: np.ndarray, inputs: PpiInputs):
     probs_u = mlogit.class_probs(theta, unl.x, k)
     grads_true = lab.gradients(probs_l, 0, k)
     grads_pred_l = lab.gradients(probs_l, 1, k)
-    pred_all = np.vstack([grads_pred_l, unl.gradients(probs_u, 0, k)])
+    pred_all = np.concatenate([grads_pred_l, unl.gradients(probs_u, 0, k)], axis=1)
     return (grads_true, grads_pred_l, lab.counts,
-            pred_all, np.concatenate([lab.counts, unl.counts]))
+            pred_all, np.concatenate([lab.counts, unl.counts], axis=1))
 
 
-def _regularized_inverse(h: np.ndarray, ridge: float = 1e-10) -> tuple[np.ndarray, bool]:
-    """Symmetric inverse, ridging upward by powers of 100 until it succeeds."""
-    eye = np.eye(h.shape[0])
-    candidate = h
-    warned = False
-    reg = ridge
-    for _ in range(12):
-        try:
-            c = scipy.linalg.cho_factor(candidate, check_finite=False)
-            inv = scipy.linalg.cho_solve(c, eye, check_finite=False)
-            if np.all(np.isfinite(inv)):
-                return (inv + inv.T) / 2, warned
-        except scipy.linalg.LinAlgError:
-            pass
-        candidate = h + reg * eye
-        warned = True
-        reg *= 100.0
-    raise ShapeError("empirical Hessian could not be inverted")
+def _regularized_inverse(h: np.ndarray, ridge: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric inverse of each (p, p) slice of ``h``, ridged upward until it succeeds.
+
+    Returns the inverses and, per slice, whether a ridge was needed.
+    """
+    eye = np.eye(h.shape[1])
+    inverse = np.empty_like(h)
+    warned = np.zeros(h.shape[0], dtype=bool)
+    for r in range(h.shape[0]):
+        solved = mlogit._ridged_solve(h[r], eye, ridge)
+        if solved is None:
+            raise ShapeError("empirical Hessian could not be inverted")
+        inv, warned[r] = solved
+        inverse[r] = (inv + inv.T) / 2
+    return inverse, warned
+
+
+def _fit_rectified(inputs: _InputStack, lam: np.ndarray, theta0: np.ndarray | None,
+                   options: NewtonOptions) -> tuple[np.ndarray, list[FitDiagnostics]]:
+    if theta0 is None:
+        theta0 = np.zeros((inputs.size, inputs.labeled.x.shape[2] * (inputs.n_classes - 1)))
+    return mlogit.newton_batch(_rectified_objective(inputs, lam), theta0, options)
 
 
 def fit_rectified(inputs: PpiInputs, lam: float,
@@ -346,13 +401,36 @@ def fit_rectified(inputs: PpiInputs, lam: float,
     lambda, as in ``mlogit.fit_mle``; otherwise ShapeError. Non-convergence
     is reported through the diagnostics, not raised.
     """
-    missing = np.flatnonzero(np.bincount(inputs.y_labeled, minlength=inputs.n_classes) == 0)
-    if missing.size:
-        raise ShapeError(f"classes absent from labeled data: {missing.tolist()}")
-    objective = _rectified_objective(inputs, _check_lambda(lam))
-    if theta0 is None:
-        theta0 = np.zeros(inputs.n_params)
-    return mlogit.newton_minimize(objective.value_and_grad, objective.hess, theta0, options)
+    stack = _InputStack.of([inputs])
+    mlogit.require_classes(stack.labeled, stack.n_classes, "labeled data")
+    lam = _check_lambda(lam)
+    theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
+    theta, diagnostics = _fit_rectified(stack, np.array([lam]), theta0, options)
+    return theta[0], diagnostics[0]
+
+
+def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaChoice]:
+    if not np.all(np.isfinite(theta_pilot)):
+        raise ParameterError("pilot coefficients must be finite")
+    n, big_n = inputs.n_labeled, inputs.n_unlabeled
+    h_inv, warned = _regularized_inverse(_pooled_hessian(theta_pilot, inputs))
+    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
+        _pattern_gradients(theta_pilot, inputs)
+    cross = _cross_cov(grads_true, grads_pred_l, counts_l)
+    numerator = np.trace(h_inv @ (cross + cross.transpose(0, 2, 1)) @ h_inv, axis1=1, axis2=2)
+    denominator = np.trace(h_inv @ _cross_cov(pred_all, pred_all, counts_all) @ h_inv,
+                           axis1=1, axis2=2)
+    denominator = denominator * (2.0 * (1.0 + n / big_n))
+    choices = []
+    for num, den, regularized in zip(numerator, denominator, warned):
+        if den <= 0.0:
+            choices.append(LambdaChoice.from_raw(
+                0.0, "tuned", warning="zero variance denominator; lambda set to 0"))
+        else:
+            choices.append(LambdaChoice.from_raw(
+                num / den, "tuned",
+                warning="pooled Hessian regularized for lambda tuning" if regularized else None))
+    return choices
 
 
 def tune_lambda(inputs: PpiInputs, theta_pilot: np.ndarray) -> LambdaChoice:
@@ -363,25 +441,33 @@ def tune_lambda(inputs: PpiInputs, theta_pilot: np.ndarray) -> LambdaChoice:
     predicted-label gradients and Hi the inverse pooled Hessian. The raw
     value is clipped to [0, 1]; both are reported.
     """
-    theta_pilot = np.asarray(theta_pilot, dtype=float)
-    if not np.all(np.isfinite(theta_pilot)):
-        raise ParameterError("pilot coefficients must be finite")
-    n, big_n = inputs.n_labeled, inputs.n_unlabeled
-    warning = None
-    h = pooled_hessian(theta_pilot, inputs)
-    h_inv, warned = _regularized_inverse(h)
-    if warned:
-        warning = "pooled Hessian regularized for lambda tuning"
-    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
-        _pattern_gradients(theta_pilot, inputs)
-    cross = _cross_cov(grads_true, grads_pred_l, counts_l)
-    numerator = float(np.trace(h_inv @ (cross + cross.T) @ h_inv))
-    denominator = float(np.trace(h_inv @ _cross_cov(pred_all, pred_all, counts_all) @ h_inv))
-    denominator *= 2.0 * (1.0 + n / big_n)
-    if denominator <= 0.0:
-        return LambdaChoice.from_raw(0.0, "tuned",
-                                     warning="zero variance denominator; lambda set to 0")
-    return LambdaChoice.from_raw(numerator / denominator, "tuned", warning=warning)
+    theta_pilot = np.asarray(theta_pilot, dtype=float)[None]
+    return _tune_lambda(_InputStack.of([inputs]), theta_pilot)[0]
+
+
+def _fit_multippi(inputs: _InputStack, lambda_mode: float | str, options: NewtonOptions
+                  ) -> tuple[np.ndarray, list[LambdaChoice], list[FitDiagnostics]]:
+    size = inputs.size
+    lam = None if lambda_mode == "tuned" else _check_lambda(lambda_mode)
+    mlogit.require_classes(inputs.labeled, inputs.n_classes, "labeled data")
+    if lam is not None:
+        theta, diagnostics = _fit_rectified(inputs, np.full(size, lam), None, options)
+        return theta, [LambdaChoice(raw=lam, clipped=lam, mode="fixed")] * size, diagnostics
+    theta_pilot, pilot = _fit_rectified(inputs, np.ones(size), None, options)
+    fallback = np.array([not d.converged for d in pilot])
+    if fallback.any():
+        theta_pilot[fallback], _ = mlogit.fit_stack(
+            inputs.labeled.take(fallback), inputs.n_classes, options)
+    choices = _tune_lambda(inputs, theta_pilot)
+    for r in np.flatnonzero(fallback):
+        note = f"pilot fit at lambda=1 {pilot[r].status}; tuned at labeled-only MLE"
+        c = choices[r]
+        choices[r] = LambdaChoice(c.raw, c.clipped, c.mode,
+                                  warning=note if c.warning is None else f"{c.warning}; {note}",
+                                  pilot_fallback=True)
+    lam = np.array([c.clipped for c in choices])
+    theta, diagnostics = _fit_rectified(inputs, lam, theta_pilot, options)
+    return theta, choices, diagnostics
 
 
 def fit_multippi(inputs: PpiInputs, lambda_mode: float | str = "tuned",
@@ -393,25 +479,23 @@ def fit_multippi(inputs: PpiInputs, lambda_mode: float | str = "tuned",
     fails to converge (possible when predictions carry no signal), the
     labeled-only MLE serves as the pilot instead.
     """
-    if lambda_mode == "tuned":
-        theta_pilot, pilot_diag = fit_rectified(inputs, 1.0, options=options)
-        pilot_note = None
-        if not pilot_diag.converged:
-            theta_pilot, _ = mlogit.fit_mle(
-                inputs.x_labeled, inputs.y_labeled, inputs.n_classes, options=options)
-            pilot_note = f"pilot fit at lambda=1 {pilot_diag.status}; tuned at labeled-only MLE"
-        choice = tune_lambda(inputs, theta_pilot)
-        if pilot_note:
-            choice = LambdaChoice(choice.raw, choice.clipped, choice.mode,
-                                  warning=pilot_note if choice.warning is None
-                                  else f"{choice.warning}; {pilot_note}")
-        theta, diag = fit_rectified(inputs, choice.clipped, theta0=theta_pilot,
-                                    options=options)
-    else:
-        lam = _check_lambda(lambda_mode)
-        choice = LambdaChoice(raw=lam, clipped=lam, mode="fixed")
-        theta, diag = fit_rectified(inputs, lam, options=options)
-    return MultippiFit(theta=theta, lambda_choice=choice, diagnostics=diag)
+    theta, choices, diagnostics = _fit_multippi(_InputStack.of([inputs]), lambda_mode, options)
+    return MultippiFit(theta=theta[0], lambda_choice=choices[0], diagnostics=diagnostics[0])
+
+
+def _sandwich(theta: np.ndarray, inputs: _InputStack, lam: np.ndarray) -> list[CovarianceEstimate]:
+    n, big_n = inputs.n_labeled, inputs.n_unlabeled
+    h = _pooled_hessian(theta, inputs)
+    h_inv, warned = _regularized_inverse(h)
+    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
+        _pattern_gradients(theta, inputs)
+    v_f = (lam ** 2)[:, None, None] * _cross_cov(pred_all, pred_all, counts_all)
+    delta = grads_true - lam[:, None, None] * grads_pred_l
+    v_delta = _cross_cov(delta, delta, counts_l)
+    sigma = h_inv @ ((n / big_n)[:, None, None] * v_f + v_delta) @ h_inv
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2
+    return [CovarianceEstimate(sigma=sigma[r], hessian=h[r], v_f=v_f[r], v_delta=v_delta[r],
+                               condition_warning=bool(warned[r])) for r in range(inputs.size)]
 
 
 def sandwich_covariance(theta: np.ndarray, inputs: PpiInputs, lam: float) -> CovarianceEstimate:
@@ -423,46 +507,36 @@ def sandwich_covariance(theta: np.ndarray, inputs: PpiInputs, lam: float) -> Cov
     rectified objective). Sigma = Hi ((n/N) V_f + V_delta) Hi.
     """
     lam = _check_lambda(lam)
-    theta = np.asarray(theta, dtype=float)
-    n, big_n = inputs.n_labeled, inputs.n_unlabeled
-    h = pooled_hessian(theta, inputs)
-    h_inv, warned = _regularized_inverse(h)
-    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
-        _pattern_gradients(theta, inputs)
-    v_f = lam ** 2 * _cross_cov(pred_all, pred_all, counts_all)
-    delta = grads_true - lam * grads_pred_l
-    v_delta = _cross_cov(delta, delta, counts_l)
-    sigma = h_inv @ ((n / big_n) * v_f + v_delta) @ h_inv
-    sigma = (sigma + sigma.T) / 2
-    return CovarianceEstimate(sigma=sigma, hessian=h, v_f=v_f, v_delta=v_delta,
-                              condition_warning=warned)
+    theta = np.asarray(theta, dtype=float)[None]
+    return _sandwich(theta, _InputStack.of([inputs]), np.array([lam]))[0]
 
 
 def classical_covariance(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
                          n_classes: int) -> CovarianceEstimate:
     """Classical sandwich H^-1 Cov(grad) H^-1 on one set of labeled rows."""
-    return _classical_covariance(theta, mlogit.group_labeled(x, y, n_classes), n_classes)
+    patterns = PatternStack.of([mlogit.group_labeled(x, y, n_classes)])
+    return _classical_covariance(np.asarray(theta, dtype=float)[None], patterns, n_classes)[0]
 
 
-def _classical_covariance(theta: np.ndarray, patterns: RowPatterns,
-                          n_classes: int) -> CovarianceEstimate:
-    theta = np.asarray(theta, dtype=float)
+def _classical_covariance(theta: np.ndarray, patterns: PatternStack,
+                          n_classes: int) -> list[CovarianceEstimate]:
     h = mlogit.weighted_objective(
         [(patterns, None, 1.0 / patterns.n_rows)], n_classes).hess(theta)
     h_inv, warned = _regularized_inverse(h)
     grads = patterns.gradients(mlogit.class_probs(theta, patterns.x, n_classes), 0, n_classes)
     v = _cross_cov(grads, grads, patterns.counts)
     sigma = h_inv @ v @ h_inv
-    sigma = (sigma + sigma.T) / 2
-    return CovarianceEstimate(sigma=sigma, hessian=h, v_f=np.zeros_like(v),
-                              v_delta=v, condition_warning=warned)
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2
+    return [CovarianceEstimate(sigma=sigma[r], hessian=h[r], v_f=np.zeros_like(v[r]),
+                               v_delta=v[r], condition_warning=bool(warned[r]))
+            for r in range(patterns.size)]
 
 
 def z_quantile(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1 - alpha/2}."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))
+    return float(scipy.special.ndtri(1.0 - alpha / 2.0))
 
 
 def confidence_intervals(theta: np.ndarray, sigma: np.ndarray, n: int,
@@ -472,30 +546,78 @@ def confidence_intervals(theta: np.ndarray, sigma: np.ndarray, n: int,
     se_j = sqrt(Sigma_jj / n); numerically negative diagonal entries are
     clamped to zero and reported in the warnings list.
     """
-    theta = np.asarray(theta, dtype=float)
-    diag = np.diag(np.asarray(sigma, dtype=float)).copy()
-    warnings = []
+    theta = np.asarray(theta, dtype=float)[None]
+    se, lower, upper, warnings = _intervals(theta, np.asarray(sigma, dtype=float)[None],
+                                            np.array([n]), alpha)
+    return se[0], lower[0], upper[0], warnings[0]
+
+
+def _intervals(theta: np.ndarray, sigma: np.ndarray, n: np.ndarray, alpha: float):
+    """``confidence_intervals`` for R replications: theta (R, p), sigma (R, p, p), n (R,)."""
+    diag = np.diagonal(sigma, axis1=1, axis2=2).copy()
     negative = diag < 0
-    if negative.any():
-        warnings.append(
-            f"clamped negative covariance diagonal at coordinates "
-            f"{np.nonzero(negative)[0].tolist()}")
-        diag[negative] = 0.0
+    warnings = [[f"clamped negative covariance diagonal at coordinates "
+                 f"{np.flatnonzero(row).tolist()}"] if row.any() else [] for row in negative]
+    diag[negative] = 0.0
     z = z_quantile(alpha)
-    se = np.sqrt(diag / n)
+    se = np.sqrt(diag / n[:, None])
     return se, theta - z * se, theta + z * se, warnings
 
 
-def _report(estimator, theta, cov, n_denominator, alpha, lambda_choice,
-            n_labeled, n_unlabeled, n_classes, diagnostics, **meta) -> InferenceReport:
-    se, lower, upper, warns = confidence_intervals(theta, cov.sigma, n_denominator, alpha)
-    if diagnostics.status != "converged":
-        warns.insert(0, f"fit status {diagnostics.status}: intervals not valid")
-    return InferenceReport(
-        estimator=estimator, theta=theta, se=se, ci_lower=lower, ci_upper=upper,
-        alpha=alpha, lambda_choice=lambda_choice, n_labeled=n_labeled,
-        n_unlabeled=n_unlabeled, n_classes=n_classes, diagnostics=diagnostics,
-        covariance=cov, warnings=tuple(warns), **meta)
+def _reports(estimator: str, theta: np.ndarray, covariances: list[CovarianceEstimate],
+             n_denominator: np.ndarray, alpha: float, choices: list[LambdaChoice],
+             n_labeled: np.ndarray, n_unlabeled: np.ndarray, n_classes: int,
+             diagnostics: list[FitDiagnostics], **meta) -> list[InferenceReport]:
+    """One report per replication, with the intervals of all of them computed together."""
+    se, lower, upper, warnings = _intervals(
+        theta, np.stack([c.sigma for c in covariances]), n_denominator, alpha)
+    reports = []
+    for r, diag in enumerate(diagnostics):
+        if diag.status != "converged":
+            warnings[r].insert(0, f"fit status {diag.status}: intervals not valid")
+        reports.append(InferenceReport(
+            estimator=estimator, theta=theta[r], se=se[r], ci_lower=lower[r],
+            ci_upper=upper[r], alpha=alpha, lambda_choice=choices[r],
+            n_labeled=int(n_labeled[r]), n_unlabeled=int(n_unlabeled[r]),
+            n_classes=n_classes, diagnostics=diag, covariance=covariances[r],
+            warnings=tuple(warnings[r]), **meta))
+    return reports
+
+
+def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, estimator: str,
+                       options: NewtonOptions, n_labeled: int | None = None,
+                       **meta) -> list[InferenceReport]:
+    """Labeled-only MLE and classical sandwich for every replication of a stack.
+
+    Intervals use each replication's row count; ``n_labeled`` (default:
+    all rows) is the report's labeled count.
+    """
+    theta, diagnostics = mlogit.fit_stack(patterns, n_classes, options)
+    total = patterns.n_rows
+    labeled = total if n_labeled is None else np.full(patterns.size, n_labeled)
+    return _reports(estimator, theta, _classical_covariance(theta, patterns, n_classes),
+                    total, alpha, [LambdaChoice(0.0, 0.0, "fixed")] * patterns.size,
+                    labeled, total - labeled, n_classes, diagnostics, **meta)
+
+
+def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int,
+                        check_rows: bool = True) -> RowPatterns:
+    """Validate and group one dataset of a classical or naive fit.
+
+    Everything that can fail for this dataset alone fails here, before it
+    joins a stack.
+    """
+    x = np.asarray(x, dtype=float)
+    if check_rows:
+        if x.ndim != 2:
+            raise ShapeError("design matrix must be 2-d")
+        n, d = x.shape
+        if n < d * (n_classes - 1) + 1:
+            raise ShapeError(
+                f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
+    patterns = mlogit.group_labeled(x, y, n_classes)
+    mlogit.require_classes(PatternStack.of([patterns]), n_classes)
+    return patterns
 
 
 def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0.05,
@@ -506,41 +628,107 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
     Tag with ``estimator="ground-truth"`` when the rows are the complete
     dataset rather than a labeled subset.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError("design matrix must be 2-d")
-    n, d = x.shape
-    if n < d * (n_classes - 1) + 1:
-        raise ShapeError(
-            f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
-    patterns = mlogit.group_labeled(x, y, n_classes)
-    theta, diag = mlogit.fit_grouped(patterns, n_classes, options=options)
-    cov = _classical_covariance(theta, patterns, n_classes)
-    return _report(estimator, theta, cov, n, alpha,
-                   LambdaChoice(0.0, 0.0, "fixed"), n, 0, n_classes, diag, **meta)
+    patterns = PatternStack.of([_classical_patterns(x, y, n_classes)])
+    return _classical_reports(patterns, n_classes, alpha, estimator, options, **meta)[0]
 
 
 def fit_naive(x_all: np.ndarray, yhat_all: np.ndarray, n_classes: int,
               alpha: float = 0.05, n_labeled: int | None = None,
               options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
     """Classical fit treating predicted labels as truth on all rows."""
-    x_all = np.asarray(x_all, dtype=float)
-    total = x_all.shape[0]
-    n_labeled = total if n_labeled is None else n_labeled
-    patterns = mlogit.group_labeled(x_all, yhat_all, n_classes)
-    theta, diag = mlogit.fit_grouped(patterns, n_classes, options=options)
-    cov = _classical_covariance(theta, patterns, n_classes)
-    return _report("naive", theta, cov, total, alpha,
-                   LambdaChoice(0.0, 0.0, "fixed"), n_labeled,
-                   total - n_labeled, n_classes, diag, **meta)
+    patterns = PatternStack.of([_classical_patterns(x_all, yhat_all, n_classes,
+                                                    check_rows=False)])
+    return _classical_reports(patterns, n_classes, alpha, "naive", options,
+                              n_labeled=n_labeled, **meta)[0]
+
+
+def _multippi_reports(inputs: _InputStack, lambda_mode: float | str, alpha: float,
+                      options: NewtonOptions, **meta) -> list[InferenceReport]:
+    theta, choices, diagnostics = _fit_multippi(inputs, lambda_mode, options)
+    covariances = _sandwich(theta, inputs, np.array([c.clipped for c in choices]))
+    return _reports("multippi", theta, covariances, inputs.n_labeled, alpha, choices,
+                    inputs.n_labeled, inputs.n_unlabeled, inputs.n_classes, diagnostics,
+                    **meta)
 
 
 def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
                         alpha: float = 0.05,
                         options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
     """Full rectified inference: point estimate, sandwich SEs, intervals."""
-    fit = fit_multippi(inputs, lambda_mode, options=options)
-    cov = sandwich_covariance(fit.theta, inputs, fit.lambda_choice.clipped)
-    return _report("multippi", fit.theta, cov, inputs.n_labeled, alpha,
-                   fit.lambda_choice, inputs.n_labeled, inputs.n_unlabeled,
-                   inputs.n_classes, fit.diagnostics, **meta)
+    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha, options, **meta)[0]
+
+
+# ---------------------------------------------------------------------------
+# Many datasets at once
+
+
+def _each_dataset(run, stack) -> list:
+    """``run(stack)`` as one batch, or one replication at a time if the batch raises.
+
+    A failure then lands on the replication that caused it, as the error a
+    single-dataset call raises, and the others keep their results: every
+    product is made per replication, so those equal the batch's.
+    """
+    try:
+        return run(stack)
+    except MultippiError as exc:
+        if stack.size == 1:
+            return [exc]
+        return [_each_dataset(run, stack.take([r]))[0] for r in range(stack.size)]
+
+
+def _batched(items: list, build, stack, run) -> list:
+    """``build`` each item, ``stack`` the built ones and ``run`` them together.
+
+    Returns one result per item, or the MultippiError that building or
+    fitting it raised.
+    """
+    results: list = [None] * len(items)
+    built = []
+    for i, item in enumerate(items):
+        try:
+            built.append((i, build(item)))
+        except MultippiError as exc:
+            results[i] = exc
+    if built:
+        fitted = _each_dataset(run, stack([b for _, b in built]))
+        for (i, _), result in zip(built, fitted):
+            results[i] = result
+    return results
+
+
+def _padded(patterns: list[RowPatterns]) -> PatternStack:
+    return PatternStack.of(patterns, max(p.n_rows for p in patterns))
+
+
+def fit_classical_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
+                       alpha: float = 0.05, estimator: str = "classical",
+                       options: NewtonOptions = NewtonOptions()
+                       ) -> list[InferenceReport | MultippiError]:
+    """``fit_classical`` on each (x, y) dataset, fitted together as one stack.
+
+    Each dataset is padded to the largest row count, so when all datasets
+    have the same number of rows (Monte Carlo replications) a dataset's
+    report does not depend on which others share the call. Returns a
+    report or the error ``fit_classical`` raises for that dataset.
+    """
+    return _batched(datasets, lambda xy: _classical_patterns(*xy, n_classes), _padded,
+                    lambda s: _classical_reports(s, n_classes, alpha, estimator, options))
+
+
+def fit_naive_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
+                   alpha: float = 0.05, n_labeled: int | None = None,
+                   options: NewtonOptions = NewtonOptions()
+                   ) -> list[InferenceReport | MultippiError]:
+    """``fit_naive`` on each (x_all, yhat_all) dataset, as ``fit_classical_many`` does."""
+    return _batched(
+        datasets, lambda xy: _classical_patterns(*xy, n_classes, check_rows=False), _padded,
+        lambda s: _classical_reports(s, n_classes, alpha, "naive", options, n_labeled=n_labeled))
+
+
+def fit_multippi_report_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
+                             alpha: float = 0.05, options: NewtonOptions = NewtonOptions()
+                             ) -> list[InferenceReport | MultippiError]:
+    """``fit_multippi_report`` on each input set, as ``fit_classical_many`` does."""
+    return _batched(inputs, lambda i: i, lambda built: _InputStack.of(built, padded=True),
+                    lambda s: _multippi_reports(s, lambda_mode, alpha, options))

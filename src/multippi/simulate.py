@@ -2,15 +2,19 @@
 Monte Carlo coverage experiments.
 
 Randomness: every stream is a numpy PCG64 generator. Replication ``r`` of an
-experiment with master seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``,
-so serial and parallel runs produce identical results.
+experiment with master seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``.
+
+Replications are drawn one by one and fitted in chunks of ``_CHUNK``: the
+fits of a chunk run as one stacked Newton per estimator (``ppi``'s
+``*_many`` functions). Every product is made per replication and every
+replication is padded to the same row counts, so a replication's results,
+and the report, are identical whatever the chunk size.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +22,10 @@ from . import mlogit, ppi
 from .errors import MultippiError, ParameterError, ShapeError
 
 ESTIMATORS = ("classical", "naive", "multippi")
+# Replications fitted together as one stack. Run time is flat from 16 to
+# 128 per stack while peak memory grows with it (docs/math.md, "Batched
+# replications"); results do not depend on it.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,10 @@ class SyntheticSpec:
                 f"theta_star must have length {expected}, got {self.theta_star.shape}")
         if self.n_labeled < 1 or self.n_unlabeled < 1:
             raise ShapeError("need at least one labeled and one unlabeled row")
+        if not np.all(np.isfinite(self.theta_star)):
+            raise ParameterError("theta_star entries must be finite")
+        if not np.isfinite(self.covariate_scale):
+            raise ParameterError(f"covariate_scale must be finite, got {self.covariate_scale}")
 
     def to_dict(self) -> dict:
         return {
@@ -65,6 +77,8 @@ class NoiseModel:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError("noise matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ParameterError("noise matrix entries must be finite")
         if (m < 0).any():
             raise ParameterError("noise matrix entries must be non-negative")
         if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
@@ -171,6 +185,8 @@ class CoverageReport:
     lambda_values: np.ndarray
     failures: int
     failure_details: tuple[str, ...] = ()
+    fit_status: dict = field(default_factory=dict)   # tag -> status -> count
+    pilot_fallbacks: int = 0
     replication_rows: tuple = ()
 
     @property
@@ -180,7 +196,7 @@ class CoverageReport:
     def to_dict(self) -> dict:
         return {
             "format": "multippi-coverage-report",
-            "version": 1,
+            "version": 2,
             "spec": self.spec.to_dict(),
             "noise_matrix": [[float(v) for v in row] for row in self.noise.matrix],
             "replications": self.replications,
@@ -194,6 +210,7 @@ class CoverageReport:
                     "mean_width": [float(v) for v in self.mean_width[tag]],
                     "median_width": [float(v) for v in self.median_width[tag]],
                     "median_width_overall": float(self.median_width_overall[tag]),
+                    "fit_status": dict(self.fit_status[tag]),
                 }
                 for tag in ESTIMATORS
             },
@@ -205,6 +222,7 @@ class CoverageReport:
             "failures": self.failures,
             "failure_rate": self.failures / self.replications,
             "failure_details": list(self.failure_details),
+            "pilot_fallbacks": self.pilot_fallbacks,
         }
 
     def to_json(self) -> str:
@@ -225,54 +243,84 @@ class CoverageReport:
         return out
 
 
-def _one_replication(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
-                     lambda_mode: float | str, rep: int) -> dict:
+def _draw(spec: SyntheticSpec, noise: NoiseModel, rep: int):
+    """Replication ``rep``'s data and its predicted labels, from its own stream."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
     data = generate(spec, rng)
-    yhat_l = corrupt(data.y_labeled, noise, rng)
-    yhat_u = corrupt(data.y_unlabeled, noise, rng)
+    return data, corrupt(data.y_labeled, noise, rng), corrupt(data.y_unlabeled, noise, rng)
+
+
+def fit_replications(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
+                     lambda_mode: float | str, reps: range) -> list[dict]:
+    """Draw and fit replications ``reps`` together; one dict per replication.
+
+    Each dict has ``rep`` and either the ``classical``, ``naive`` and
+    ``multippi`` reports or, for a replication whose fits raised, an
+    ``error`` line naming the first error in that order, as a separate
+    fit of that replication alone would raise it.
+    """
     k = spec.n_classes
-    out = {"rep": rep}
-    try:
-        out["classical"] = ppi.fit_classical(data.x_labeled, data.y_labeled, k, alpha)
-        x_all = np.vstack([data.x_labeled, data.x_unlabeled])
-        yhat_all = np.concatenate([yhat_l, yhat_u])
-        out["naive"] = ppi.fit_naive(x_all, yhat_all, k, alpha,
-                                     n_labeled=spec.n_labeled)
-        inputs = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
-                               data.x_unlabeled, yhat_u, k)
-        out["multippi"] = ppi.fit_multippi_report(inputs, lambda_mode, alpha)
-    except MultippiError as exc:
-        out["error"] = f"rep {rep}: {type(exc).__name__}: {exc}"
+    draws = [_draw(spec, noise, rep) for rep in reps]
+    out = [{"rep": rep} for rep in reps]
+    live = list(range(len(out)))
+
+    def fail(i, exc):
+        out[i]["error"] = f"rep {out[i]['rep']}: {type(exc).__name__}: {exc}"
+
+    def keep(tag, positions, results):
+        for i, result in zip(positions, results):
+            if isinstance(result, MultippiError):
+                fail(i, result)
+            else:
+                out[i][tag] = result
+        return [i for i in positions if "error" not in out[i]]
+
+    live = keep("classical", live, ppi.fit_classical_many(
+        [(draws[i][0].x_labeled, draws[i][0].y_labeled) for i in live], k, alpha))
+    live = keep("naive", live, ppi.fit_naive_many(
+        [(np.vstack([draws[i][0].x_labeled, draws[i][0].x_unlabeled]),
+          np.concatenate([draws[i][1], draws[i][2]])) for i in live],
+        k, alpha, n_labeled=spec.n_labeled))
+    inputs = {}
+    for i in live:
+        data, yhat_l, yhat_u = draws[i]
+        try:
+            inputs[i] = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
+                                      data.x_unlabeled, yhat_u, k)
+        except MultippiError as exc:
+            fail(i, exc)
+    keep("multippi", list(inputs), ppi.fit_multippi_report_many(
+        list(inputs.values()), lambda_mode, alpha))
     return out
 
 
 def coverage_experiment(spec: SyntheticSpec, noise: NoiseModel, reps: int,
                         alpha: float = 0.05, lambda_mode: float | str = "tuned",
-                        threads: int = 1, keep_replications: bool = False) -> CoverageReport:
+                        keep_replications: bool = False) -> CoverageReport:
     """Monte Carlo check of CI coverage for all three estimators.
 
     Per replication: generate, corrupt predictions on every row, hide the
     unlabeled truth, fit classical / naive / multippi, and score each
     coordinate's interval against theta_star. Failed replications are
-    excluded and counted.
+    excluded and counted; the fit statuses and pilot fallbacks of the
+    others are tallied.
     """
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
     if noise.matrix.shape[0] != spec.n_classes:
         raise ShapeError("noise matrix size must match the class count")
-    run = lambda r: _one_replication(spec, noise, alpha, lambda_mode, r)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(reps)))
-    else:
-        results = [run(r) for r in range(reps)]
+    ppi.z_quantile(alpha)           # rejects a bad alpha before any replication runs
+    results = []
+    for start in range(0, reps, _CHUNK):
+        results += fit_replications(spec, noise, alpha, lambda_mode,
+                                    range(start, min(start + _CHUNK, reps)))
 
-    p = len(spec.theta_star)
     covered = {tag: [] for tag in ESTIMATORS}
     widths = {tag: [] for tag in ESTIMATORS}
+    statuses = {tag: dict.fromkeys(mlogit.FIT_STATUSES, 0) for tag in ESTIMATORS}
     lam_values, lam_raw = [], []
     failures = []
+    fallbacks = 0
     rep_rows = []
     for res in results:
         if "error" in res:
@@ -283,9 +331,11 @@ def coverage_experiment(spec: SyntheticSpec, noise: NoiseModel, reps: int,
             covered[tag].append((report.ci_lower <= spec.theta_star)
                                 & (spec.theta_star <= report.ci_upper))
             widths[tag].append(report.ci_upper - report.ci_lower)
+            statuses[tag][report.diagnostics.status] += 1
         mp = res["multippi"]
         lam_values.append(mp.lambda_choice.clipped)
         lam_raw.append(mp.lambda_choice.raw)
+        fallbacks += mp.lambda_choice.pilot_fallback
         if keep_replications:
             row = {"rep": res["rep"], "lambda": mp.lambda_choice.clipped}
             for tag in ESTIMATORS:
@@ -313,4 +363,5 @@ def coverage_experiment(spec: SyntheticSpec, noise: NoiseModel, reps: int,
         lambda_mean=float(lam_values.mean()), lambda_sd=float(lam_values.std()),
         lambda_raw_mean=float(np.mean(lam_raw)), lambda_values=lam_values,
         failures=len(failures), failure_details=tuple(failures),
+        fit_status=statuses, pilot_fallbacks=fallbacks,
         replication_rows=tuple(rep_rows))

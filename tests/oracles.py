@@ -3,8 +3,9 @@
 Everything here is deliberately written along different code paths than
 the package: full-K softmax columns instead of K-1 blocks, textbook IRLS,
 plain finite differences, loop-based cosine KNN, a per-document
-vocabulary and vectorizer, the per-sample SVM trainer, and the
-row-at-a-time CSV loader.
+vocabulary and vectorizer, the per-sample SVM trainer, the
+row-at-a-time CSV loader, and one Monte Carlo replication fitted on its
+own through the single-dataset estimator calls.
 """
 
 import csv
@@ -16,7 +17,8 @@ import numpy as np
 import scipy.optimize
 import scipy.special
 
-from multippi.errors import SchemaError
+from multippi import ppi, simulate
+from multippi.errors import MultippiError, SchemaError
 from multippi.ingest import CAUSE_CLASSES, MALARIA_NOTE, NO_CAUSE, RecordTable, map_cause
 
 
@@ -267,3 +269,30 @@ def record_table(rows):
     codes = [NO_CAUSE if c is None else CAUSE_CLASSES.index(c) for c in causes]
     return RecordTable(ids=list(ids), sites=list(sites), ages=list(ages),
                        narratives=list(texts), causes=np.asarray(codes, dtype=np.int8))
+
+
+def one_replication(spec, noise, alpha, lambda_mode, rep):
+    """Replication ``rep`` of a coverage run, drawn and fitted by itself.
+
+    The per-replication loop the coverage experiment ran before it fitted
+    replications in stacks: classical, naive, then multippi, each through
+    the single-dataset ``ppi`` call, stopping at the first error.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
+    data = simulate.generate(spec, rng)
+    yhat_l = simulate.corrupt(data.y_labeled, noise, rng)
+    yhat_u = simulate.corrupt(data.y_unlabeled, noise, rng)
+    k = spec.n_classes
+    out = {"rep": rep}
+    try:
+        out["classical"] = ppi.fit_classical(data.x_labeled, data.y_labeled, k, alpha)
+        x_all = np.vstack([data.x_labeled, data.x_unlabeled])
+        yhat_all = np.concatenate([yhat_l, yhat_u])
+        out["naive"] = ppi.fit_naive(x_all, yhat_all, k, alpha,
+                                     n_labeled=spec.n_labeled)
+        inputs = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
+                               data.x_unlabeled, yhat_u, k)
+        out["multippi"] = ppi.fit_multippi_report(inputs, lambda_mode, alpha)
+    except MultippiError as exc:
+        out["error"] = f"rep {rep}: {type(exc).__name__}: {exc}"
+    return out

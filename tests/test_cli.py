@@ -241,6 +241,24 @@ def test_config_file_supplies_split_parameters(tmp_path, monkeypatch):
     assert doc2["split"]["labeled_fraction"] == 0.2
 
 
+@pytest.mark.parametrize("flags, noise_text", [
+    ([], "0.8,0.1,0.1\n0.1,nan,0.1\n0.1,0.1,0.8\n"),
+    (["--alpha", 1.5], None),
+])
+def test_simulate_invalid_inputs_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                  flags, noise_text):
+    monkeypatch.chdir(tmp_path)
+    noise = "asymmetric"
+    if noise_text is not None:
+        (tmp_path / "noise.csv").write_text(noise_text)
+        noise = "noise.csv"
+    args = ["simulate", "--out", "sim", "--reps", 100, "--noise", noise, *flags]
+    assert run_cli(args) == cli.EXIT_USAGE
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
+        == "ParameterError"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_dump_reps_flag(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["simulate", "--out", "sim", "--reps", 100, "--n", 80,

@@ -213,3 +213,24 @@ def test_duplicating_rows_keeps_theta_and_shrinks_classical_se(make):
     np.testing.assert_allclose(twice.theta, once.theta, rtol=1e-10, atol=0)
     np.testing.assert_allclose(twice.se, once.se * np.sqrt((n - 1) / (2 * n - 1)),
                                rtol=1e-8, atol=0)
+
+
+def test_many_calls_pad_ragged_patterns_and_match_single_calls():
+    inputs = [repeated_inputs(seed, n=80, big_n=240) for seed in range(10, 14)]
+    assert len({i.labeled.counts.shape[0] for i in inputs}) > 1       # ragged: padding needed
+    x_all = [np.vstack([i.x_labeled, i.x_unlabeled]) for i in inputs]
+    yhat_all = [np.concatenate([i.yhat_labeled, i.yhat_unlabeled]) for i in inputs]
+    pairs = [
+        (ppi.fit_classical_many([(i.x_labeled, i.y_labeled) for i in inputs], K),
+         [ppi.fit_classical(i.x_labeled, i.y_labeled, K) for i in inputs]),
+        (ppi.fit_naive_many(list(zip(x_all, yhat_all)), K, n_labeled=80),
+         [ppi.fit_naive(x, yh, K, n_labeled=80) for x, yh in zip(x_all, yhat_all)]),
+        (ppi.fit_multippi_report_many(inputs), [ppi.fit_multippi_report(i) for i in inputs]),
+    ]
+    for many, single in pairs:
+        for a, b in zip(many, single, strict=True):
+            np.testing.assert_allclose(a.theta, b.theta, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(a.se, b.se, rtol=1e-10, atol=0)
+            assert a.lambda_choice.raw == pytest.approx(b.lambda_choice.raw, rel=1e-10)
+            assert a.diagnostics.status == b.diagnostics.status
+            assert a.warnings == b.warnings

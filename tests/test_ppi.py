@@ -1,7 +1,13 @@
 """Rectified objective, power tuning, sandwich covariance, intervals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 
 import oracles
 from multippi import mlogit, ppi, simulate
@@ -235,6 +241,22 @@ def test_z_quantile_value():
     assert ppi.z_quantile(0.05) == pytest.approx(1.959964, abs=1e-6)
     with pytest.raises(ParameterError):
         ppi.z_quantile(0.0)
+
+
+def test_z_quantile_equals_normal_ppf_exactly():
+    alphas = np.concatenate([[1e-6, 0.01, 0.05, 0.1, 0.2, 0.5, 0.999],
+                             np.linspace(0.001, 0.999, 499), np.logspace(-12, -0.01, 100)])
+    for alpha in alphas:
+        assert ppi.z_quantile(float(alpha)) == float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))
+
+
+def test_importing_cli_leaves_scipy_stats_out():
+    src = str(Path(ppi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, multippi.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_confidence_interval_arithmetic():

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from multippi import mlogit, simulate
 from multippi.errors import MultippiError, ParameterError, ShapeError
+
+# The spec of test_coverage_counts_partial_failures: classes are often
+# missing from its tiny labeled samples.
+PARTIAL_FAILURE_SPEC = dict(theta_star=np.array([1.0, 0.2, -2.2, 0.2]), n_labeled=30,
+                            n_unlabeled=200, n_classes=3, n_features=2, seed=11)
 
 
 def test_generate_uniform_frequencies_at_zero_coefficients():
@@ -56,6 +62,17 @@ def test_generate_shape_validation():
                                n_unlabeled=10, n_classes=3, n_features=2, seed=0)
 
 
+@pytest.mark.parametrize("change", [{"covariate_scale": np.nan},
+                                    {"covariate_scale": np.inf},
+                                    {"theta_star": np.array([0.4, np.nan, -0.3, -0.8])},
+                                    {"theta_star": np.array([0.4, 0.8, -np.inf, -0.8])}])
+def test_spec_rejects_non_finite_values(change):
+    args = dict(theta_star=simulate.DEFAULT_THETA_STAR, n_labeled=10, n_unlabeled=10,
+                n_classes=3, n_features=2) | change
+    with pytest.raises(ParameterError):
+        simulate.SyntheticSpec(**args)
+
+
 def test_corrupt_identity_noise_is_identity():
     labels = np.array([0, 1, 2, 1, 0, 2] * 10)
     out = simulate.corrupt(labels, simulate.NoiseModel.identity(3), 5)
@@ -87,6 +104,11 @@ def test_noise_model_validation():
         simulate.NoiseModel(np.array([[1.2, -0.2], [0.0, 1.0]]))
     with pytest.raises(ShapeError):
         simulate.NoiseModel(np.ones((2, 3)) / 3)
+    # NaN fails both the sign test and the row-sum test, so it needs its own
+    with pytest.raises(ParameterError, match="finite"):
+        simulate.NoiseModel(np.array([[1.0, 0.0], [np.nan, 1.0]]))
+    with pytest.raises(ParameterError, match="finite"):
+        simulate.NoiseModel(np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
 
 def test_coverage_identity_noise_at_least_nominal(identity_coverage_run):
@@ -116,12 +138,21 @@ def test_coverage_requires_min_replications():
         simulate.coverage_experiment(spec, simulate.NoiseModel.identity(3), reps=50)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, 1.0, -0.1, np.nan])
+def test_coverage_rejects_alpha_before_any_replication(monkeypatch, alpha):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "fit_replications", never)
+    with pytest.raises(ParameterError, match="alpha"):
+        simulate.coverage_experiment(simulate.default_spec(), simulate.ASYMMETRIC_3CLASS,
+                                     reps=100, alpha=alpha)
+
+
 def test_coverage_counts_partial_failures():
     # classes occasionally missing from tiny labeled samples: those
     # replications fail and are excluded, the rest proceed
-    spec = simulate.SyntheticSpec(theta_star=np.array([1.0, 0.2, -2.2, 0.2]),
-                                  n_labeled=30, n_unlabeled=200,
-                                  n_classes=3, n_features=2, seed=11)
+    spec = simulate.SyntheticSpec(**PARTIAL_FAILURE_SPEC)
     report = simulate.coverage_experiment(
         spec, simulate.NoiseModel.identity(3), reps=100)
     assert 0 < report.failures < 100
@@ -138,16 +169,74 @@ def test_coverage_all_failures_raises():
         simulate.coverage_experiment(spec, simulate.NoiseModel.identity(3), reps=100)
 
 
-def test_coverage_parallel_matches_serial():
+def test_coverage_report_invariant_to_chunk_size(monkeypatch):
     spec = simulate.default_spec(seed=13, n_labeled=100, n_unlabeled=300)
-    serial = simulate.coverage_experiment(spec, simulate.ASYMMETRIC_3CLASS,
-                                          reps=100, threads=1)
-    parallel = simulate.coverage_experiment(spec, simulate.ASYMMETRIC_3CLASS,
-                                            reps=100, threads=3)
+
+    def run():
+        return simulate.coverage_experiment(spec, simulate.ASYMMETRIC_3CLASS, reps=100,
+                                            keep_replications=True)
+
+    default = run()
+    for chunk in (1, 7):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        chunked = run()
+        assert chunked.to_json() == default.to_json(), chunk
+        assert chunked.replication_rows == default.replication_rows, chunk
+
+
+def assert_same_replication(batched, single):
+    assert batched.keys() == single.keys()
+    if "error" in single:
+        assert batched["error"] == single["error"]
+        return
     for tag in simulate.ESTIMATORS:
-        assert np.array_equal(serial.coverage[tag], parallel.coverage[tag])
-        assert np.array_equal(serial.median_width[tag], parallel.median_width[tag])
-    assert serial.lambda_mean == parallel.lambda_mean
+        a, b = batched[tag], single[tag]
+        for name in ("theta", "se", "ci_lower", "ci_upper"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=1e-10, atol=0,
+                                       err_msg=f"rep {single['rep']} {tag} {name}")
+        assert abs(a.lambda_choice.raw - b.lambda_choice.raw) <= 1e-12
+        assert abs(a.lambda_choice.clipped - b.lambda_choice.clipped) <= 1e-12
+        assert (a.lambda_choice.mode, a.lambda_choice.warning, a.lambda_choice.pilot_fallback) \
+            == (b.lambda_choice.mode, b.lambda_choice.warning, b.lambda_choice.pilot_fallback)
+        for name in ("status", "iterations", "converged", "condition_warning"):
+            assert getattr(a.diagnostics, name) == getattr(b.diagnostics, name), (tag, name)
+        assert a.warnings == b.warnings
+        assert (a.n_labeled, a.n_unlabeled) == (b.n_labeled, b.n_unlabeled)
+
+
+@pytest.mark.parametrize("spec, noise, lambda_mode, reps", [
+    # seed 5 replication 181: the lambda=1 pilot fails and falls back
+    (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, "tuned", range(160, 200)),
+    (simulate.default_spec(seed=11), simulate.ASYMMETRIC_3CLASS, "tuned", range(0, 40)),
+    (simulate.SyntheticSpec(**PARTIAL_FAILURE_SPEC), simulate.NoiseModel.identity(3),
+     "tuned", range(0, 100)),
+    (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, 0.0, range(0, 20)),
+    (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, 0.5, range(0, 20)),
+    (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, 1.0, range(0, 20)),
+], ids=["seed5", "seed11", "partial-failures", "lambda0", "lambda0.5", "lambda1"])
+def test_batched_replications_match_one_at_a_time(spec, noise, lambda_mode, reps):
+    batched = simulate.fit_replications(spec, noise, 0.05, lambda_mode, reps)
+    single = [oracles.one_replication(spec, noise, 0.05, lambda_mode, r) for r in reps]
+    assert [b["rep"] for b in batched] == list(reps)
+    for b, s in zip(batched, single):
+        assert_same_replication(b, s)
+    if spec.seed == 5 and lambda_mode == "tuned":
+        assert batched[181 - reps.start]["multippi"].lambda_choice.pilot_fallback
+    if spec.n_labeled == 30:
+        assert 0 < sum("error" in s for s in single) < len(reps)
+
+
+def test_mc_seed_fit_statuses_and_pilot_fallbacks(asymmetric_coverage_run):
+    run = asymmetric_coverage_run
+    for tag in simulate.ESTIMATORS:
+        assert run.fit_status[tag] == {"converged": 1000, "max_iterations": 0,
+                                       "stalled": 0, "separation": 0}
+    assert run.pilot_fallbacks == 7
+    doc = run.to_dict()
+    assert doc["version"] == 2
+    assert doc["pilot_fallbacks"] == 7
+    assert sum(doc["estimators"][tag]["fit_status"]["converged"]
+               for tag in simulate.ESTIMATORS) == 3000
 
 
 def test_coverage_report_serialization(identity_coverage_run):
