@@ -174,10 +174,6 @@ class RowPatterns:
     def n_rows(self) -> int:
         return self.inverse.shape[0]
 
-    def class_counts(self, column: int, n_classes: int) -> np.ndarray:
-        """(P, K) count of rows per distinct design row and class of label ``column``."""
-        return PatternStack.of([self]).class_counts(column, n_classes)[0]
-
 
 def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
     """Collapse rows to their distinct (x, labels...) patterns.

@@ -663,18 +663,21 @@ def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
 
 
 def _each_dataset(run, stack) -> list:
-    """``run(stack)`` as one batch, or one replication at a time if the batch raises.
+    """``run(stack)`` as one batch, or each half on its own if the batch raises.
 
     A failure then lands on the replication that caused it, as the error a
     single-dataset call raises, and the others keep their results: every
-    product is made per replication, so those equal the batch's.
+    product is made per replication, so those equal the batch's. Halving
+    refits about ``2 log2(R)`` batches per failing replication, not ``R``.
     """
     try:
         return run(stack)
     except MultippiError as exc:
         if stack.size == 1:
             return [exc]
-        return [_each_dataset(run, stack.take([r]))[0] for r in range(stack.size)]
+        half = stack.size // 2
+        return (_each_dataset(run, stack.take(slice(None, half)))
+                + _each_dataset(run, stack.take(slice(half, None))))
 
 
 def _batched(items: list, build, stack, run) -> list:
@@ -702,9 +705,7 @@ def _padded(patterns: list[RowPatterns]) -> PatternStack:
 
 
 def fit_classical_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
-                       alpha: float = 0.05, estimator: str = "classical",
-                       options: NewtonOptions = NewtonOptions()
-                       ) -> list[InferenceReport | MultippiError]:
+                       alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
     """``fit_classical`` on each (x, y) dataset, fitted together as one stack.
 
     Each dataset is padded to the largest row count, so when all datasets
@@ -713,22 +714,22 @@ def fit_classical_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes:
     report or the error ``fit_classical`` raises for that dataset.
     """
     return _batched(datasets, lambda xy: _classical_patterns(*xy, n_classes), _padded,
-                    lambda s: _classical_reports(s, n_classes, alpha, estimator, options))
+                    lambda s: _classical_reports(s, n_classes, alpha, "classical",
+                                                 NewtonOptions()))
 
 
 def fit_naive_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
-                   alpha: float = 0.05, n_labeled: int | None = None,
-                   options: NewtonOptions = NewtonOptions()
+                   alpha: float = 0.05, n_labeled: int | None = None
                    ) -> list[InferenceReport | MultippiError]:
     """``fit_naive`` on each (x_all, yhat_all) dataset, as ``fit_classical_many`` does."""
     return _batched(
         datasets, lambda xy: _classical_patterns(*xy, n_classes, check_rows=False), _padded,
-        lambda s: _classical_reports(s, n_classes, alpha, "naive", options, n_labeled=n_labeled))
+        lambda s: _classical_reports(s, n_classes, alpha, "naive", NewtonOptions(),
+                                     n_labeled=n_labeled))
 
 
 def fit_multippi_report_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
-                             alpha: float = 0.05, options: NewtonOptions = NewtonOptions()
-                             ) -> list[InferenceReport | MultippiError]:
+                             alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
     """``fit_multippi_report`` on each input set, as ``fit_classical_many`` does."""
     return _batched(inputs, lambda i: i, lambda built: _InputStack.of(built, padded=True),
-                    lambda s: _multippi_reports(s, lambda_mode, alpha, options))
+                    lambda s: _multippi_reports(s, lambda_mode, alpha, NewtonOptions()))

@@ -131,7 +131,8 @@ def test_group_rows_round_trip():
     assert np.array_equal(np.bincount(patterns.inverse), patterns.counts)
     assert np.array_equal(patterns.x_counts,
                           np.bincount(patterns.x_index, weights=patterns.counts))
-    assert patterns.class_counts(0, K).sum(axis=1).tolist() == patterns.x_counts.tolist()
+    class_counts = mlogit.PatternStack.of([patterns]).class_counts(0, K)[0]
+    assert class_counts.sum(axis=1).tolist() == patterns.x_counts.tolist()
 
 
 def test_public_kernels_match_row_level_on_repeated_design():

@@ -11,6 +11,10 @@ from multippi.errors import MultippiError, ParameterError, ShapeError
 # missing from its tiny labeled samples.
 PARTIAL_FAILURE_SPEC = dict(theta_star=np.array([1.0, 0.2, -2.2, 0.2]), n_labeled=30,
                             n_unlabeled=200, n_classes=3, n_features=2, seed=11)
+# Steep coefficients: some labeled samples are separated, so a stacked fit
+# raises SeparationError and must be split to find the replications at fault.
+SEPARATING_SPEC = dict(theta_star=np.array([-4.0, 30.0, -4.0, -30.0]), n_labeled=60,
+                       n_unlabeled=200, n_classes=3, n_features=2, seed=11)
 
 
 def test_generate_uniform_frequencies_at_zero_coefficients():
@@ -210,10 +214,14 @@ def assert_same_replication(batched, single):
     (simulate.default_spec(seed=11), simulate.ASYMMETRIC_3CLASS, "tuned", range(0, 40)),
     (simulate.SyntheticSpec(**PARTIAL_FAILURE_SPEC), simulate.NoiseModel.identity(3),
      "tuned", range(0, 100)),
+    # replications 0, 3 and 16 separate inside the stacked fits
+    (simulate.SyntheticSpec(**SEPARATING_SPEC), simulate.NoiseModel.identity(3),
+     "tuned", range(0, 20)),
     (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, 0.0, range(0, 20)),
     (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, 0.5, range(0, 20)),
     (simulate.default_spec(seed=5), simulate.ASYMMETRIC_3CLASS, 1.0, range(0, 20)),
-], ids=["seed5", "seed11", "partial-failures", "lambda0", "lambda0.5", "lambda1"])
+], ids=["seed5", "seed11", "partial-failures", "separation", "lambda0", "lambda0.5",
+        "lambda1"])
 def test_batched_replications_match_one_at_a_time(spec, noise, lambda_mode, reps):
     batched = simulate.fit_replications(spec, noise, 0.05, lambda_mode, reps)
     single = [oracles.one_replication(spec, noise, 0.05, lambda_mode, r) for r in reps]
@@ -224,6 +232,9 @@ def test_batched_replications_match_one_at_a_time(spec, noise, lambda_mode, reps
         assert batched[181 - reps.start]["multippi"].lambda_choice.pilot_fallback
     if spec.n_labeled == 30:
         assert 0 < sum("error" in s for s in single) < len(reps)
+    if spec.n_labeled == 60:
+        assert [s["rep"] for s in single if "SeparationError" in s.get("error", "")] \
+            == [0, 3, 16]
 
 
 def test_mc_seed_fit_statuses_and_pilot_fallbacks(asymmetric_coverage_run):
