@@ -11,6 +11,14 @@ bundled classifiers (multinomial Naive Bayes, cosine KNN, linear
 one-vs-rest SVM) train and predict on CSR rows. They are deterministic
 given their training data, hyperparameters, and seed; ties always break
 by the CodClass enumeration order.
+
+KNN scores query rows in blocks sized from the training row count so
+that one float64 (block x training rows) similarity block stays near
+``_KNN_BLOCK_BYTES`` (2 MiB, about 40 rows at 6,500 training rows): a
+block's product, similarities and top-k indices then fit in one core's
+L2 cache, where larger blocks spend their time on memory traffic. Each
+row's top k comes from one argpartition; only rows where more than k
+columns reach the k-th value run the lower-index tie-break.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ _TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+", re.UNICODE)
 UNCLASSIFIED_POLICIES = ("drop", "impute-majority", "keep-as-error")
 
 _SVM_BATCH = 256        # training rows per SVM mini-batch step
-_KNN_BLOCK = 256        # query rows per dense KNN similarity block
+_KNN_BLOCK_BYTES = 2 << 20     # target size of one float64 KNN similarity block
 
 
 def tokenize(text: str) -> list[str]:
@@ -242,17 +250,30 @@ def _row_norms(vectors: scipy.sparse.csr_matrix) -> np.ndarray:
     return np.sqrt(np.asarray(vectors.multiply(vectors).sum(axis=1)).ravel())
 
 
+def _knn_block_rows(n_train: int) -> int:
+    """Query rows per similarity block: one float64 block stays near ``_KNN_BLOCK_BYTES``."""
+    return max(1, _KNN_BLOCK_BYTES // (8 * n_train))
+
+
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """Mask of each row's k most similar columns.
+    """Column indices of each row's k most similar columns, shape (rows, k).
 
     Every column above the row's k-th largest value is in; columns equal
-    to it fill the remaining places from the lowest index up.
+    to it fill the remaining places from the lowest index up. One
+    argpartition settles every row whose k-th value is reached by exactly
+    k columns; only rows where more columns reach it take the tie-break.
     """
-    kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, [sims.shape[1] - k]]
-    above = sims > kth
-    tied = sims == kth
-    free = k - above.sum(axis=1, keepdims=True)
-    return above | (tied & (np.cumsum(tied, axis=1) <= free))
+    n = sims.shape[1]
+    top = np.argpartition(sims, n - k, axis=1)[:, n - k:]
+    kth = np.take_along_axis(sims, top[:, :1], axis=1)
+    ambiguous = np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
+    if ambiguous.size:
+        rows, kth = sims[ambiguous], kth[ambiguous]
+        tied = rows == kth
+        free = k - np.count_nonzero(rows > kth, axis=1)[:, None]
+        keep = (rows > kth) | (tied & (np.cumsum(tied, axis=1) <= free))
+        top[ambiguous] = np.nonzero(keep)[1].reshape(-1, k)
+    return top
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,26 +293,40 @@ class KnnModel:
     weighting: str = "tfidf"
     kind: str = "knn"
     norms: np.ndarray = field(init=False, repr=False)
+    label_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "norms", _row_norms(self.vectors))
+        object.__setattr__(self, "label_ids", _class_ids(list(self.labels)))
 
     def predict_many(self, queries: scipy.sparse.csr_matrix) -> list[CodClass]:
-        """Cosine similarities in blocks of ``_KNN_BLOCK`` query rows, then top-k votes."""
-        label_ids = _class_ids(list(self.labels))
-        n_classes = len(CAUSE_CLASSES)
+        """Cosine similarities in cache-sized blocks of query rows, then top-k votes."""
         query_norms = _row_norms(queries)
+        step = _knn_block_rows(self.vectors.shape[0])
         out = []
-        for start in range(0, queries.shape[0], _KNN_BLOCK):
-            block = slice(start, start + _KNN_BLOCK)
-            dots = np.ascontiguousarray((self.vectors @ queries[block].toarray().T).T)
-            denom = np.outer(query_norms[block], self.norms)
-            sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
-            hit_rows, hit_cols = np.nonzero(_top_k(sims, self.k))
-            votes = np.bincount(hit_rows * n_classes + label_ids[hit_cols],
-                                minlength=len(sims) * n_classes).reshape(-1, n_classes)
-            out.extend(CAUSE_CLASSES[j] for j in np.argmax(votes, axis=1))
+        for start in range(0, queries.shape[0], step):
+            block = slice(start, start + step)
+            out.extend(CAUSE_CLASSES[j] for j in self._vote(queries[block], query_norms[block]))
         return out
+
+    def _vote(self, queries: scipy.sparse.csr_matrix, query_norms: np.ndarray) -> np.ndarray:
+        """Class ids predicted for one block of query rows.
+
+        The block's temporaries die on return, so blocks never overlap in memory.
+        """
+        dots = self.vectors @ queries.toarray().T              # (n_train, rows)
+        sims = np.multiply.outer(query_norms, self.norms)
+        if query_norms.min() * self.norms.min() > 0:
+            np.divide(dots.T, sims, out=sims)
+        else:                           # a norm product not above 0: similarity 0
+            scored = sims > 0
+            np.divide(dots.T, sims, out=sims, where=scored)
+            sims[~scored] = 0.0
+        top = _top_k(sims, self.k)
+        n_classes = len(CAUSE_CLASSES)
+        votes = np.bincount((np.arange(len(top))[:, None] * n_classes
+                             + self.label_ids[top]).ravel(), minlength=len(top) * n_classes)
+        return np.argmax(votes.reshape(-1, n_classes), axis=1)
 
 
 def train_knn(vectors: scipy.sparse.csr_matrix, labels: list[CodClass], k: int = 9,
@@ -545,7 +580,7 @@ def predict_all(model, records: RecordTable, corpus: Corpus | None = None,
 # Model serialization (versioned, text-only)
 
 _MODEL_FORMAT = "multippi-text-model"
-_LABEL_BY_VALUE = {c.value: c for c in CodClass}
+_CLASS_BY_VALUE = {c.value: c for c in CAUSE_CLASSES}
 
 
 def model_to_dict(model) -> dict:
@@ -571,7 +606,35 @@ def model_to_dict(model) -> dict:
     return data
 
 
+def _document_classes(values: list) -> tuple[CodClass, ...]:
+    try:
+        return tuple(_CLASS_BY_VALUE[v] for v in values)
+    except (KeyError, TypeError) as exc:
+        raise PredictionFormatError(f"model class labels must be cause classes, got {exc}") from exc
+
+
+def _linear_parts(data: dict, matrix_key: str, offsets_key: str, vocab: Vocabulary):
+    """Classes, (C, V) matrix and (C,) offsets of an NB or SVM document, checked."""
+    classes = _document_classes(data["classes"])
+    matrix = np.asarray(data[matrix_key], dtype=float)
+    offsets = np.asarray(data[offsets_key], dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != vocab.size:
+        raise PredictionFormatError(f"{matrix_key} has shape {matrix.shape}, "
+                                    f"the vocabulary {vocab.size} tokens")
+    if not len(classes) == matrix.shape[0] == offsets.size:
+        raise PredictionFormatError(
+            f"{len(classes)} classes, {matrix.shape[0]} {matrix_key} rows and "
+            f"{offsets.size} {offsets_key} disagree")
+    return classes, matrix, offsets
+
+
 def model_from_dict(data: dict):
+    """Rebuild a model from ``model_to_dict``'s document.
+
+    A document whose parts disagree (k outside [1, rows], labels or
+    classes not matching the rows, a column outside the vocabulary)
+    raises PredictionFormatError.
+    """
     if data.get("format") != _MODEL_FORMAT:
         raise PredictionFormatError(f"not a {_MODEL_FORMAT} document")
     if data.get("version") != 1:
@@ -579,25 +642,33 @@ def model_from_dict(data: dict):
     vocab = Vocabulary.from_dict(data["vocabulary"])
     kind = data["kind"]
     if kind == "nb":
-        return NbModel(classes=tuple(_LABEL_BY_VALUE[v] for v in data["classes"]),
-                       log_priors=np.asarray(data["log_priors"]),
-                       log_likelihoods=np.asarray(data["log_likelihoods"]),
+        classes, log_lik, log_priors = _linear_parts(data, "log_likelihoods", "log_priors", vocab)
+        return NbModel(classes=classes, log_priors=log_priors, log_likelihoods=log_lik,
                        alpha=float(data["alpha"]), vocabulary=vocab,
                        weighting=data["weighting"])
     if kind == "knn":
         rows = data["vectors"]
+        labels = _document_classes(data["labels"])
+        k = int(data["k"])
+        if len(labels) != len(rows):
+            raise PredictionFormatError(f"{len(labels)} labels for {len(rows)} vectors")
+        if not 1 <= k <= len(rows):
+            raise PredictionFormatError(f"k must lie in [1, {len(rows)}], got {k}")
+        if any(len(v["indices"]) != len(v["weights"]) for v in rows):
+            raise PredictionFormatError("a vector has unequally many indices and weights")
         indptr = np.cumsum([0] + [len(v["indices"]) for v in rows])
+        indices = np.asarray([i for v in rows for i in v["indices"]], dtype=np.int64)
+        if indices.size and not 0 <= indices.min() <= indices.max() < vocab.size:
+            raise PredictionFormatError(
+                f"vector column indices must lie in [0, {vocab.size})")
         vectors = scipy.sparse.csr_matrix(
-            (np.asarray([w for v in rows for w in v["weights"]], dtype=float),
-             np.asarray([i for v in rows for i in v["indices"]], dtype=np.int64), indptr),
+            (np.asarray([w for v in rows for w in v["weights"]], dtype=float), indices, indptr),
             shape=(len(rows), vocab.size))
-        return KnnModel(vectors=vectors,
-                        labels=tuple(_LABEL_BY_VALUE[v] for v in data["labels"]),
-                        k=int(data["k"]), vocabulary=vocab, weighting=data["weighting"])
+        return KnnModel(vectors=vectors, labels=labels, k=k, vocabulary=vocab,
+                        weighting=data["weighting"])
     if kind == "svm":
-        return SvmModel(classes=tuple(_LABEL_BY_VALUE[v] for v in data["classes"]),
-                        weights=np.asarray(data["weights"]),
-                        biases=np.asarray(data["biases"]), c=float(data["c"]),
+        classes, weights, biases = _linear_parts(data, "weights", "biases", vocab)
+        return SvmModel(classes=classes, weights=weights, biases=biases, c=float(data["c"]),
                         epochs=int(data["epochs"]), seed=int(data["seed"]),
                         vocabulary=vocab, weighting=data["weighting"])
     raise PredictionFormatError(f"unknown model kind {kind!r}")

@@ -127,6 +127,39 @@ def brute_knn(train_dense, labels, query_dense, k, n_label_values):
     return max(range(n_label_values), key=lambda c: (votes[c], -c))
 
 
+def top_k_mask(sims, k):
+    """Full boolean mask of each row's k most similar columns, lower index first on ties."""
+    kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, [sims.shape[1] - k]]
+    above = sims > kth
+    tied = sims == kth
+    free = k - above.sum(axis=1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=1) <= free))
+
+
+def knn_predict_masked(train, label_ids, queries, k, n_label_values, block=256):
+    """Cosine KNN over CSR rows in fixed blocks of query rows, voting from a full
+    top-k mask: the block-of-256 implementation that textpred.KnnModel replaced.
+
+    Returns the predicted label ids; the tie rules are the library's.
+    """
+    def row_norms(m):
+        return np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+
+    label_ids = np.asarray(label_ids)
+    train_norms, query_norms = row_norms(train), row_norms(queries)
+    out = []
+    for start in range(0, queries.shape[0], block):
+        rows = slice(start, start + block)
+        dots = np.ascontiguousarray((train @ queries[rows].toarray().T).T)
+        denom = np.outer(query_norms[rows], train_norms)
+        sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+        hit_rows, hit_cols = np.nonzero(top_k_mask(sims, k))
+        votes = np.bincount(hit_rows * n_label_values + label_ids[hit_cols],
+                            minlength=len(sims) * n_label_values).reshape(-1, n_label_values)
+        out.extend(np.argmax(votes, axis=1).tolist())
+    return out
+
+
 def svm_per_sample(vectors, labels, classes, c, epochs, seed):
     """Per-sample one-vs-rest hinge subgradient trainer over CSR rows.
 

@@ -402,3 +402,83 @@ def test_report_warns_when_fit_did_not_converge():
     for lam in (0.0, 0.5, 1.0, "tuned"):
         with pytest.raises(ShapeError, match=r"classes absent from labeled data: \[2\]"):
             ppi.fit_multippi_report(absent, lam)
+
+
+# -- metamorphic relations ------------------------------------------------------
+
+METAMORPHIC_LAMBDA = 0.4
+
+
+def _three_fits(x_l, y_l, yhat_l, x_u, yhat_u, n_classes):
+    """Coefficients of the classical, naive and fixed-lambda rectified fits."""
+    reports = {
+        "classical": ppi.fit_classical(x_l, y_l, n_classes),
+        "naive": ppi.fit_naive(np.vstack([x_l, x_u]), np.concatenate([yhat_l, yhat_u]),
+                               n_classes),
+        "rectified": ppi.fit_multippi_report(
+            ppi.PpiInputs(x_l, y_l, yhat_l, x_u, yhat_u, n_classes),
+            lambda_mode=METAMORPHIC_LAMBDA),
+    }
+    for report in reports.values():
+        assert report.diagnostics.status == "converged"
+    return {name: report.theta for name, report in reports.items()}
+
+
+def _full_probs(theta, x, n_classes):
+    """(n, K) fitted probabilities, the reference class in column 0."""
+    rest = mlogit.class_probs(theta, x, n_classes)
+    return np.column_stack([1.0 - rest.sum(axis=1), rest])
+
+
+def _metamorphic_data(seed, n_classes=4, d=3):
+    rng = np.random.default_rng(seed)
+    inputs, _, _ = make_inputs(rng, n=150, big_n=450, n_classes=n_classes, d=d,
+                               noise=simulate.NoiseModel.uniform(n_classes))
+    return (inputs.x_labeled, inputs.y_labeled, inputs.yhat_labeled,
+            inputs.x_unlabeled, inputs.yhat_unlabeled, n_classes)
+
+
+@pytest.mark.parametrize("reference", [1, 3])
+def test_reference_class_relabel_reparameterizes_theta(reference):
+    x_l, y_l, yhat_l, x_u, yhat_u, k = _metamorphic_data(31)
+    relabel = np.arange(k)
+    relabel[[0, reference]] = relabel[[reference, 0]]      # swap class 0 and the new reference
+    before = _three_fits(x_l, y_l, yhat_l, x_u, yhat_u, k)
+    after = _three_fits(x_l, relabel[y_l], relabel[yhat_l], x_u, relabel[yhat_u], k)
+    x_all = np.vstack([x_l, x_u])
+    for name, theta in before.items():
+        # full coefficient rows B (reference row 0 pinned at zero) move to
+        # B'[relabel[c]] = B[c] - B[reference]
+        full = np.vstack([np.zeros(x_l.shape[1]), theta.reshape(k - 1, -1)])
+        moved = np.empty_like(full)
+        moved[relabel] = full - full[reference]
+        np.testing.assert_allclose(after[name], moved[1:].ravel(), rtol=1e-7, atol=1e-9,
+                                   err_msg=name)
+        np.testing.assert_allclose(_full_probs(after[name], x_all, k)[:, relabel],
+                                   _full_probs(theta, x_all, k), rtol=0, atol=1e-9,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("scale, shift", [(12.5, 40.0), (-0.3, 2.0)])
+def test_affine_covariate_rescale_maps_coefficients(scale, shift):
+    x_l, y_l, yhat_l, x_u, yhat_u, k = _metamorphic_data(32)
+    age = 1                                   # column 0 is the intercept
+
+    def rescaled(x):
+        x = x.copy()
+        x[:, age] = scale * x[:, age] + shift
+        return x
+
+    before = _three_fits(x_l, y_l, yhat_l, x_u, yhat_u, k)
+    after = _three_fits(rescaled(x_l), y_l, yhat_l, rescaled(x_u), yhat_u, k)
+    for name, theta in before.items():
+        # b0 + b1 x = b0' + b1' (a x + c)  gives  b1' = b1 / a,  b0' = b0 - b1 c / a
+        blocks = theta.reshape(k - 1, -1).copy()
+        blocks[:, 0] -= blocks[:, age] * shift / scale
+        blocks[:, age] /= scale
+        np.testing.assert_allclose(after[name], blocks.ravel(), rtol=1e-7, atol=1e-9,
+                                   err_msg=name)
+        x_all = np.vstack([x_l, x_u])
+        np.testing.assert_allclose(_full_probs(after[name], rescaled(x_all), k),
+                                   _full_probs(theta, x_all, k), rtol=0, atol=1e-9,
+                                   err_msg=name)

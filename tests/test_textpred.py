@@ -1,11 +1,14 @@
 """Tokenizer, corpus/vocabulary/CSR vectors, the three classifiers, and prediction ingestion."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from multippi import textpred as tp
@@ -323,7 +326,7 @@ def test_knn_model_bulk_matches_single():
 def test_knn_blocks_and_top_k_ties_match_brute_force(monkeypatch):
     # weights on a small integer grid make many cosines exactly equal, so
     # ties straddle the k-th place; two-row blocks put them across block edges
-    monkeypatch.setattr(tp, "_KNN_BLOCK", 2)
+    monkeypatch.setattr(tp, "_knn_block_rows", lambda n_train: 2)
     rng = np.random.default_rng(11)
     train_dense = rng.integers(0, 3, (14, WIDTH)).astype(float)
     train_dense[3] = train_dense[7] = train_dense[12] = [1.0, 1.0, 0.0, 0.0]
@@ -340,6 +343,64 @@ def test_knn_blocks_and_top_k_ties_match_brute_force(monkeypatch):
         want = [CAUSE_CLASSES[oracles.brute_knn(train_dense, labels, q, k, 5)]
                 for q in queries]
         assert got == want
+
+
+@st.composite
+def _knn_cases(draw):
+    """Train and query rows on a small weight grid, some forced to zero norm, and k."""
+    width = draw(st.integers(1, 5))
+    n_train = draw(st.integers(1, 12))
+    n_query = draw(st.integers(1, 8))
+    grid = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    train = draw(hnp.arrays(np.float64, (n_train, width), elements=grid))
+    queries = draw(hnp.arrays(np.float64, (n_query, width), elements=grid))
+    train[draw(hnp.arrays(bool, n_train))] = 0.0
+    queries[draw(hnp.arrays(bool, n_query))] = 0.0
+    labels = draw(st.lists(st.integers(0, len(CAUSE_CLASSES) - 1),
+                           min_size=n_train, max_size=n_train))
+    return train, queries, labels, draw(st.integers(1, n_train))
+
+
+@given(_knn_cases())
+@settings(max_examples=150)
+def test_knn_predictions_equal_the_mask_reference_at_every_block_size(case):
+    train, queries, labels, k = case
+    model = tp.train_knn(scipy.sparse.csr_matrix(train), [CAUSE_CLASSES[i] for i in labels],
+                         k=k, vocabulary=make_vocab(train.shape[1]))
+    q = scipy.sparse.csr_matrix(queries)
+    masked = oracles.knn_predict_masked(model.vectors, labels, q, k, len(CAUSE_CLASSES))
+    brute = [oracles.brute_knn(train, labels, row, k, len(CAUSE_CLASSES)) for row in queries]
+    assert masked == brute
+    for rows in (1, 3, len(queries) + 1):
+        with mock.patch.object(tp, "_knn_block_rows", lambda n_train: rows):
+            got = model.predict_many(q)
+        assert [CAUSE_CLASSES.index(c) for c in got] == masked
+
+
+def test_knn_predict_peak_memory_stays_near_one_block():
+    # one float64 (query block x training rows) similarity block is meant to
+    # stay near 2 MiB; 256-row blocks over 3,000 rows allocated ~6 MB per temporary
+    block_bytes = 2 << 20
+    rng = np.random.default_rng(12)
+    width, n_train, n_query = 400, 3000, 600
+
+    def random_rows(n):
+        m = scipy.sparse.random(n, width, density=0.05, format="csr", random_state=rng)
+        m.sort_indices()
+        return m
+
+    model = tp.train_knn(random_rows(n_train), [CAUSE_CLASSES[i % 5] for i in range(n_train)],
+                         k=9, vocabulary=make_vocab(width))
+    queries = random_rows(n_query)
+    inputs = sum(a.nbytes for m in (model.vectors, queries)
+                 for a in (m.data, m.indices, m.indptr))
+    tracemalloc.start()
+    try:
+        model.predict_many(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block_bytes + inputs, (peak, block_bytes, inputs)
 
 
 # -- svm ----------------------------------------------------------------------
@@ -576,3 +637,72 @@ def test_model_serialization_round_trip(kind):
 def test_model_from_json_rejects_foreign_documents():
     with pytest.raises(PredictionFormatError):
         tp.model_from_dict({"format": "something-else"})
+
+
+def _model_document(kind):
+    """A valid three-row, three-class model document of the given kind."""
+    vectors = stack([sv([(0, 1.0)]), sv([(1, 1.0)]), sv([(0, 1.0), (2, 1.0)])])
+    labels = [COM, EXT, MAT]
+    vocab = make_vocab(WIDTH)
+    if kind == "nb":
+        model = tp.train_nb(vectors, labels, vocabulary=vocab)
+    elif kind == "knn":
+        model = tp.train_knn(vectors, labels, k=3, vocabulary=vocab)
+    else:
+        model = tp.train_svm_ovr(vectors, labels, epochs=4, vocabulary=vocab)
+    return json.loads(json.dumps(tp.model_to_dict(model)))
+
+
+def _set_k(value):
+    def edit(doc):
+        doc["k"] = value
+    return edit
+
+
+def _shorten(key):
+    def edit(doc):
+        doc[key] = doc[key][:-1]
+    return edit
+
+
+def _widen(key):
+    def edit(doc):
+        doc[key] = [row + [0.0] for row in doc[key]]
+    return edit
+
+
+def _column_at_vocabulary_size(doc):
+    doc["vectors"][1]["indices"][0] = WIDTH
+
+
+def _extra_weight(doc):
+    doc["vectors"][0]["weights"].append(1.0)
+
+
+def _unclassified_class(doc):
+    doc["classes"][0] = CodClass.UNCLASSIFIED.value
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("knn", _set_k(0)),
+    ("knn", _set_k(5)),
+    ("knn", _shorten("labels")),
+    ("knn", _column_at_vocabulary_size),
+    ("nb", _widen("log_likelihoods")),
+    ("svm", _widen("weights")),
+    ("nb", _shorten("classes")),
+    ("nb", _shorten("log_priors")),
+    ("svm", _shorten("classes")),
+    ("svm", _shorten("biases")),
+    ("knn", _extra_weight),
+    ("nb", _unclassified_class),
+], ids=["knn-k-zero", "knn-k-above-rows", "knn-short-labels", "knn-column-outside-vocabulary",
+        "nb-width", "svm-width", "nb-short-classes", "nb-short-priors",
+        "svm-short-classes", "svm-short-biases", "knn-weights-without-index",
+        "nb-unclassified-class"])
+def test_model_from_dict_rejects_inconsistent_documents(kind, edit):
+    doc = _model_document(kind)
+    tp.model_from_dict(doc)                       # the untouched document loads
+    edit(doc)
+    with pytest.raises(PredictionFormatError):
+        tp.model_from_dict(doc)
