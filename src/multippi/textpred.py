@@ -14,11 +14,12 @@ by the CodClass enumeration order.
 
 KNN scores query rows in blocks sized from the training row count so
 that one float64 (block x training rows) similarity block stays near
-``_KNN_BLOCK_BYTES`` (2 MiB, about 40 rows at 6,500 training rows): a
-block's product, similarities and top-k indices then fit in one core's
-L2 cache, where larger blocks spend their time on memory traffic. Each
-row's top k comes from one argpartition; only rows where more than k
-columns reach the k-th value run the lower-index tie-break.
+``_KNN_BLOCK_BYTES`` (2 MiB, about 40 rows at 6,500 training rows). A
+block's product, similarities and argpartition indices are then about
+2 MiB each, where 256-row blocks made each about 13 MB and were bound by
+memory traffic. Each row's top k comes from one argpartition; only rows
+where more than k columns reach the k-th value run the lower-index
+tie-break.
 """
 
 from __future__ import annotations
@@ -316,12 +317,9 @@ class KnnModel:
         """
         dots = self.vectors @ queries.toarray().T              # (n_train, rows)
         sims = np.multiply.outer(query_norms, self.norms)
-        if query_norms.min() * self.norms.min() > 0:
-            np.divide(dots.T, sims, out=sims)
-        else:                           # a norm product not above 0: similarity 0
-            scored = sims > 0
-            np.divide(dots.T, sims, out=sims, where=scored)
-            sims[~scored] = 0.0
+        scored = sims > 0
+        np.divide(dots.T, sims, out=sims, where=scored)
+        sims[~scored] = 0.0             # a norm product not above 0: similarity 0
         top = _top_k(sims, self.k)
         n_classes = len(CAUSE_CLASSES)
         votes = np.bincount((np.arange(len(top))[:, None] * n_classes
@@ -616,8 +614,12 @@ def _document_classes(values: list) -> tuple[CodClass, ...]:
 def _linear_parts(data: dict, matrix_key: str, offsets_key: str, vocab: Vocabulary):
     """Classes, (C, V) matrix and (C,) offsets of an NB or SVM document, checked."""
     classes = _document_classes(data["classes"])
-    matrix = np.asarray(data[matrix_key], dtype=float)
-    offsets = np.asarray(data[offsets_key], dtype=float)
+    try:
+        matrix = np.asarray(data[matrix_key], dtype=float)
+        offsets = np.asarray(data[offsets_key], dtype=float)
+    except (TypeError, ValueError) as exc:      # ragged rows or non-numbers
+        raise PredictionFormatError(f"{matrix_key} or {offsets_key} is not a "
+                                    f"rectangular array of numbers: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[1] != vocab.size:
         raise PredictionFormatError(f"{matrix_key} has shape {matrix.shape}, "
                                     f"the vocabulary {vocab.size} tokens")
@@ -625,6 +627,8 @@ def _linear_parts(data: dict, matrix_key: str, offsets_key: str, vocab: Vocabula
         raise PredictionFormatError(
             f"{len(classes)} classes, {matrix.shape[0]} {matrix_key} rows and "
             f"{offsets.size} {offsets_key} disagree")
+    if not (np.isfinite(matrix).all() and np.isfinite(offsets).all()):
+        raise PredictionFormatError(f"{matrix_key} and {offsets_key} must be finite")
     return classes, matrix, offsets
 
 
@@ -632,8 +636,9 @@ def model_from_dict(data: dict):
     """Rebuild a model from ``model_to_dict``'s document.
 
     A document whose parts disagree (k outside [1, rows], labels or
-    classes not matching the rows, a column outside the vocabulary)
-    raises PredictionFormatError.
+    classes not matching the rows, a column outside the vocabulary) or
+    that holds a non-finite weight raises PredictionFormatError; trained
+    models are always finite.
     """
     if data.get("format") != _MODEL_FORMAT:
         raise PredictionFormatError(f"not a {_MODEL_FORMAT} document")
@@ -661,9 +666,11 @@ def model_from_dict(data: dict):
         if indices.size and not 0 <= indices.min() <= indices.max() < vocab.size:
             raise PredictionFormatError(
                 f"vector column indices must lie in [0, {vocab.size})")
-        vectors = scipy.sparse.csr_matrix(
-            (np.asarray([w for v in rows for w in v["weights"]], dtype=float), indices, indptr),
-            shape=(len(rows), vocab.size))
+        weights = np.asarray([w for v in rows for w in v["weights"]], dtype=float)
+        if not np.isfinite(weights).all():
+            raise PredictionFormatError("vector weights must be finite")
+        vectors = scipy.sparse.csr_matrix((weights, indices, indptr),
+                                          shape=(len(rows), vocab.size))
         return KnnModel(vectors=vectors, labels=labels, k=k, vocabulary=vocab,
                         weighting=data["weighting"])
     if kind == "svm":

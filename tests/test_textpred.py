@@ -671,6 +671,25 @@ def _widen(key):
     return edit
 
 
+def _ragged(key):
+    def edit(doc):
+        doc[key][1] = doc[key][1][:-1]
+    return edit
+
+
+def _non_finite(key, value):
+    def edit(doc):
+        if isinstance(doc[key][0], list):
+            doc[key][0][0] = value
+        else:
+            doc[key][0] = value
+    return edit
+
+
+def _non_finite_weight(doc):
+    doc["vectors"][2]["weights"][1] = float("nan")
+
+
 def _column_at_vocabulary_size(doc):
     doc["vectors"][1]["indices"][0] = WIDTH
 
@@ -696,10 +715,19 @@ def _unclassified_class(doc):
     ("svm", _shorten("biases")),
     ("knn", _extra_weight),
     ("nb", _unclassified_class),
+    ("nb", _ragged("log_likelihoods")),
+    ("svm", _ragged("weights")),
+    ("knn", _non_finite_weight),
+    ("nb", _non_finite("log_likelihoods", float("-inf"))),
+    ("nb", _non_finite("log_priors", float("nan"))),
+    ("svm", _non_finite("weights", float("inf"))),
+    ("svm", _non_finite("biases", float("nan"))),
 ], ids=["knn-k-zero", "knn-k-above-rows", "knn-short-labels", "knn-column-outside-vocabulary",
         "nb-width", "svm-width", "nb-short-classes", "nb-short-priors",
         "svm-short-classes", "svm-short-biases", "knn-weights-without-index",
-        "nb-unclassified-class"])
+        "nb-unclassified-class", "nb-ragged-row", "svm-ragged-row", "knn-non-finite-weight",
+        "nb-non-finite-likelihood", "nb-non-finite-prior", "svm-non-finite-weight",
+        "svm-non-finite-bias"])
 def test_model_from_dict_rejects_inconsistent_documents(kind, edit):
     doc = _model_document(kind)
     tp.model_from_dict(doc)                       # the untouched document loads
