@@ -16,10 +16,9 @@ KNN scores query rows in blocks sized from the training row count so
 that one float64 (block x training rows) similarity block stays near
 ``_KNN_BLOCK_BYTES`` (2 MiB, about 40 rows at 6,500 training rows). A
 block's product, similarities and argpartition indices are then about
-2 MiB each, where 256-row blocks made each about 13 MB and were bound by
-memory traffic. Each row's top k comes from one argpartition; only rows
-where more than k columns reach the k-th value run the lower-index
-tie-break.
+2 MiB each; 256-row blocks made each about 13 MB and were slower. Each
+row's top k comes from one argpartition; only rows where more than k
+columns reach the k-th value run the lower-index tie-break.
 """
 
 from __future__ import annotations
