@@ -91,7 +91,19 @@ def _apply_config_defaults(args) -> None:
     for key, (attr, cast, default) in _CONFIG_DEFAULTS.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
             raw = extras.get(key)
-            setattr(args, attr, cast(raw) if raw is not None else default)
+            try:
+                value = cast(raw) if raw is not None else default
+            except ValueError as exc:
+                raise ParameterError(
+                    f"{key} in {args.columns} must be {cast.__name__}, got {raw!r}") from exc
+            setattr(args, attr, value)
+
+
+def _floats(text: str, what: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"{what} must be comma-separated numbers, got {text!r}") from exc
 
 
 def _parse_lambda(text: str) -> float | str:
@@ -268,7 +280,7 @@ def cmd_simulate(args) -> int:
     config = _run_config(args)
     k, d = args.classes, args.features
     if args.theta:
-        theta_star = np.asarray([float(v) for v in args.theta.split(",")])
+        theta_star = np.asarray(_floats(args.theta, "--theta"))
     elif (k, d) == (3, 2):
         theta_star = simulate.DEFAULT_THETA_STAR.copy()
     else:
@@ -286,9 +298,11 @@ def cmd_simulate(args) -> int:
                                  "use --noise-matrix for other sizes")
         noise = simulate.ASYMMETRIC_3CLASS
     else:
-        rows = [[float(v) for v in line.split(",")]
+        rows = [_floats(line, "--noise matrix rows")
                 for line in Path(args.noise).read_text().strip().splitlines()
                 if line.strip() and not line.startswith("#")]
+        if len({len(row) for row in rows}) > 1:
+            raise ParameterError("--noise matrix rows differ in length")
         noise = simulate.NoiseModel(np.asarray(rows))
     report = simulate.coverage_experiment(spec, noise, args.reps, alpha=args.alpha,
                                           lambda_mode=_parse_lambda(args.lam),

@@ -22,9 +22,9 @@ fit and ``weighted_objective`` evaluates value, gradient and Hessian from
 one pass of class probabilities per block of distinct design rows (see
 ``docs/math.md``, "Grouped form"). The public ``nll``, ``nll_grad``,
 ``nll_hess`` and ``per_row_grads`` group their rows and run the same
-kernel. Sums run in pattern order rather than row order, so results agree
-with a row-by-row evaluation to about 1e-12 relative; their last bits may
-differ.
+kernel; only tests call them, as the reference for the fits. Sums run in
+pattern order rather than row order, so results agree with a row-by-row
+evaluation to about 1e-12 relative; their last bits may differ.
 
 Replication axis
 ----------------
@@ -482,7 +482,7 @@ def newton_minimize(value_and_grad, hess, theta0: np.ndarray,
     """Damped Newton with Armijo backtracking on one objective.
 
     ``value_and_grad(theta) -> (float, ndarray)`` and ``hess(theta) ->
-    ndarray`` define the objective. The R = 1 case of ``newton_batch``.
+    ndarray`` define it; ``newton_batch`` at R = 1, for a test's own objective.
     """
     theta, diagnostics = newton_batch(_Callables(value_and_grad, hess),
                                       np.asarray(theta0, dtype=float)[None], options)
@@ -577,16 +577,11 @@ def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int,
     Every class in ``0..n_classes-1`` must appear in ``y``. Raises
     SeparationError when coefficients pass ``options.coef_bound`` while the
     loss is still decreasing (complete or quasi-complete separation).
+    ``fit_stack`` at R = 1; ``ppi`` fits stacks itself, tests call this.
     """
-    return fit_grouped(group_labeled(x, y, n_classes), n_classes, options, theta0)
-
-
-def fit_grouped(patterns: RowPatterns, n_classes: int,
-                options: NewtonOptions = NewtonOptions(),
-                theta0: np.ndarray | None = None) -> tuple[np.ndarray, FitDiagnostics]:
-    """``fit_mle`` on rows already grouped by ``group_labeled``."""
     theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
-    theta, diagnostics = fit_stack(PatternStack.of([patterns]), n_classes, options, theta0)
+    theta, diagnostics = fit_stack(PatternStack.of([group_labeled(x, y, n_classes)]),
+                                   n_classes, options, theta0)
     return theta[0], diagnostics[0]
 
 
@@ -601,7 +596,7 @@ def require_classes(patterns: PatternStack, n_classes: int, rows: str = "data") 
 def fit_stack(patterns: PatternStack, n_classes: int,
               options: NewtonOptions = NewtonOptions(),
               theta0: np.ndarray | None = None) -> tuple[np.ndarray, list[FitDiagnostics]]:
-    """``fit_grouped`` for every replication of a stack (label column 0), as one Newton.
+    """``fit_mle`` for every replication of a stack (label column 0), as one Newton.
 
     Raises ShapeError when a class is absent from some replication and
     SeparationError when some replication separates.

@@ -33,10 +33,12 @@ divisor. A report's values match a row-by-row evaluation to about 1e-12
 relative, but their last bits may differ.
 
 Fits, tuning and covariances work on R datasets stacked on a leading
-axis (``mlogit.PatternStack``). The single-dataset functions are the
-R = 1 case; ``fit_classical_many``, ``fit_naive_many`` and
-``fit_multippi_report_many`` fit many datasets as one stack, and each
-dataset's report equals the one its single-dataset call returns.
+axis (``mlogit.PatternStack``). The public single-dataset calls are the
+R = 1 case: ``fit_classical``, ``fit_naive`` and ``fit_multippi_report``,
+whose report holds theta, lambda, diagnostics and covariance parts, plus
+``rectified_loss``, ``rectified_hessian`` and ``confidence_intervals``.
+The ``*_many`` calls fit many datasets as one stack; each dataset's
+report equals the one its single-dataset call returns.
 """
 
 from __future__ import annotations
@@ -144,13 +146,6 @@ class CovarianceEstimate:
     v_f: np.ndarray
     v_delta: np.ndarray
     condition_warning: bool = False
-
-
-@dataclass(frozen=True)
-class MultippiFit:
-    theta: np.ndarray
-    lambda_choice: LambdaChoice
-    diagnostics: FitDiagnostics
 
 
 @dataclass(frozen=True)
@@ -309,7 +304,7 @@ def rectified_loss(theta: np.ndarray, inputs: PpiInputs, lam: float) -> tuple[fl
     The terms are summed in the order ``(L_n - lam L_n^pred) + lam L_N^pred``
     and zero-weight terms are skipped, so the algebraic cancellations at
     lam = 0 and at lam = 1 with perfect labeled predictions are exact in
-    floating point.
+    floating point. Only tests call it: it exposes the fits' objective.
     """
     objective = _rectified_objective(_InputStack.of([inputs]), np.array([_check_lambda(lam)]))
     value, grad = objective.value_and_grad(np.asarray(theta, dtype=float)[None])
@@ -317,7 +312,7 @@ def rectified_loss(theta: np.ndarray, inputs: PpiInputs, lam: float) -> tuple[fl
 
 
 def rectified_hessian(theta: np.ndarray, inputs: PpiInputs, lam: float) -> np.ndarray:
-    """(1-lam) H_labeled + lam H_unlabeled; labels never enter."""
+    """(1-lam) H_labeled + lam H_unlabeled; labels never enter. See ``rectified_loss``."""
     objective = _rectified_objective(_InputStack.of([inputs]), np.array([_check_lambda(lam)]))
     return objective.hess(np.asarray(theta, dtype=float)[None])[0]
 
@@ -326,14 +321,6 @@ def _pooled_hessian(theta: np.ndarray, inputs: _InputStack) -> np.ndarray:
     w = 1.0 / (inputs.n_labeled + inputs.n_unlabeled)
     return mlogit.weighted_objective(
         [(inputs.labeled, None, w), (inputs.unlabeled, None, w)], inputs.n_classes).hess(theta)
-
-
-def pooled_hessian(theta: np.ndarray, inputs: PpiInputs) -> np.ndarray:
-    """Empirical Hessian averaged over labeled and unlabeled rows together.
-
-    Its patterns are the distinct x rows only, so predictions never enter.
-    """
-    return _pooled_hessian(np.asarray(theta, dtype=float)[None], _InputStack.of([inputs]))[0]
 
 
 def _cross_cov(a: np.ndarray, b: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -392,23 +379,6 @@ def _fit_rectified(inputs: _InputStack, lam: np.ndarray, theta0: np.ndarray | No
     return mlogit.newton_batch(_rectified_objective(inputs, lam), theta0, options)
 
 
-def fit_rectified(inputs: PpiInputs, lam: float,
-                  theta0: np.ndarray | None = None,
-                  options: NewtonOptions = NewtonOptions()) -> tuple[np.ndarray, FitDiagnostics]:
-    """Minimize the rectified objective at a fixed lambda.
-
-    Every class must appear among the labeled true labels, at every
-    lambda, as in ``mlogit.fit_mle``; otherwise ShapeError. Non-convergence
-    is reported through the diagnostics, not raised.
-    """
-    stack = _InputStack.of([inputs])
-    mlogit.require_classes(stack.labeled, stack.n_classes, "labeled data")
-    lam = _check_lambda(lam)
-    theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
-    theta, diagnostics = _fit_rectified(stack, np.array([lam]), theta0, options)
-    return theta[0], diagnostics[0]
-
-
 def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaChoice]:
     if not np.all(np.isfinite(theta_pilot)):
         raise ParameterError("pilot coefficients must be finite")
@@ -431,18 +401,6 @@ def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaCho
                 num / den, "tuned",
                 warning="pooled Hessian regularized for lambda tuning" if regularized else None))
     return choices
-
-
-def tune_lambda(inputs: PpiInputs, theta_pilot: np.ndarray) -> LambdaChoice:
-    """Plug-in variance-minimizing lambda from per-row gradients at a pilot fit.
-
-    raw = Tr(Hi (C + C') Hi) / (2 (1 + n/N) Tr(Hi Cov_all(grad_pred) Hi))
-    with C the labeled-row cross-covariance between true-label and
-    predicted-label gradients and Hi the inverse pooled Hessian. The raw
-    value is clipped to [0, 1]; both are reported.
-    """
-    theta_pilot = np.asarray(theta_pilot, dtype=float)[None]
-    return _tune_lambda(_InputStack.of([inputs]), theta_pilot)[0]
 
 
 def _fit_multippi(inputs: _InputStack, lambda_mode: float | str, options: NewtonOptions
@@ -470,19 +428,6 @@ def _fit_multippi(inputs: _InputStack, lambda_mode: float | str, options: Newton
     return theta, choices, diagnostics
 
 
-def fit_multippi(inputs: PpiInputs, lambda_mode: float | str = "tuned",
-                 options: NewtonOptions = NewtonOptions()) -> MultippiFit:
-    """Rectified point estimate with fixed or power-tuned lambda.
-
-    Tuned mode runs a pilot fit at lambda = 1, tunes on its per-row
-    gradients, then refits at the clipped estimate. If the pilot fit
-    fails to converge (possible when predictions carry no signal), the
-    labeled-only MLE serves as the pilot instead.
-    """
-    theta, choices, diagnostics = _fit_multippi(_InputStack.of([inputs]), lambda_mode, options)
-    return MultippiFit(theta=theta[0], lambda_choice=choices[0], diagnostics=diagnostics[0])
-
-
 def _sandwich(theta: np.ndarray, inputs: _InputStack, lam: np.ndarray) -> list[CovarianceEstimate]:
     n, big_n = inputs.n_labeled, inputs.n_unlabeled
     h = _pooled_hessian(theta, inputs)
@@ -496,26 +441,6 @@ def _sandwich(theta: np.ndarray, inputs: _InputStack, lam: np.ndarray) -> list[C
     sigma = (sigma + sigma.transpose(0, 2, 1)) / 2
     return [CovarianceEstimate(sigma=sigma[r], hessian=h[r], v_f=v_f[r], v_delta=v_delta[r],
                                condition_warning=bool(warned[r])) for r in range(inputs.size)]
-
-
-def sandwich_covariance(theta: np.ndarray, inputs: PpiInputs, lam: float) -> CovarianceEstimate:
-    """Sandwich covariance of the rectified estimator.
-
-    H is the pooled empirical Hessian; V_f = lam^2 Cov over all rows of
-    predicted-label gradients; V_delta = labeled-row covariance of
-    grad_true - lam * grad_pred (the labeled-row gradient of the
-    rectified objective). Sigma = Hi ((n/N) V_f + V_delta) Hi.
-    """
-    lam = _check_lambda(lam)
-    theta = np.asarray(theta, dtype=float)[None]
-    return _sandwich(theta, _InputStack.of([inputs]), np.array([lam]))[0]
-
-
-def classical_covariance(theta: np.ndarray, x: np.ndarray, y: np.ndarray,
-                         n_classes: int) -> CovarianceEstimate:
-    """Classical sandwich H^-1 Cov(grad) H^-1 on one set of labeled rows."""
-    patterns = PatternStack.of([mlogit.group_labeled(x, y, n_classes)])
-    return _classical_covariance(np.asarray(theta, dtype=float)[None], patterns, n_classes)[0]
 
 
 def _classical_covariance(theta: np.ndarray, patterns: PatternStack,
@@ -543,8 +468,8 @@ def confidence_intervals(theta: np.ndarray, sigma: np.ndarray, n: int,
                          alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """Per-coordinate (se, lower, upper) at level 1 - alpha.
 
-    se_j = sqrt(Sigma_jj / n); numerically negative diagonal entries are
-    clamped to zero and reported in the warnings list.
+    se_j = sqrt(Sigma_jj / n) for any caller's sigma; numerically negative
+    diagonal entries are clamped to zero and reported in the warnings list.
     """
     theta = np.asarray(theta, dtype=float)[None]
     se, lower, upper, warnings = _intervals(theta, np.asarray(sigma, dtype=float)[None],

@@ -185,6 +185,8 @@ def _check_training(trainer: str, vectors: scipy.sparse.csr_matrix, labels: list
     if vectors.shape[1] != vocabulary.size:
         raise ParameterError(f"vectors have {vectors.shape[1]} columns, "
                              f"the vocabulary {vocabulary.size} tokens")
+    if not np.all(np.isfinite(vectors.data)):
+        raise ParameterError("vectors have non-finite weights")
 
 
 def _class_ids(labels: list[CodClass]) -> np.ndarray:

@@ -17,6 +17,17 @@ DATA_DIR = Path(__file__).parent / "data"
 MC_SEED = 20240601
 
 
+def pytest_collection_modifyitems(items):
+    """Every warning raised in a test here, fixtures included, is an error.
+
+    Set per test rather than in ``pyproject.toml`` so that the benchmark's
+    own self-tests, collected from ``perfbench/``, keep their settings.
+    """
+    for item in items:
+        if item.path.is_relative_to(Path(__file__).parent):
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

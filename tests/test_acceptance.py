@@ -75,13 +75,13 @@ def test_criterion_3_estimator_identities():
     yhat_u = simulate.corrupt(data.y_unlabeled, simulate.ASYMMETRIC_3CLASS, rng)
     noisy = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
                           data.x_unlabeled, yhat_u, 3)
-    fit0 = ppi.fit_multippi(noisy, 0.0)
+    fit0 = ppi.fit_multippi_report(noisy, 0.0)
     theta_classical, _ = mlogit.fit_mle(data.x_labeled, data.y_labeled, 3)
     gap0 = float(np.max(np.abs(fit0.theta - theta_classical)))
 
     perfect = ppi.PpiInputs(data.x_labeled, data.y_labeled, data.y_labeled,
                             data.x_unlabeled, data.y_unlabeled, 3)
-    fit1 = ppi.fit_multippi(perfect, 1.0)
+    fit1 = ppi.fit_multippi_report(perfect, 1.0)
     theta_unlabeled, _ = mlogit.fit_mle(data.x_unlabeled, data.y_unlabeled, 3)
     gap1 = float(np.max(np.abs(fit1.theta - theta_unlabeled)))
     criterion(3, "estimator identities", gap0 < 1e-8 and gap1 < 1e-8,

@@ -244,6 +244,9 @@ def test_config_file_supplies_split_parameters(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flags, noise_text", [
     ([], "0.8,0.1,0.1\n0.1,nan,0.1\n0.1,0.1,0.8\n"),
     (["--alpha", 1.5], None),
+    (["--theta", "0.4,abc,-0.3,-0.8"], None),
+    ([], "0.8,0.1,0.1\n0.1,x,0.1\n0.1,0.1,0.8\n"),
+    ([], "0.8,0.1,0.1\n0.1,0.8\n0.1,0.1,0.8\n"),
 ])
 def test_simulate_invalid_inputs_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   flags, noise_text):
@@ -257,6 +260,23 @@ def test_simulate_invalid_inputs_are_usage_errors(tmp_path, monkeypatch, capsys,
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
         == "ParameterError"
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("entry", ["labeled_fraction = abc", "alpha = 0.o5", "seed = 1.5"])
+def test_infer_malformed_config_number_is_usage_error(tmp_path, monkeypatch, capsys, entry):
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    (tmp_path / "cols.cfg").write_text(
+        "id = id\nsite = site\nage = age\nnarrative = open_text\ncause = cause\n"
+        f"{entry}\n", encoding="utf-8")
+    args = ["infer", "--input", "synth.csv", "--columns", "cols.cfg",
+            "--predictions", "preds.csv", "--out", "inferred", "--threads", 1]
+    assert run_cli(args) == cli.EXIT_USAGE
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ParameterError"
+    assert entry.split(" = ")[0] in record["message"]
+    assert not (tmp_path / "inferred").exists()
 
 
 def test_simulate_dump_reps_flag(tmp_path, monkeypatch):

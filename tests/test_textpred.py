@@ -259,7 +259,16 @@ def test_trainers_reject_vectors_wider_than_vocabulary():
                   vocabulary=make_vocab(2))
 
 
-# -- knn ----------------------------------------------------------------------
+@pytest.mark.parametrize("train", [tp.train_nb, tp.train_knn, tp.train_svm_ovr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trainers_reject_non_finite_weights(train, bad):
+    # such a model would train, but its own document would be refused on reload
+    texts = ["fever cough", "crash road", "fever crash"]
+    vocab = vocab_of(texts)
+    vectors = vectors_of(texts, vocab)
+    vectors.data[1] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        train(vectors, [COM, EXT, COM], vocabulary=vocab)
 
 def test_knn_identical_vector_k1():
     train = [(sv([(0, 1.0)]), COM), (sv([(1, 1.0)]), EXT), (sv([(2, 1.0)]), MAT)]
