@@ -279,8 +279,13 @@ def cmd_simulate(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
     k, d = args.classes, args.features
+    if args.n < 1 or args.unlabeled < 1:
+        raise ParameterError("--n and --unlabeled must each be at least 1")
     if args.theta:
         theta_star = np.asarray(_floats(args.theta, "--theta"))
+        if theta_star.size != d * (k - 1):
+            raise ParameterError(f"--theta needs --features x (--classes - 1) = {d * (k - 1)} "
+                                 f"values, got {theta_star.size}")
     elif (k, d) == (3, 2):
         theta_star = simulate.DEFAULT_THETA_STAR.copy()
     else:
@@ -303,6 +308,9 @@ def cmd_simulate(args) -> int:
                 if line.strip() and not line.startswith("#")]
         if len({len(row) for row in rows}) > 1:
             raise ParameterError("--noise matrix rows differ in length")
+        if len(rows) != k or any(len(row) != k for row in rows):
+            raise ParameterError(f"--noise matrix must be {k}x{k} for --classes {k}, "
+                                 f"got {len(rows)} row(s) of {len(rows[0]) if rows else 0}")
         noise = simulate.NoiseModel(np.asarray(rows))
     report = simulate.coverage_experiment(spec, noise, args.reps, alpha=args.alpha,
                                           lambda_mode=_parse_lambda(args.lam),

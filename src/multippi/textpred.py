@@ -2,7 +2,14 @@
 
 Tokenization lowercases and splits on whitespace/punctuation, keeping
 decimal numbers intact. A corpus is tokenized once (``tokenize_corpus``)
-into global token ids and one CSR count matrix, rows = documents. A
+into global token ids and one CSR count matrix, rows = documents. Texts
+are lowercased and split at whitespace in batches of ``_TOKENIZE_BATCH``
+documents, and the token regex runs once per distinct chunk of the
+corpus, not once per token: no character for which ``str.isspace()``
+holds can be part of a match, so a text's tokens are its chunks' tokens
+in order, and lowercasing the whole text first keeps ``str.lower()``'s
+context rules (final sigma). A batch's chunk occurrences die with the
+batch; only the distinct chunks and their token ids live for the call. A
 vocabulary is built from any subset of those rows, and
 ``vectorize_corpus`` maps rows onto it as a CSR matrix with sorted
 column indices: token counts, or tf-idf with the smoothed weight
@@ -26,7 +33,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +48,7 @@ _TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+", re.UNICODE)
 UNCLASSIFIED_POLICIES = ("drop", "impute-majority", "keep-as-error")
 
 _SVM_BATCH = 256        # training rows per SVM mini-batch step
+_TOKENIZE_BATCH = 512   # documents whose whitespace chunks are tokenized together
 _KNN_BLOCK_BYTES = 2 << 20     # target size of one float64 KNN similarity block
 
 
@@ -73,10 +81,15 @@ class Corpus:
         table: dict[str, int] = {}
         ids = np.fromiter((table.setdefault(tok, len(table)) for doc in docs for tok in doc),
                           dtype=np.int64)
-        offsets = np.zeros(len(docs) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(doc) for doc in docs])
+        return cls._from_ids(table, ids, [len(doc) for doc in docs])
+
+    @classmethod
+    def _from_ids(cls, table: dict[str, int], ids: np.ndarray, lengths) -> "Corpus":
+        """Documents of ``lengths`` ids each, read off ``ids`` in order; ``table`` numbers tokens."""
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum(lengths)
         counts = scipy.sparse.csr_matrix((np.ones(ids.size), ids, offsets),
-                                         shape=(len(docs), len(table)))
+                                         shape=(len(lengths), len(table)))
         counts.sum_duplicates()
         return cls(tokens=tuple(table), ids=ids, offsets=offsets, counts=counts)
 
@@ -85,8 +98,47 @@ class Corpus:
         return np.arange(self.n_docs) if rows is None else np.asarray(rows, dtype=np.int64)
 
 
+def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[starts[i]:starts[i] + lengths[i]]`` for every i, concatenated."""
+    return values[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+                  + np.arange(lengths.sum())]
+
+
 def tokenize_corpus(texts: list[str]) -> Corpus:
-    return Corpus.from_tokens([tokenize(text) for text in texts])
+    """``Corpus.from_tokens([tokenize(t) for t in texts])``, one regex pass per distinct chunk.
+
+    Token ids are numbered in first-occurrence order: a repeated chunk
+    only repeats tokens its first occurrence already numbered.
+    """
+    table: dict[str, int] = {}          # token -> global id
+    known: dict[str, int] = {}          # distinct chunk -> its row in the chunk table
+    chunk_ids = np.zeros(0, dtype=np.int64)     # chunk table: the rows' token ids, concatenated
+    chunk_start = np.zeros(0, dtype=np.int64)
+    chunk_len = np.zeros(0, dtype=np.int64)
+    ids, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for start in range(0, len(texts), _TOKENIZE_BATCH):
+        docs = list(map(str.split, map(str.lower, texts[start:start + _TOKENIZE_BATCH])))
+        rows = np.fromiter(map(known.get, chain.from_iterable(docs), repeat(-1)), dtype=np.int64)
+        missing = rows < 0
+        if missing.any():
+            unseen = list(compress(chain.from_iterable(docs), missing.tolist()))
+            new = list(dict.fromkeys(unseen))
+            known.update(zip(new, count(len(known))))
+            found = list(map(_TOKEN_RE.findall, new))
+            fresh = [tok for tok in dict.fromkeys(chain.from_iterable(found)) if tok not in table]
+            table.update(zip(fresh, count(len(table))))
+            n_found = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+            chunk_start = np.concatenate((chunk_start,
+                                          chunk_ids.size + np.cumsum(n_found) - n_found))
+            chunk_len = np.concatenate((chunk_len, n_found))
+            chunk_ids = np.concatenate((chunk_ids, np.fromiter(
+                map(table.__getitem__, chain.from_iterable(found)), dtype=np.int64)))
+            rows[missing] = np.fromiter(map(known.__getitem__, unseen), dtype=np.int64)
+        sizes = chunk_len[rows]
+        ids.append(_gather(chunk_ids, chunk_start[rows], sizes))
+        before = np.cumsum(np.concatenate(([0], sizes)))     # tokens before each chunk
+        lengths.append(np.diff(before[np.cumsum([0, *map(len, docs)])]))
+    return Corpus._from_ids(table, np.concatenate(ids), np.concatenate(lengths))
 
 
 @dataclass(frozen=True)
@@ -133,8 +185,7 @@ def build_vocabulary(corpus: Corpus, min_count: int = 1,
         raise ParameterError("cannot build a vocabulary from an empty corpus")
     starts = corpus.offsets[rows]
     lengths = corpus.offsets[rows + 1] - starts
-    ids = corpus.ids[np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-                     + np.arange(lengths.sum())]
+    ids = _gather(corpus.ids, starts, lengths)
     counts = np.bincount(ids, minlength=len(corpus.tokens))
     first = np.full(len(corpus.tokens), ids.size)
     np.minimum.at(first, ids, np.arange(ids.size))     # first position of each token
@@ -197,6 +248,12 @@ def _class_ids(labels: list[CodClass]) -> np.ndarray:
         raise ParameterError(f"labels must be concrete cause classes, got {exc}") from exc
 
 
+def _present_classes(labels: list[CodClass]) -> tuple[tuple[CodClass, ...], np.ndarray]:
+    """The classes present in ``labels`` in enumeration order, and each label's index there."""
+    present, y = np.unique(_class_ids(labels), return_inverse=True)
+    return tuple(CAUSE_CLASSES[j] for j in present.tolist()), y
+
+
 # ---------------------------------------------------------------------------
 # Naive Bayes
 
@@ -228,9 +285,7 @@ def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     if alpha <= 0:
         raise ParameterError(f"smoothing alpha must be positive, got {alpha}")
     _check_training("train_nb", vectors, labels, vocabulary)
-    present = [c for c in CAUSE_CLASSES if c in set(labels)]
-    row_of = {c: i for i, c in enumerate(present)}
-    y = np.asarray([row_of[lab] for lab in labels], dtype=np.int64)
+    present, y = _present_classes(labels)
     m = len(y)
     # class-by-document membership; the product sums each class's rows in row order
     member = scipy.sparse.csr_matrix((np.ones(m), (y, np.arange(m))), shape=(len(present), m))
@@ -239,7 +294,7 @@ def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     log_priors = np.log(class_sizes / class_sizes.sum())
     smoothed = counts + alpha
     log_lik = np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None]
-    return NbModel(classes=tuple(present), log_priors=log_priors,
+    return NbModel(classes=present, log_priors=log_priors,
                    log_likelihoods=log_lik, alpha=alpha,
                    vocabulary=vocabulary, weighting=weighting)
 
@@ -381,14 +436,14 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     if c <= 0:
         raise ParameterError(f"C must be positive, got {c}")
     _check_training("train_svm_ovr", vectors, labels, vocabulary)
-    present = [cl for cl in CAUSE_CLASSES if cl in set(labels)]
+    present, y = _present_classes(labels)
     if len(present) < 2:
         raise DegenerateModelError(
             f"SVM training needs at least 2 classes, got {len(present)}")
     m = len(labels)
     n_classes = len(present)
     signs = np.full((m, n_classes), -1.0)
-    signs[np.arange(m), [present.index(lab) for lab in labels]] = 1.0
+    signs[np.arange(m), y] = 1.0
     lam = 1.0 / (c * m)                    # L2 strength of the mean objective
     w = np.zeros((vocabulary.size, n_classes))     # one column per class
     scale = 1.0
@@ -421,7 +476,7 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
             n_avg += 1
     w_final = (w_avg / n_avg) if n_avg else scale * w
     b_final = (b_avg / n_avg) if n_avg else b
-    return SvmModel(classes=tuple(present), weights=np.ascontiguousarray(w_final.T),
+    return SvmModel(classes=present, weights=np.ascontiguousarray(w_final.T),
                     biases=b_final, c=c, epochs=epochs, seed=seed, vocabulary=vocabulary,
                     weighting=weighting)
 

@@ -3,7 +3,7 @@
 Everything here is deliberately written along different code paths than
 the package: full-K softmax columns instead of K-1 blocks, textbook IRLS,
 plain finite differences, loop-based cosine KNN, a per-document
-vocabulary and vectorizer, the per-sample SVM trainer, the
+tokenizer, vocabulary and vectorizer, the per-sample SVM trainer, the
 row-at-a-time CSV loader, and one Monte Carlo replication fitted on its
 own through the single-dataset estimator calls.
 """
@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 import scipy.special
 
-from multippi import ppi, simulate
+from multippi import ppi, simulate, textpred
 from multippi.errors import MultippiError, SchemaError
 from multippi.ingest import CAUSE_CLASSES, MALARIA_NOTE, NO_CAUSE, RecordTable, map_cause
 
@@ -207,6 +208,20 @@ def svm_per_sample(vectors, labels, classes, c, epochs, seed):
             b_avg += b
             n_avg += 1
     return (w_avg / n_avg, b_avg / n_avg) if n_avg else (scale * w, b)
+
+
+def tokenize_corpus_per_document(texts):
+    """The corpus from each whole text's own regex pass, numbering tokens as they come."""
+    docs = [textpred.tokenize(text) for text in texts]
+    table = {}
+    ids = np.fromiter((table.setdefault(tok, len(table)) for doc in docs for tok in doc),
+                      dtype=np.int64)
+    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(doc) for doc in docs])
+    counts = scipy.sparse.csr_matrix((np.ones(ids.size), ids, offsets),
+                                     shape=(len(docs), len(table)))
+    counts.sum_duplicates()
+    return textpred.Corpus(tokens=tuple(table), ids=ids, offsets=offsets, counts=counts)
 
 
 def vocabulary_rowwise(docs, min_count):

@@ -9,6 +9,7 @@ public adult file and a column-binding config.
 import json
 import os
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,12 @@ PHMRC_COLUMNS = os.environ.get("PHMRC_COLUMNS")
 def test_criterion_7_phmrc_reproduction():
     column_map = ingest.column_map_from_config(
         ingest.parse_config_file(PHMRC_COLUMNS))
-    load = ingest.load_records(PHMRC_CSV, column_map)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load = ingest.load_records(PHMRC_CSV, column_map)
+    # the documented malaria grouping note is expected on real PHMRC data; nothing else is
+    assert [(w.category, str(w.message)) for w in caught] \
+        == [(UserWarning, ingest.MALARIA_NOTE)] * len(caught)
     site = os.environ.get("PHMRC_SITE", "UP")
     reports = {kind: experiment.run_loso(load.records, experiment.PredictorSpec(kind),
                                          experiment.InferenceSpec(), sites=[site])[0]

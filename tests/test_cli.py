@@ -103,6 +103,22 @@ def test_unknown_predictor_usage_error(tmp_path, data_dir, monkeypatch, capsys):
     assert record["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("predictor", ["nb", "knn", "svm"])
+def test_predict_without_training_causes_is_usage_error(tmp_path, data_dir, monkeypatch,
+                                                        capsys, predictor):
+    stage_toy(data_dir, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nocause.cfg").write_text(
+        "id = id\nsite = site\nage = age\nnarrative = open_text\n", encoding="utf-8")
+    args = ["predict", "--input", "toy.csv", "--columns", "nocause.cfg",
+            "--predictor", predictor, "--out", "out", "--seed", 0, "--threads", 1]
+    assert run_cli(args) == cli.EXIT_USAGE
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+        "error": "ParameterError",
+        "message": "labels must be concrete cause classes, got None"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_data_error(tmp_path, data_dir, monkeypatch, capsys):
     stage_toy(data_dir, tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -247,6 +263,11 @@ def test_config_file_supplies_split_parameters(tmp_path, monkeypatch):
     (["--theta", "0.4,abc,-0.3,-0.8"], None),
     ([], "0.8,0.1,0.1\n0.1,x,0.1\n0.1,0.1,0.8\n"),
     ([], "0.8,0.1,0.1\n0.1,0.8\n0.1,0.1,0.8\n"),
+    (["--theta", "1,2"], None),                  # --classes 3 --features 2 needs 4
+    (["--n", 0], None),
+    (["--unlabeled", 0], None),
+    ([], "0.5,0.3,0.2\n0.2,0.5,0.3\n"),          # not square
+    ([], "0.9,0.1\n0.1,0.9\n"),                  # square, but not 3x3
 ])
 def test_simulate_invalid_inputs_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   flags, noise_text):

@@ -1,6 +1,7 @@
 """Tokenizer, corpus/vocabulary/CSR vectors, the three classifiers, and prediction ingestion."""
 
 import json
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -82,6 +83,64 @@ def test_tokenize_properties(text):
         assert tok == tok.lower()
         assert tok.strip()
         assert not all(not ch.isalnum() and ch != "." for ch in tok)
+
+
+# every str.isspace() character, plus characters on which a regex pass, a
+# whitespace split or a lowercasing could disagree: decimals, underscores,
+# apostrophes, the three sigmas (final-sigma context), dotted I (lowercases
+# to two characters), a combining mark, sharp s, a titlecase digraph, a ligature
+_WHITESPACE = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
+_TOKENIZER_ALPHABET = _WHITESPACE + "0123456789._'ab" + "ΣσςİÀ\u0301ßǅﬁ"
+
+
+def assert_same_corpus(got, want):
+    assert got.tokens == want.tokens
+    for name in ("ids", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.counts.shape == want.counts.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@given(texts=st.lists(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=40), max_size=12),
+       batch=st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_tokenize_corpus_matches_per_document_reference(texts, batch):
+    with mock.patch.object(tp, "_TOKENIZE_BATCH", batch):     # chunks repeat across batches
+        corpus = tp.tokenize_corpus(texts)
+    assert_same_corpus(corpus, oracles.tokenize_corpus_per_document(texts))
+
+
+@pytest.mark.parametrize("texts", [
+    [], [""], [" \t\n\u3000 "], ["?!, -- ...", "'_'"], ["1.5.3"],
+    ["", "fever  fever,", "\x1c", "...", "Fever fever"],
+])
+def test_tokenize_corpus_edge_documents(texts):
+    assert_same_corpus(tp.tokenize_corpus(texts), oracles.tokenize_corpus_per_document(texts))
+
+
+def test_tokenize_corpus_keeps_decimals_and_splits_dotted_runs():
+    corpus = tp.tokenize_corpus(["1.5.3", "v1.5 a"])
+    assert corpus.tokens == ("1.5", "3", "v1", "5", "a")
+    assert corpus.offsets.tolist() == [0, 2, 5]
+
+
+def test_tokenize_corpus_peak_memory_below_per_document_reference():
+    rng = np.random.default_rng(11)
+    words = np.asarray([f"w{i}" for i in range(3000)] + ["fever,", "died.", "1.5", "(cough)"])
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(20, 100))))
+             for _ in range(3000)]
+    peaks = []
+    for tokenize_corpus in (tp.tokenize_corpus, oracles.tokenize_corpus_per_document):
+        tracemalloc.start()
+        try:
+            tokenize_corpus(texts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1], peaks
 
 
 # -- corpus / vocabulary / vectorize -------------------------------------------
