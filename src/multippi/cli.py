@@ -299,12 +299,12 @@ def cmd_simulate(args) -> int:
         noise = simulate.NoiseModel.uniform(k)
     elif args.noise == "asymmetric":
         if k != 3:
-            raise ParameterError("--noise asymmetric is defined for --classes 3; "
-                                 "use --noise-matrix for other sizes")
+            raise ParameterError("--noise asymmetric is defined for --classes 3; for other "
+                                 "sizes give --noise <path to a KxK matrix CSV>")
         noise = simulate.ASYMMETRIC_3CLASS
     else:
         rows = [_floats(line, "--noise matrix rows")
-                for line in Path(args.noise).read_text().strip().splitlines()
+                for line in ingest._read_utf8(Path(args.noise), ParameterError).strip().splitlines()
                 if line.strip() and not line.startswith("#")]
         if len({len(row) for row in rows}) > 1:
             raise ParameterError("--noise matrix rows differ in length")

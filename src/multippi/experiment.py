@@ -10,7 +10,6 @@ only (recorded in every report's metadata).
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -250,9 +249,6 @@ class SiteReport:
             "errors": dict(sorted(self.errors.items())),
             "metadata": self.metadata,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def combined_csv_rows(self) -> list[dict]:
         rows = []

@@ -18,12 +18,13 @@ import enum
 import math
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CauseMapError, ParameterError, SchemaError, SplitError
+from .errors import CauseMapError, MultippiError, ParameterError, SchemaError, SplitError
 
 
 class CodClass(enum.Enum):
@@ -154,10 +155,36 @@ class ColumnMap:
         return cls.from_pairs(pairs)
 
 
+def _read_utf8(path: Path, error: type[MultippiError]) -> str:
+    """``path``'s UTF-8 text without a leading BOM; a bad byte raises ``error`` with its offset."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+
+
+@contextmanager
+def _csv_rows(path: Path, error: type[MultippiError], delimiter: str = ","):
+    """``path`` as UTF-8 CSV after any leading BOM: its header and a reader of its rows.
+
+    A bad byte raises ``error`` as in ``_read_utf8``, which decodes the file again on this
+    path only: the reader's UnicodeDecodeError counts from its buffered chunk.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle, delimiter=delimiter)
+            yield next(reader, []), reader
+    except UnicodeDecodeError as exc:
+        _read_utf8(path, error)
+        # a second read decoded: the file changed after the reader failed, or is a pipe
+        raise error(f"{path}: not UTF-8 ({exc.reason})") from exc
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a small declarative key=value file ('#' starts a comment)."""
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_utf8(Path(path), SchemaError).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -279,9 +306,7 @@ def load_records(path: str | Path, column_map: ColumnMap, *,
     roles = ("id", "site", "age", "narrative", "cause")
     bound = {role: getattr(column_map, role) for role in roles
              if getattr(column_map, role) is not None}
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, [])
+    with _csv_rows(path, SchemaError, delimiter) as (header, reader):
         for problem, wrong in (("not in header", lambda col: col not in header),
                                ("more than once in header", lambda col: header.count(col) > 1)):
             if any(map(wrong, bound.values())):

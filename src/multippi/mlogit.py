@@ -462,33 +462,6 @@ def _ridged_solve(h: np.ndarray, b: np.ndarray,
     return None
 
 
-class _Callables:
-    """Scalar ``value_and_grad(theta)`` and ``hess(theta)`` as a one-replication objective."""
-
-    def __init__(self, value_and_grad, hess):
-        self._value_and_grad = value_and_grad
-        self._hess = hess
-
-    def value_and_grad(self, theta: np.ndarray, index=None):
-        value, grad = self._value_and_grad(theta[0])
-        return np.array([value], dtype=float), np.asarray(grad, dtype=float)[None]
-
-    def hess(self, theta: np.ndarray, index=None) -> np.ndarray:
-        return np.asarray(self._hess(theta[0]), dtype=float)[None]
-
-
-def newton_minimize(value_and_grad, hess, theta0: np.ndarray,
-                    options: NewtonOptions = NewtonOptions()) -> tuple[np.ndarray, FitDiagnostics]:
-    """Damped Newton with Armijo backtracking on one objective.
-
-    ``value_and_grad(theta) -> (float, ndarray)`` and ``hess(theta) ->
-    ndarray`` define it; ``newton_batch`` at R = 1, for a test's own objective.
-    """
-    theta, diagnostics = newton_batch(_Callables(value_and_grad, hess),
-                                      np.asarray(theta0, dtype=float)[None], options)
-    return theta[0], diagnostics[0]
-
-
 def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonOptions()
                  ) -> tuple[np.ndarray, list[FitDiagnostics]]:
     """Damped Newton with Armijo backtracking, one iterate per replication.

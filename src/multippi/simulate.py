@@ -13,7 +13,6 @@ and the report, are identical whatever the chunk size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,10 +188,6 @@ class CoverageReport:
     pilot_fallbacks: int = 0
     replication_rows: tuple = ()
 
-    @property
-    def n_used(self) -> int:
-        return self.replications - self.failures
-
     def to_dict(self) -> dict:
         return {
             "format": "multippi-coverage-report",
@@ -224,9 +219,6 @@ class CoverageReport:
             "failure_details": list(self.failure_details),
             "pilot_fallbacks": self.pilot_fallbacks,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def csv_rows(self) -> list[dict]:
         out = []

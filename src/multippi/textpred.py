@@ -30,7 +30,6 @@ columns reach the k-th value run the lower-index tie-break.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
@@ -41,7 +40,7 @@ import scipy.sparse
 
 from .errors import (AlignmentError, DegenerateModelError, ParameterError,
                      PredictionFormatError)
-from .ingest import CAUSE_CLASSES, NO_CAUSE, VALUE_OF_CODE, CodClass, RecordTable
+from .ingest import CAUSE_CLASSES, NO_CAUSE, VALUE_OF_CODE, CodClass, RecordTable, _csv_rows
 
 _TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+", re.UNICODE)
 
@@ -163,14 +162,6 @@ class Vocabulary:
             "total_tokens_raw": self.total_tokens_raw,
             "total_tokens_kept": self.total_tokens_kept,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(index=dict(data["index"]),
-                   doc_freq=np.asarray(data["doc_freq"], dtype=np.int64),
-                   n_docs=int(data["n_docs"]),
-                   total_tokens_raw=int(data["total_tokens_raw"]),
-                   total_tokens_kept=int(data["total_tokens_kept"]))
 
 
 def build_vocabulary(corpus: Corpus, min_count: int = 1,
@@ -558,9 +549,7 @@ def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
     if policy == "impute-majority" and majority_class is None:
         raise ParameterError("impute-majority requires the labeled majority class")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
+    with _csv_rows(path, PredictionFormatError) as (header, reader):
         if "record_id" not in header or "predicted_label" not in header:
             raise PredictionFormatError(
                 f"{path}: header must contain record_id and predicted_label")
@@ -631,10 +620,9 @@ def predict_all(model, records: RecordTable, corpus: Corpus | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Model serialization (versioned, text-only)
+# Model serialization (versioned, text-only, write-only)
 
 _MODEL_FORMAT = "multippi-text-model"
-_CLASS_BY_VALUE = {c.value: c for c in CAUSE_CLASSES}
 
 
 def model_to_dict(model) -> dict:
@@ -658,80 +646,3 @@ def model_to_dict(model) -> dict:
     else:
         raise ParameterError(f"cannot serialize model kind {model.kind!r}")
     return data
-
-
-def _document_classes(values: list) -> tuple[CodClass, ...]:
-    try:
-        return tuple(_CLASS_BY_VALUE[v] for v in values)
-    except (KeyError, TypeError) as exc:
-        raise PredictionFormatError(f"model class labels must be cause classes, got {exc}") from exc
-
-
-def _linear_parts(data: dict, matrix_key: str, offsets_key: str, vocab: Vocabulary):
-    """Classes, (C, V) matrix and (C,) offsets of an NB or SVM document, checked."""
-    classes = _document_classes(data["classes"])
-    try:
-        matrix = np.asarray(data[matrix_key], dtype=float)
-        offsets = np.asarray(data[offsets_key], dtype=float)
-    except (TypeError, ValueError) as exc:      # ragged rows or non-numbers
-        raise PredictionFormatError(f"{matrix_key} or {offsets_key} is not a "
-                                    f"rectangular array of numbers: {exc}") from exc
-    if matrix.ndim != 2 or matrix.shape[1] != vocab.size:
-        raise PredictionFormatError(f"{matrix_key} has shape {matrix.shape}, "
-                                    f"the vocabulary {vocab.size} tokens")
-    if not len(classes) == matrix.shape[0] == offsets.size:
-        raise PredictionFormatError(
-            f"{len(classes)} classes, {matrix.shape[0]} {matrix_key} rows and "
-            f"{offsets.size} {offsets_key} disagree")
-    if not (np.isfinite(matrix).all() and np.isfinite(offsets).all()):
-        raise PredictionFormatError(f"{matrix_key} and {offsets_key} must be finite")
-    return classes, matrix, offsets
-
-
-def model_from_dict(data: dict):
-    """Rebuild a model from ``model_to_dict``'s document.
-
-    A document whose parts disagree (k outside [1, rows], labels or
-    classes not matching the rows, a column outside the vocabulary) or
-    that holds a non-finite weight raises PredictionFormatError; trained
-    models are always finite.
-    """
-    if data.get("format") != _MODEL_FORMAT:
-        raise PredictionFormatError(f"not a {_MODEL_FORMAT} document")
-    if data.get("version") != 1:
-        raise PredictionFormatError(f"unsupported model version {data.get('version')!r}")
-    vocab = Vocabulary.from_dict(data["vocabulary"])
-    kind = data["kind"]
-    if kind == "nb":
-        classes, log_lik, log_priors = _linear_parts(data, "log_likelihoods", "log_priors", vocab)
-        return NbModel(classes=classes, log_priors=log_priors, log_likelihoods=log_lik,
-                       alpha=float(data["alpha"]), vocabulary=vocab,
-                       weighting=data["weighting"])
-    if kind == "knn":
-        rows = data["vectors"]
-        labels = _document_classes(data["labels"])
-        k = int(data["k"])
-        if len(labels) != len(rows):
-            raise PredictionFormatError(f"{len(labels)} labels for {len(rows)} vectors")
-        if not 1 <= k <= len(rows):
-            raise PredictionFormatError(f"k must lie in [1, {len(rows)}], got {k}")
-        if any(len(v["indices"]) != len(v["weights"]) for v in rows):
-            raise PredictionFormatError("a vector has unequally many indices and weights")
-        indptr = np.cumsum([0] + [len(v["indices"]) for v in rows])
-        indices = np.asarray([i for v in rows for i in v["indices"]], dtype=np.int64)
-        if indices.size and not 0 <= indices.min() <= indices.max() < vocab.size:
-            raise PredictionFormatError(
-                f"vector column indices must lie in [0, {vocab.size})")
-        weights = np.asarray([w for v in rows for w in v["weights"]], dtype=float)
-        if not np.isfinite(weights).all():
-            raise PredictionFormatError("vector weights must be finite")
-        vectors = scipy.sparse.csr_matrix((weights, indices, indptr),
-                                          shape=(len(rows), vocab.size))
-        return KnnModel(vectors=vectors, labels=labels, k=k, vocabulary=vocab,
-                        weighting=data["weighting"])
-    if kind == "svm":
-        classes, weights, biases = _linear_parts(data, "weights", "biases", vocab)
-        return SvmModel(classes=classes, weights=weights, biases=biases, c=float(data["c"]),
-                        epochs=int(data["epochs"]), seed=int(data["seed"]),
-                        vocabulary=vocab, weighting=data["weighting"])
-    raise PredictionFormatError(f"unknown model kind {kind!r}")

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -268,18 +269,24 @@ def test_config_file_supplies_split_parameters(tmp_path, monkeypatch):
     (["--unlabeled", 0], None),
     ([], "0.5,0.3,0.2\n0.2,0.5,0.3\n"),          # not square
     ([], "0.9,0.1\n0.1,0.9\n"),                  # square, but not 3x3
+    (["--classes", 4, "--theta", "0,0,0,0,0,0"], None),    # asymmetric is 3x3 only
 ])
 def test_simulate_invalid_inputs_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   flags, noise_text):
     monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit):
+        run_cli(["simulate", "--help"])
+    simulate_flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     noise = "asymmetric"
     if noise_text is not None:
         (tmp_path / "noise.csv").write_text(noise_text)
         noise = "noise.csv"
     args = ["simulate", "--out", "sim", "--reps", 100, "--noise", noise, *flags]
     assert run_cli(args) == cli.EXIT_USAGE
-    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] \
-        == "ParameterError"
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ParameterError"
+    # the message sends the user only to flags that exist
+    assert set(re.findall(r"--[a-z][a-z-]*", record["message"])) <= simulate_flags
     assert not (tmp_path / "sim").exists()
 
 
@@ -325,3 +332,60 @@ def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
     csv_a = (tmp_path / "sim_a" / "coverage.csv").read_text()
     csv_b = (tmp_path / "sim_b" / "coverage.csv").read_text()
     assert csv_a.replace("sim_a", "sim_x") == csv_b.replace("sim_b", "sim_x")
+
+
+SYNTH_COLUMNS = "id = id\nsite = site\nage = age\nnarrative = open_text\ncause = cause\n"
+INGEST_ARGS = ["ingest", "--input", "synth.csv", "--columns", "cols.cfg", "--out", "out",
+               "--threads", 1]
+# reader -> (the file it reads, a run that reads it, the error and exit code for a bad byte)
+DECODED_FILES = {
+    "records": ("synth.csv", INGEST_ARGS, "SchemaError", cli.EXIT_DATA_ERROR),
+    "config": ("cols.cfg", INGEST_ARGS, "SchemaError", cli.EXIT_DATA_ERROR),
+    "predictions": ("preds.csv",
+                    ["infer", "--input", "synth.csv", "--columns", "cols.cfg", "--predictions",
+                     "preds.csv", "--seed", 9, "--out", "out", "--threads", 1],
+                    "PredictionFormatError", cli.EXIT_DATA_ERROR),
+    "noise": ("noise.csv",
+              ["simulate", "--noise", "noise.csv", "--reps", 100, "--n", 80,
+               "--unlabeled", 240, "--seed", 5, "--out", "out", "--threads", 1],
+              "ParameterError", cli.EXIT_USAGE),
+}
+
+
+def stage_text_inputs(tmp_path):
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    (tmp_path / "cols.cfg").write_text(SYNTH_COLUMNS, encoding="utf-8")
+    (tmp_path / "noise.csv").write_text("0.8,0.1,0.1\n0.1,0.8,0.1\n0.1,0.1,0.8\n",
+                                        encoding="utf-8")
+
+
+@pytest.mark.parametrize("reader", sorted(DECODED_FILES))
+def test_input_with_a_bom_reads_as_without(tmp_path, monkeypatch, capsys, reader):
+    monkeypatch.chdir(tmp_path)
+    stage_text_inputs(tmp_path)
+    name, args, _, _ = DECODED_FILES[reader]
+    assert run_cli(args) == 0
+    plain = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    shutil.rmtree(tmp_path / "out")
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+    assert run_cli(args) == 0, capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == plain
+
+
+@pytest.mark.parametrize("reader", sorted(DECODED_FILES))
+def test_input_with_a_latin1_byte_is_one_json_error(tmp_path, monkeypatch, capsys, reader):
+    monkeypatch.chdir(tmp_path)
+    stage_text_inputs(tmp_path)
+    name, args, error, code = DECODED_FILES[reader]
+    text = (tmp_path / name).read_bytes()
+    # the last line; in synth.csv it starts past the reader's first 8 KiB chunk
+    at = text.rindex(b"\n", 0, len(text) - 1) + 1
+    (tmp_path / name).write_bytes(text[:at] + b"\xe9" + text[at:])    # Latin-1 e-acute
+    assert run_cli(args) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == error
+    assert record["message"].startswith(f"{name}: byte {at} is not UTF-8")
+    assert not (tmp_path / "out").exists()

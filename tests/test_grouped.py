@@ -54,10 +54,23 @@ def row_hess(theta, x):
     return total / x.shape[0]
 
 
+class RowObjective:
+    """Row-level callables as the one-replication objective ``newton_batch`` drives."""
+
+    def __init__(self, value, grad, hess):
+        self.value, self.grad, self.hessian = value, grad, hess
+
+    def value_and_grad(self, theta, index=None):
+        return np.array([self.value(theta[0])]), self.grad(theta[0])[None]
+
+    def hess(self, theta, index=None):
+        return self.hessian(theta[0])[None]
+
+
 def row_newton(value, grad, hess, theta0):
-    theta, diag = mlogit.newton_minimize(lambda t: (value(t), grad(t)), hess, theta0)
+    theta, (diag,) = mlogit.newton_batch(RowObjective(value, grad, hess), theta0[None])
     assert diag.converged
-    return theta
+    return theta[0]
 
 
 def row_sandwich(h, middle, n):

@@ -150,6 +150,14 @@ def test_load_quoted_fields(tmp_path):
     assert result.records.narratives.tolist() == ["fell, hit head, died"]
 
 
+def test_load_bom_before_a_quoted_header_cell(tmp_path):
+    # as written by exports that quote every field
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'\xef\xbb\xbf"id","site","age","text","cause"\nr1,a,30,x,falls\n')
+    result = ingest.load_records(path, COLUMNS)
+    assert result.records.ids.tolist() == ["r1"]
+
+
 def test_load_non_finite_ages_are_row_errors(tmp_path):
     path = write_csv(tmp_path / "d.csv", [
         "r1,a,30,fine,falls",
