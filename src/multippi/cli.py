@@ -3,7 +3,8 @@
 Every artifact embeds the run configuration, the tool version, and the
 master seed; rerunning a subcommand with an identical configuration
 produces byte-identical files. All randomness derives from --seed.
-Exit codes: 0 success, 1 data/processing error, 2 usage error.
+Exit codes: 0 success, 1 data/processing error, 2 usage error; errors and
+warnings go to stderr as one JSON record each.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,18 +222,15 @@ def cmd_infer(args) -> int:
             "standardization": design.standardization}
     k = design.n_classes
     lab, unl = data_split.labeled, data_split.unlabeled
+    inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
     out = Path(args.out)
     reports = {
         "ground-truth": ppi.fit_classical(design.x, design.y, k, args.alpha,
                                           estimator="ground-truth", **meta),
         "classical": ppi.fit_classical(design.x[lab], design.y[lab], k,
                                        args.alpha, **meta),
-        "naive": ppi.fit_naive(design.x, yhat, k, args.alpha,
-                               n_labeled=len(lab), **meta),
-        "multippi": ppi.fit_multippi_report(
-            ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab],
-                          design.x[unl], yhat[unl], k),
-            _parse_lambda(args.lam), args.alpha, **meta),
+        "naive": ppi.fit_naive(inputs, args.alpha, **meta),
+        "multippi": ppi.fit_multippi_report(inputs, _parse_lambda(args.lam), args.alpha, **meta),
     }
     combined = []
     for tag, report in reports.items():
@@ -431,19 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_record(**record) -> None:
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    _print_record(message=str(message), warning=category.__name__)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ParameterError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return EXIT_USAGE
-    except (MultippiError, OSError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return EXIT_DATA_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (MultippiError, OSError) as exc:
+            _print_record(error=type(exc).__name__, message=str(exc))
+            return EXIT_USAGE if isinstance(exc, ParameterError) else EXIT_DATA_ERROR
 
 
 if __name__ == "__main__":

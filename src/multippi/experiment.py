@@ -152,6 +152,13 @@ class InferenceSpec:
     reference_class: CodClass = CodClass.NON_COMMUNICABLE
     seed: int = 0
 
+    def __post_init__(self):
+        # a bad option fails here, before any site trains or fits
+        ppi.z_quantile(self.alpha)
+        if self.lambda_mode != "tuned":
+            ppi._check_lambda(self.lambda_mode)
+        SplitSpec(strategy=self.split_strategy, labeled_fraction=self.labeled_fraction)
+
     def to_dict(self) -> dict:
         return {
             "labeled_fraction": self.labeled_fraction,
@@ -335,14 +342,12 @@ def evaluate_site(site_records: RecordTable, predictions: PredictionSet,
             estimator="ground-truth", **meta)
     except MultippiError as exc:
         report.errors["ground-truth"] = f"{type(exc).__name__}: {exc}"
+    inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
     try:
-        report.reports["naive"] = ppi.fit_naive(
-            design.x, yhat, k, inference_spec.alpha, n_labeled=len(lab), **meta)
+        report.reports["naive"] = ppi.fit_naive(inputs, inference_spec.alpha, **meta)
     except MultippiError as exc:
         report.errors["naive"] = f"{type(exc).__name__}: {exc}"
     try:
-        inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab],
-                               design.x[unl], yhat[unl], k)
         report.reports["multippi"] = ppi.fit_multippi_report(
             inputs, inference_spec.lambda_mode, inference_spec.alpha, **meta)
     except MultippiError as exc:

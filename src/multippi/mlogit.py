@@ -17,14 +17,14 @@ Grouped evaluation
 ------------------
 Every objective is a weighted sum of ``psi`` over rows minus a linear term
 that is constant in theta, so it depends on the rows only through the
-counts of their distinct patterns. ``group_rows`` collapses rows once per
-fit and ``weighted_objective`` evaluates value, gradient and Hessian from
-one pass of class probabilities per block of distinct design rows (see
-``docs/math.md``, "Grouped form"). The public ``nll``, ``nll_grad``,
-``nll_hess`` and ``per_row_grads`` group their rows and run the same
-kernel; only tests call them, as the reference for the fits. Sums run in
-pattern order rather than row order, so results agree with a row-by-row
-evaluation to about 1e-12 relative; their last bits may differ.
+counts of their distinct patterns. ``group_rows`` collapses each dataset
+once (regrouped patterns give the same table) and ``weighted_objective``
+evaluates value, gradient and Hessian from one pass of class probabilities
+per block of distinct design rows (see ``docs/math.md``, "Grouped form").
+The public ``nll``, ``nll_grad``, ``nll_hess`` and ``per_row_grads`` run
+the same kernel; only tests call them, as the reference for the fits. Sums
+run in pattern order rather than row order, so results agree with a
+row-by-row evaluation to about 1e-12 relative; their last bits may differ.
 
 Replication axis
 ----------------
@@ -159,8 +159,7 @@ class RowPatterns:
 
     ``x`` holds the distinct design rows in lexicographic order and
     ``x_counts`` how many rows share each. Pattern ``t`` is design row
-    ``x_index[t]`` with label tuple ``labels[t]``, seen ``counts[t]``
-    times; input row ``i`` is pattern ``inverse[i]``.
+    ``x_index[t]`` with label tuple ``labels[t]``, seen ``counts[t]`` times.
     """
 
     x: np.ndarray
@@ -168,11 +167,10 @@ class RowPatterns:
     x_index: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
-    inverse: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return self.inverse.shape[0]
+        return int(self.counts.sum())
 
 
 def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
@@ -183,8 +181,13 @@ def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
     keeps one pattern per row.
     """
     x = _as_matrix(x)
+    lab = np.column_stack(labels) if labels else np.zeros((len(x), 0), dtype=np.int64)
+    return _group(x, lab, np.ones(len(x), dtype=np.intp))
+
+
+def _group(x: np.ndarray, lab: np.ndarray, weights: np.ndarray) -> RowPatterns:
+    """``group_rows`` of rows ``x`` with label columns ``lab``, row i counted weights[i] times."""
     n = x.shape[0]
-    lab = np.column_stack(labels) if labels else np.zeros((n, 0), dtype=np.int64)
     order = np.lexsort([*lab.T[::-1], *x.T[::-1]])
     xs, ls = x[order], lab[order]
     new_x = np.ones(n, dtype=bool)
@@ -192,14 +195,12 @@ def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
     new_pattern = new_x.copy()
     new_pattern[1:] |= np.any(ls[1:] != ls[:-1], axis=1)
     starts = np.flatnonzero(new_pattern)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(new_pattern) - 1
-    counts = np.diff(np.append(starts, n))
+    counts = np.add.reduceat(weights[order], starts)
     x_index = (np.cumsum(new_x) - 1)[starts]
     x_unique = xs[new_x]
     return RowPatterns(x=x_unique,
                        x_counts=np.bincount(x_index, weights=counts, minlength=len(x_unique)),
-                       x_index=x_index, labels=ls[starts], counts=counts, inverse=inverse)
+                       x_index=x_index, labels=ls[starts], counts=counts)
 
 
 def group_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatterns:
@@ -415,11 +416,12 @@ def nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> floa
 
 
 def per_row_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-row gradients (probs - onehot(y)) (x) x, shape (n, d*(K-1))."""
-    patterns = group_labeled(x, y, n_classes)
-    stack = PatternStack.of([patterns])
+    """Per-row gradients (probs - onehot(y)) (x) x, shape (n, d*(K-1)): one pattern per row."""
+    x, y = _check_labeled(x, y, n_classes)
+    ones = np.ones(len(y), dtype=np.intp)
+    stack = PatternStack.of([RowPatterns(x, ones, np.arange(len(y)), y[:, None], ones)])
     probs = class_probs(np.asarray(theta, dtype=float)[None], stack.x, n_classes)
-    return stack.gradients(probs, 0, n_classes)[0][patterns.inverse]
+    return stack.gradients(probs, 0, n_classes)[0]
 
 
 def nll_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:

@@ -26,11 +26,11 @@ covariance of the rectified per-row gradient. Confidence intervals are
 not converge carries a ``fit status <status>: intervals not valid``
 warning.
 
-Every fit, tuning step and covariance runs on rows collapsed to their
-distinct (x, y, yhat) patterns with integer counts (``mlogit.group_rows``);
-covariances weight each pattern by its count and keep the 1/(m-1)
-divisor. A report's values match a row-by-row evaluation to about 1e-12
-relative, but their last bits may differ.
+Every fit, tuning step and covariance runs on rows collapsed once per
+subset to their distinct (x, y, yhat) patterns with integer counts
+(``mlogit.group_rows``; the naive fit regroups them); covariances weight
+each pattern by its count and keep the 1/(m-1) divisor. A report's values
+match a row-by-row evaluation to about 1e-12 relative; last bits may differ.
 
 Fits, tuning and covariances work on R datasets stacked on a leading
 axis (``mlogit.PatternStack``). The public single-dataset calls are the
@@ -60,7 +60,8 @@ class PpiInputs:
 
     Construction collapses the rows once: ``labeled`` into (x, y, yhat)
     patterns (label columns 0 and 1), ``unlabeled`` into (x, yhat)
-    patterns (label column 0). Every fit on these inputs runs on them.
+    patterns (label column 0). Every fit runs on them; ``naive`` regroups
+    them. A subset may be empty (the rectified fits check row counts).
     """
 
     x_labeled: np.ndarray
@@ -86,23 +87,24 @@ class PpiInputs:
             raise ShapeError("labeled labels/predictions misaligned with rows")
         if self.yhat_unlabeled.shape[0] != big_n:
             raise ShapeError("unlabeled predictions misaligned with rows")
-        if big_n < 1:
-            raise ShapeError("need at least one unlabeled row")
-        if n < self.n_params + 1:
-            raise ShapeError(
-                f"need at least {self.n_params + 1} labeled rows to estimate "
-                f"covariances, got {n}"
-            )
         for name in ("y_labeled", "yhat_labeled", "yhat_unlabeled"):
             arr = getattr(self, name)
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ShapeError(f"{name} must be integer class indices")
-            if arr.min() < 0 or arr.max() >= self.n_classes:
+            if arr.size and (arr.min() < 0 or arr.max() >= self.n_classes):
                 raise ShapeError(f"{name} outside [0, {self.n_classes})")
         object.__setattr__(self, "labeled", mlogit.group_rows(
             self.x_labeled, self.y_labeled, self.yhat_labeled))
         object.__setattr__(self, "unlabeled", mlogit.group_rows(
             self.x_unlabeled, self.yhat_unlabeled))
+
+    @property
+    def naive(self) -> RowPatterns:
+        """(x, yhat) patterns of all rows, regrouped: ``group_rows`` of the stacked rows."""
+        lab, unl = self.labeled, self.unlabeled
+        return mlogit._group(np.concatenate([lab.x[lab.x_index], unl.x[unl.x_index]]),
+                             np.concatenate([lab.labels[:, 1:], unl.labels]),
+                             np.concatenate([lab.counts, unl.counts]))
 
     @property
     def n_labeled(self) -> int:
@@ -245,7 +247,11 @@ class InferenceReport:
 
 
 def _check_lambda(lam: float) -> float:
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError):
+        raise ParameterError(f"lambda must be 'tuned' or a number in [0, 1], got {lam!r}") \
+            from None
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
     return lam
@@ -253,22 +259,26 @@ def _check_lambda(lam: float) -> float:
 
 @dataclass(frozen=True)
 class _InputStack:
-    """The labeled and unlabeled patterns of R input sets, on a leading axis."""
+    """The labeled, unlabeled and (when asked for) naive patterns of R input sets."""
 
     labeled: PatternStack
     unlabeled: PatternStack
     n_classes: int
+    naive: PatternStack | None = None
 
     @classmethod
-    def of(cls, inputs: list[PpiInputs], padded: bool = False) -> "_InputStack":
+    def of(cls, inputs: list[PpiInputs], padded: bool = False,
+           naive: bool = False) -> "_InputStack":
         """Stack ``inputs``; ``padded`` pads each set to the largest row counts."""
         if len({(i.n_classes, i.n_features) for i in inputs}) != 1:
             raise ShapeError("stacked inputs must share class and feature counts")
         n = max(i.n_labeled for i in inputs) if padded else None
         big_n = max(i.n_unlabeled for i in inputs) if padded else None
+        total = max(i.n_labeled + i.n_unlabeled for i in inputs) if padded else None
         return cls(PatternStack.of([i.labeled for i in inputs], n),
                    PatternStack.of([i.unlabeled for i in inputs], big_n),
-                   inputs[0].n_classes)
+                   inputs[0].n_classes,
+                   PatternStack.of([i.naive for i in inputs], total) if naive else None)
 
     @property
     def size(self) -> int:
@@ -283,10 +293,21 @@ class _InputStack:
         return self.unlabeled.n_rows
 
     def take(self, index) -> "_InputStack":
-        return _InputStack(self.labeled.take(index), self.unlabeled.take(index), self.n_classes)
+        return _InputStack(self.labeled.take(index), self.unlabeled.take(index), self.n_classes,
+                           None if self.naive is None else self.naive.take(index))
 
 
-def _rectified_objective(inputs: _InputStack, lam: np.ndarray):
+def _rectifiable(inputs: PpiInputs) -> PpiInputs:
+    """``inputs``, once they hold the rows a rectified fit and its covariances need."""
+    if inputs.n_unlabeled < 1:
+        raise ShapeError("need at least one unlabeled row")
+    if inputs.n_labeled < inputs.n_params + 1:
+        raise ShapeError(f"need at least {inputs.n_params + 1} labeled rows to estimate "
+                         f"covariances, got {inputs.n_labeled}")
+    return inputs
+
+
+def _rectified_objective(inputs: _InputStack, lam: float | np.ndarray):
     """(L_n - lam L_n^pred) + lam L_N^pred as one weighted objective per replication.
 
     psi weights (1 - lam)/n on labeled rows and lam/N on unlabeled rows,
@@ -306,14 +327,14 @@ def rectified_loss(theta: np.ndarray, inputs: PpiInputs, lam: float) -> tuple[fl
     lam = 0 and at lam = 1 with perfect labeled predictions are exact in
     floating point. Only tests call it: it exposes the fits' objective.
     """
-    objective = _rectified_objective(_InputStack.of([inputs]), np.array([_check_lambda(lam)]))
+    objective = _rectified_objective(_InputStack.of([_rectifiable(inputs)]), _check_lambda(lam))
     value, grad = objective.value_and_grad(np.asarray(theta, dtype=float)[None])
     return float(value[0]), grad[0]
 
 
 def rectified_hessian(theta: np.ndarray, inputs: PpiInputs, lam: float) -> np.ndarray:
     """(1-lam) H_labeled + lam H_unlabeled; labels never enter. See ``rectified_loss``."""
-    objective = _rectified_objective(_InputStack.of([inputs]), np.array([_check_lambda(lam)]))
+    objective = _rectified_objective(_InputStack.of([_rectifiable(inputs)]), _check_lambda(lam))
     return objective.hess(np.asarray(theta, dtype=float)[None])[0]
 
 
@@ -510,36 +531,34 @@ def _reports(estimator: str, theta: np.ndarray, covariances: list[CovarianceEsti
 
 
 def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, estimator: str,
-                       options: NewtonOptions, n_labeled: int | None = None,
+                       options: NewtonOptions, n_labeled: np.ndarray | None = None,
                        **meta) -> list[InferenceReport]:
     """Labeled-only MLE and classical sandwich for every replication of a stack.
 
     Intervals use each replication's row count; ``n_labeled`` (default:
-    all rows) is the report's labeled count.
+    all rows) is each report's labeled count.
     """
     theta, diagnostics = mlogit.fit_stack(patterns, n_classes, options)
     total = patterns.n_rows
-    labeled = total if n_labeled is None else np.full(patterns.size, n_labeled)
+    labeled = total if n_labeled is None else n_labeled
     return _reports(estimator, theta, _classical_covariance(theta, patterns, n_classes),
                     total, alpha, [LambdaChoice(0.0, 0.0, "fixed")] * patterns.size,
                     labeled, total - labeled, n_classes, diagnostics, **meta)
 
 
-def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int,
-                        check_rows: bool = True) -> RowPatterns:
-    """Validate and group one dataset of a classical or naive fit.
+def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatterns:
+    """Validate and group one dataset of a classical fit.
 
     Everything that can fail for this dataset alone fails here, before it
     joins a stack.
     """
     x = np.asarray(x, dtype=float)
-    if check_rows:
-        if x.ndim != 2:
-            raise ShapeError("design matrix must be 2-d")
-        n, d = x.shape
-        if n < d * (n_classes - 1) + 1:
-            raise ShapeError(
-                f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
+    if x.ndim != 2:
+        raise ShapeError("design matrix must be 2-d")
+    n, d = x.shape
+    if n < d * (n_classes - 1) + 1:
+        raise ShapeError(
+            f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
     patterns = mlogit.group_labeled(x, y, n_classes)
     mlogit.require_classes(PatternStack.of([patterns]), n_classes)
     return patterns
@@ -557,14 +576,12 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
     return _classical_reports(patterns, n_classes, alpha, estimator, options, **meta)[0]
 
 
-def fit_naive(x_all: np.ndarray, yhat_all: np.ndarray, n_classes: int,
-              alpha: float = 0.05, n_labeled: int | None = None,
+def fit_naive(inputs: PpiInputs, alpha: float = 0.05,
               options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
-    """Classical fit treating predicted labels as truth on all rows."""
-    patterns = PatternStack.of([_classical_patterns(x_all, yhat_all, n_classes,
-                                                    check_rows=False)])
-    return _classical_reports(patterns, n_classes, alpha, "naive", options,
-                              n_labeled=n_labeled, **meta)[0]
+    """Classical fit treating predicted labels as truth on all n + N rows."""
+    stack = _InputStack.of([inputs], naive=True)
+    return _classical_reports(stack.naive, stack.n_classes, alpha, "naive", options,
+                              n_labeled=stack.n_labeled, **meta)[0]
 
 
 def _multippi_reports(inputs: _InputStack, lambda_mode: float | str, alpha: float,
@@ -580,7 +597,8 @@ def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
                         alpha: float = 0.05,
                         options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
     """Full rectified inference: point estimate, sandwich SEs, intervals."""
-    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha, options, **meta)[0]
+    return _multippi_reports(_InputStack.of([_rectifiable(inputs)]), lambda_mode, alpha,
+                             options, **meta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +643,6 @@ def _batched(items: list, build, stack, run) -> list:
     return results
 
 
-def _padded(patterns: list[RowPatterns]) -> PatternStack:
-    return PatternStack.of(patterns, max(p.n_rows for p in patterns))
-
-
 def fit_classical_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
                        alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
     """``fit_classical`` on each (x, y) dataset, fitted together as one stack.
@@ -638,23 +652,22 @@ def fit_classical_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes:
     report does not depend on which others share the call. Returns a
     report or the error ``fit_classical`` raises for that dataset.
     """
-    return _batched(datasets, lambda xy: _classical_patterns(*xy, n_classes), _padded,
+    return _batched(datasets, lambda xy: _classical_patterns(*xy, n_classes),
+                    lambda built: PatternStack.of(built, max(p.n_rows for p in built)),
                     lambda s: _classical_reports(s, n_classes, alpha, "classical",
                                                  NewtonOptions()))
 
 
-def fit_naive_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
-                   alpha: float = 0.05, n_labeled: int | None = None
-                   ) -> list[InferenceReport | MultippiError]:
-    """``fit_naive`` on each (x_all, yhat_all) dataset, as ``fit_classical_many`` does."""
-    return _batched(
-        datasets, lambda xy: _classical_patterns(*xy, n_classes, check_rows=False), _padded,
-        lambda s: _classical_reports(s, n_classes, alpha, "naive", NewtonOptions(),
-                                     n_labeled=n_labeled))
+def fit_naive_many(inputs: list[PpiInputs],
+                   alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
+    """``fit_naive`` on each input set, as ``fit_classical_many`` does."""
+    return _batched(inputs, lambda i: i, lambda built: _InputStack.of(built, True, naive=True),
+                    lambda s: _classical_reports(s.naive, s.n_classes, alpha, "naive",
+                                                 NewtonOptions(), n_labeled=s.n_labeled))
 
 
 def fit_multippi_report_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
                              alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
     """``fit_multippi_report`` on each input set, as ``fit_classical_many`` does."""
-    return _batched(inputs, lambda i: i, lambda built: _InputStack.of(built, padded=True),
+    return _batched(inputs, _rectifiable, lambda built: _InputStack.of(built, padded=True),
                     lambda s: _multippi_reports(s, lambda_mode, alpha, NewtonOptions()))

@@ -235,11 +235,13 @@ class CoverageReport:
         return out
 
 
-def _draw(spec: SyntheticSpec, noise: NoiseModel, rep: int):
-    """Replication ``rep``'s data and its predicted labels, from its own stream."""
+def _draw(spec: SyntheticSpec, noise: NoiseModel, rep: int) -> ppi.PpiInputs:
+    """Replication ``rep``'s labeled rows and predicted labels, from its own stream."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
     data = generate(spec, rng)
-    return data, corrupt(data.y_labeled, noise, rng), corrupt(data.y_unlabeled, noise, rng)
+    return ppi.PpiInputs(data.x_labeled, data.y_labeled, corrupt(data.y_labeled, noise, rng),
+                         data.x_unlabeled, corrupt(data.y_unlabeled, noise, rng),
+                         spec.n_classes)
 
 
 def fit_replications(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
@@ -251,38 +253,23 @@ def fit_replications(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
     ``error`` line naming the first error in that order, as a separate
     fit of that replication alone would raise it.
     """
-    k = spec.n_classes
     draws = [_draw(spec, noise, rep) for rep in reps]
     out = [{"rep": rep} for rep in reps]
     live = list(range(len(out)))
 
-    def fail(i, exc):
-        out[i]["error"] = f"rep {out[i]['rep']}: {type(exc).__name__}: {exc}"
-
     def keep(tag, positions, results):
         for i, result in zip(positions, results):
             if isinstance(result, MultippiError):
-                fail(i, result)
+                out[i]["error"] = f"rep {out[i]['rep']}: {type(result).__name__}: {result}"
             else:
                 out[i][tag] = result
         return [i for i in positions if "error" not in out[i]]
 
     live = keep("classical", live, ppi.fit_classical_many(
-        [(draws[i][0].x_labeled, draws[i][0].y_labeled) for i in live], k, alpha))
-    live = keep("naive", live, ppi.fit_naive_many(
-        [(np.vstack([draws[i][0].x_labeled, draws[i][0].x_unlabeled]),
-          np.concatenate([draws[i][1], draws[i][2]])) for i in live],
-        k, alpha, n_labeled=spec.n_labeled))
-    inputs = {}
-    for i in live:
-        data, yhat_l, yhat_u = draws[i]
-        try:
-            inputs[i] = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
-                                      data.x_unlabeled, yhat_u, k)
-        except MultippiError as exc:
-            fail(i, exc)
-    keep("multippi", list(inputs), ppi.fit_multippi_report_many(
-        list(inputs.values()), lambda_mode, alpha))
+        [(draws[i].x_labeled, draws[i].y_labeled) for i in live], spec.n_classes, alpha))
+    live = keep("naive", live, ppi.fit_naive_many([draws[i] for i in live], alpha))
+    keep("multippi", live, ppi.fit_multippi_report_many(
+        [draws[i] for i in live], lambda_mode, alpha))
     return out
 
 
@@ -301,7 +288,9 @@ def coverage_experiment(spec: SyntheticSpec, noise: NoiseModel, reps: int,
         raise ParameterError(f"need at least 100 replications, got {reps}")
     if noise.matrix.shape[0] != spec.n_classes:
         raise ShapeError("noise matrix size must match the class count")
-    ppi.z_quantile(alpha)           # rejects a bad alpha before any replication runs
+    ppi.z_quantile(alpha)           # rejects a bad alpha or lambda before any replication runs
+    if lambda_mode != "tuned":
+        ppi._check_lambda(lambda_mode)
     results = []
     for start in range(0, reps, _CHUNK):
         results += fit_replications(spec, noise, alpha, lambda_mode,

@@ -319,6 +319,17 @@ def record_table(rows):
                        narratives=list(texts), causes=np.asarray(codes, dtype=np.int8))
 
 
+def naive_from_rows(inputs, alpha=0.05):
+    """The naive fit with its rows grouped again: labeled and unlabeled rows
+    stacked with their predicted labels and fitted as one classical dataset.
+
+    Only the report's labeled and unlabeled counts differ from ``fit_naive``.
+    """
+    x_all = np.vstack([inputs.x_labeled, inputs.x_unlabeled])
+    yhat_all = np.concatenate([inputs.yhat_labeled, inputs.yhat_unlabeled])
+    return ppi.fit_classical(x_all, yhat_all, inputs.n_classes, alpha, estimator="naive")
+
+
 def one_replication(spec, noise, alpha, lambda_mode, rep):
     """Replication ``rep`` of a coverage run, drawn and fitted by itself.
 
@@ -334,12 +345,9 @@ def one_replication(spec, noise, alpha, lambda_mode, rep):
     out = {"rep": rep}
     try:
         out["classical"] = ppi.fit_classical(data.x_labeled, data.y_labeled, k, alpha)
-        x_all = np.vstack([data.x_labeled, data.x_unlabeled])
-        yhat_all = np.concatenate([yhat_l, yhat_u])
-        out["naive"] = ppi.fit_naive(x_all, yhat_all, k, alpha,
-                                     n_labeled=spec.n_labeled)
         inputs = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
                                data.x_unlabeled, yhat_u, k)
+        out["naive"] = ppi.fit_naive(inputs, alpha)
         out["multippi"] = ppi.fit_multippi_report(inputs, lambda_mode, alpha)
     except MultippiError as exc:
         out["error"] = f"rep {rep}: {type(exc).__name__}: {exc}"

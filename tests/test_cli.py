@@ -3,11 +3,12 @@
 import json
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from multippi import cli, simulate
+from multippi import cli, experiment, ingest, mlogit, simulate
 from multippi.ingest import CAUSE_CLASSES
 
 GOLDEN_FILES = ("predictions.csv", "metrics.json", "confusion.csv", "model.json")
@@ -196,6 +197,95 @@ def test_infer_tuned_lambda_recorded(tmp_path, monkeypatch):
         assert (tmp_path / "inferred" / f"report_{tag}.json").exists()
     table = (tmp_path / "inferred" / "coefficients.csv").read_text()
     assert "estimator" in table
+
+
+def test_infer_groups_each_dataset_once(tmp_path, monkeypatch):
+    # ground truth, classical, and the labeled and unlabeled subsets; the
+    # naive fit regroups the two subsets' patterns instead of the rows
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    grouped = []
+    group_rows = mlogit.group_rows
+
+    def counted(x, *labels):
+        grouped.append(len(x))
+        return group_rows(x, *labels)
+
+    monkeypatch.setattr(mlogit, "group_rows", counted)
+    args = ["infer", "--input", "synth.csv",
+            "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
+            "--predictions", "preds.csv", "--labeled-fraction", 0.3, "--seed", 9,
+            "--out", "inferred", "--threads", 1]
+    assert run_cli(args) == 0
+    split = json.loads((tmp_path / "inferred" / "report_naive.json").read_text())["split"]
+    n, big_n = split["n_labeled"], split["n_unlabeled"]
+    assert sorted(grouped) == sorted([n + big_n, n, n, big_n])
+
+
+@pytest.mark.parametrize("predictor", ["nb", "external:preds.csv"])
+@pytest.mark.parametrize("flags, config, message", [
+    (["--lambda", 1.5], "", "lambda must lie in [0, 1], got 1.5"),
+    (["--alpha", 1.5], "", "alpha must lie in (0, 1), got 1.5"),
+    (["--labeled-fraction", 1.5], "", "labeled_fraction must lie in (0, 1), got 1.5"),
+    ([], "split = by-site\n", "unknown split strategy 'by-site'"),
+], ids=["lambda", "alpha", "labeled-fraction", "split"])
+def test_loso_rejects_bad_options_before_any_site(tmp_path, monkeypatch, capsys, predictor,
+                                                  flags, config, message):
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    (tmp_path / "cols.cfg").write_text(
+        "id = id\nsite = site\nage = age\nnarrative = open_text\ncause = cause\n" + config,
+        encoding="utf-8")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a site ran")
+
+    monkeypatch.setattr(experiment, "train_predictor", never)
+    monkeypatch.setattr(experiment, "evaluate_site", never)
+    args = ["loso", "--input", "synth.csv", "--columns", "cols.cfg", "--predictor", predictor,
+            "--out", "out", "--threads", 1, *flags]
+    assert run_cli(args) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ParameterError", "message": message}]
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_lambda_before_any_replication(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(simulate, "fit_replications", never)
+    assert run_cli(["simulate", "--out", "sim", "--reps", 100, "--lambda", 1.5]) \
+        == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ParameterError", "message": "lambda must lie in [0, 1], got 1.5"}]
+    assert not (tmp_path / "sim").exists()
+
+
+def test_ingest_prints_the_malaria_note_as_one_json_record(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.csv").write_text("id,site,age,text,cause\n"
+                                    "r1,a,30,fever and chills,malaria\n"
+                                    "r2,a,45,crash on the road,road traffic\n",
+                                    encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")        # as outside the suite: shown, not raised
+        assert run_cli(["ingest", "--input", "m.csv", "--out", "out",
+                        "--columns", "id=id,site=site,age=age,narrative=text,cause=cause"]) == 0
+    lines = capsys.readouterr().err.strip().splitlines()
+    records = []
+    for line in lines:
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            pass
+    assert records == [{"message": ingest.MALARIA_NOTE, "warning": "UserWarning"}]
+    assert not any("cli.py" in line for line in lines)
 
 
 def test_loso_site_reports_and_filter(tmp_path, monkeypatch):

@@ -202,6 +202,35 @@ def test_evaluate_site_degeneracy_flag():
     assert "labeled_split_missing_classes" in flagged.metadata
 
 
+def test_evaluate_site_with_too_few_labeled_rows_keeps_its_naive_report():
+    # the data above: 3 labeled rows cannot carry multiPPI++'s 4 coefficients
+    causes = [NC] * 6 + [COM] * 5 + [MAT]
+    records = records_from_arrays(30 + 3 * np.arange(12), causes)
+    predictions = textpred.PredictionSet(codes=records.causes,
+                                         provenance="external:perfect", policy="drop")
+    report = experiment.evaluate_site(
+        records, predictions, InferenceSpec(labeled_fraction=0.25, seed=0),
+        split_seed=0, site="s", provenance="external:perfect")
+    assert set(report.reports) == {"ground-truth", "naive"}
+    naive = report.reports["naive"]
+    assert (naive.n_labeled, naive.n_unlabeled) == (3, 9)
+    assert report.errors == {
+        "multippi": "ShapeError: need at least 5 labeled rows to estimate covariances, got 3"}
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
+    ({"lambda_mode": 1.5}, "lambda must lie in [0, 1], got 1.5"),
+    ({"lambda_mode": "tune"}, "lambda must be 'tuned' or a number in [0, 1], got 'tune'"),
+    ({"labeled_fraction": 1.0}, "labeled_fraction must lie in (0, 1), got 1.0"),
+    ({"split_strategy": "by-site"}, "unknown split strategy 'by-site'"),
+], ids=["alpha", "lambda", "lambda-string", "labeled-fraction", "split"])
+def test_inference_spec_rejects_bad_options(options, message):
+    with pytest.raises(ParameterError) as raised:
+        InferenceSpec(**options)
+    assert str(raised.value) == message
+
+
 def test_site_report_serialization():
     records = toy_multisite_records(n_sites=2, per_site=40)
     reports = run_loso(records, PredictorSpec(kind="nb"),

@@ -138,14 +138,56 @@ def test_group_rows_round_trip():
     x, y = repeated_design(rng, 300)
     yhat = rng.integers(0, K, 300)
     patterns = mlogit.group_rows(x, y, yhat)
-    rebuilt = patterns.x[patterns.x_index][patterns.inverse]
-    assert np.array_equal(rebuilt, x)
-    assert np.array_equal(patterns.labels[patterns.inverse], np.column_stack([y, yhat]))
-    assert np.array_equal(np.bincount(patterns.inverse), patterns.counts)
+    rows = np.column_stack([x, y, yhat])
+    rebuilt = np.column_stack([patterns.x[patterns.x_index], patterns.labels])
+    assert np.array_equal(np.repeat(rebuilt, patterns.counts, axis=0),
+                          rows[np.lexsort(rows.T[::-1])])
+    assert patterns.n_rows == 300
     assert np.array_equal(patterns.x_counts,
                           np.bincount(patterns.x_index, weights=patterns.counts))
     class_counts = mlogit.PatternStack.of([patterns]).class_counts(0, K)[0]
     assert class_counts.sum(axis=1).tolist() == patterns.x_counts.tolist()
+
+
+def _subset_cases(seed):
+    """PpiInputs with ties in x, a continuous design with rows shared across the
+    subsets, and each subset empty in turn."""
+    tied = repeated_inputs(seed)
+    rng = np.random.default_rng(seed)
+    x, y, _ = oracles.make_instance(rng, K, 2, 400)
+    x[300:340] = x[:40]                        # continuous rows seen in both subsets
+    yhat = simulate.corrupt(y, simulate.ASYMMETRIC_3CLASS, rng)
+    shared = ppi.PpiInputs(x[:100], y[:100], yhat[:100], x[100:], yhat[100:], K)
+    x_l, y_l, yhat_l = tied.x_labeled, tied.y_labeled, tied.yhat_labeled
+    x_u, yhat_u = tied.x_unlabeled, tied.yhat_unlabeled
+    return {"tied": tied, "continuous": shared,
+            "no labeled": ppi.PpiInputs(x_l[:0], y_l[:0], yhat_l[:0], x_u, yhat_u, K),
+            "no unlabeled": ppi.PpiInputs(x_l, y_l, yhat_l, x_u[:0], yhat_u[:0], K)}
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
+@pytest.mark.parametrize("case", ["tied", "continuous", "no labeled", "no unlabeled"])
+def test_naive_patterns_equal_grouping_all_rows(seed, case):
+    inputs = _subset_cases(seed)[case]
+    want = mlogit.group_rows(np.vstack([inputs.x_labeled, inputs.x_unlabeled]),
+                             np.concatenate([inputs.yhat_labeled, inputs.yhat_unlabeled]))
+    got = inputs.naive
+    for name in ("x", "x_counts", "x_index", "labels", "counts"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.n_rows == want.n_rows == inputs.n_labeled + inputs.n_unlabeled
+
+
+@pytest.mark.parametrize("case", ["tied", "continuous", "no labeled", "no unlabeled"])
+def test_fit_naive_equals_the_fit_on_regrouped_rows(case):
+    inputs = _subset_cases(23)[case]
+    report = ppi.fit_naive(inputs, alpha=0.1)
+    reference = oracles.naive_from_rows(inputs, alpha=0.1)
+    for name in ("theta", "se", "ci_lower", "ci_upper"):
+        assert np.array_equal(getattr(report, name), getattr(reference, name)), name
+    assert report.diagnostics == reference.diagnostics
+    assert report.warnings == reference.warnings
+    assert (report.n_labeled, report.n_unlabeled) == (inputs.n_labeled, inputs.n_unlabeled)
 
 
 def test_public_kernels_match_row_level_on_repeated_design():
@@ -171,7 +213,7 @@ def test_classical_and_naive_match_row_level(seed):
     np.testing.assert_allclose(report.se, se, rtol=1e-10)
     x_all = np.vstack([inputs.x_labeled, inputs.x_unlabeled])
     yhat_all = np.concatenate([inputs.yhat_labeled, inputs.yhat_unlabeled])
-    naive = ppi.fit_naive(x_all, yhat_all, K, n_labeled=inputs.n_labeled)
+    naive = ppi.fit_naive(inputs)
     theta, se = row_classical(x_all, yhat_all)
     np.testing.assert_allclose(naive.theta, theta, rtol=1e-10)
     np.testing.assert_allclose(naive.se, se, rtol=1e-10)
@@ -189,10 +231,8 @@ def test_multippi_matches_row_level(seed):
 
 
 def _outputs(inputs):
-    x_all = np.vstack([inputs.x_labeled, inputs.x_unlabeled])
-    yhat_all = np.concatenate([inputs.yhat_labeled, inputs.yhat_unlabeled])
     reports = [ppi.fit_classical(inputs.x_labeled, inputs.y_labeled, K),
-               ppi.fit_naive(x_all, yhat_all, K, n_labeled=inputs.n_labeled),
+               ppi.fit_naive(inputs),
                ppi.fit_multippi_report(inputs, "tuned")]
     return np.concatenate([np.concatenate([r.theta, r.se]) for r in reports]
                           + [[reports[2].lambda_choice.raw]])
@@ -232,13 +272,10 @@ def test_duplicating_rows_keeps_theta_and_shrinks_classical_se(make):
 def test_many_calls_pad_ragged_patterns_and_match_single_calls():
     inputs = [repeated_inputs(seed, n=80, big_n=240) for seed in range(10, 14)]
     assert len({i.labeled.counts.shape[0] for i in inputs}) > 1       # ragged: padding needed
-    x_all = [np.vstack([i.x_labeled, i.x_unlabeled]) for i in inputs]
-    yhat_all = [np.concatenate([i.yhat_labeled, i.yhat_unlabeled]) for i in inputs]
     pairs = [
         (ppi.fit_classical_many([(i.x_labeled, i.y_labeled) for i in inputs], K),
          [ppi.fit_classical(i.x_labeled, i.y_labeled, K) for i in inputs]),
-        (ppi.fit_naive_many(list(zip(x_all, yhat_all)), K, n_labeled=80),
-         [ppi.fit_naive(x, yh, K, n_labeled=80) for x, yh in zip(x_all, yhat_all)]),
+        (ppi.fit_naive_many(inputs), [ppi.fit_naive(i) for i in inputs]),
         (ppi.fit_multippi_report_many(inputs), [ppi.fit_multippi_report(i) for i in inputs]),
     ]
     for many, single in pairs:

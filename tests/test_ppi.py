@@ -293,7 +293,7 @@ def test_classical_coverage_nominal(asymmetric_coverage_run):
 def test_fit_naive_perfect_predictions_equals_ground_truth():
     rng = np.random.default_rng(10)
     x, y, _ = oracles.make_instance(rng, 3, 2, 200)
-    naive = ppi.fit_naive(x, y.copy(), 3)
+    naive = ppi.fit_naive(ppi.PpiInputs(x, y, y.copy(), x[:0], y[:0], 3))
     truth = ppi.fit_classical(x, y, 3, estimator="ground-truth")
     assert np.array_equal(naive.theta, truth.theta)
     assert np.array_equal(naive.se, truth.se)
@@ -309,10 +309,11 @@ def test_fit_naive_bias_exceeds_three_se():
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(904, spawn_key=(rep,)))
         data = simulate.generate(spec, rng)
-        x = np.vstack([data.x_labeled, data.x_unlabeled])
         y = np.concatenate([data.y_labeled, data.y_unlabeled])
         yhat = simulate.corrupt(y, noise, rng)
-        report = ppi.fit_naive(x, yhat, 3)
+        n = spec.n_labeled
+        report = ppi.fit_naive(ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat[:n],
+                                             data.x_unlabeled, yhat[n:], 3))
         age = [1, 3]
         hits += np.any(np.abs(report.theta - theta_star)[age] > 3 * report.se[age])
     assert hits / reps >= 0.90
@@ -322,7 +323,7 @@ def test_fit_naive_on_labeled_only_is_classical_with_predicted_labels():
     rng = np.random.default_rng(11)
     x, y, _ = oracles.make_instance(rng, 3, 2, 150)
     yhat = simulate.corrupt(y, simulate.NoiseModel.uniform(3), rng)
-    naive = ppi.fit_naive(x, yhat, 3)
+    naive = ppi.fit_naive(ppi.PpiInputs(x, y, yhat, x[:0], yhat[:0], 3))
     classical = ppi.fit_classical(x, yhat, 3)
     assert np.array_equal(naive.theta, classical.theta)
     assert np.array_equal(naive.se, classical.se)
@@ -370,10 +371,15 @@ def test_report_records_lambda_and_counts():
 def test_ppi_inputs_validation():
     x = np.ones((10, 2))
     y = np.zeros(10, dtype=np.int64)
-    with pytest.raises(ShapeError):      # too few labeled rows for covariances
-        ppi.PpiInputs(x[:3], y[:3], y[:3], x[3:], y[3:], 3)
-    with pytest.raises(ShapeError):      # no unlabeled rows
-        ppi.PpiInputs(x, y, y, x[:0], y[:0], 2)
+    # the rectified path checks row counts; the inputs themselves may be empty on a side
+    few_labeled = ppi.PpiInputs(x[:3], y[:3], y[:3], x[3:], y[3:], 3)
+    no_unlabeled = ppi.PpiInputs(x, y, y, x[:0], y[:0], 2)
+    for fit in (ppi.fit_multippi_report, lambda i: ppi.rectified_loss(np.zeros(4), i, 0.5)):
+        with pytest.raises(ShapeError, match="need at least 5 labeled rows to estimate "
+                                             "covariances, got 3"):
+            fit(few_labeled)
+        with pytest.raises(ShapeError, match="need at least one unlabeled row"):
+            fit(no_unlabeled)
     with pytest.raises(ShapeError):      # prediction out of range
         bad = y.copy()
         bad[0] = 7
@@ -433,13 +439,11 @@ METAMORPHIC_LAMBDA = 0.4
 
 def _three_fits(x_l, y_l, yhat_l, x_u, yhat_u, n_classes):
     """Coefficients of the classical, naive and fixed-lambda rectified fits."""
+    inputs = ppi.PpiInputs(x_l, y_l, yhat_l, x_u, yhat_u, n_classes)
     reports = {
         "classical": ppi.fit_classical(x_l, y_l, n_classes),
-        "naive": ppi.fit_naive(np.vstack([x_l, x_u]), np.concatenate([yhat_l, yhat_u]),
-                               n_classes),
-        "rectified": ppi.fit_multippi_report(
-            ppi.PpiInputs(x_l, y_l, yhat_l, x_u, yhat_u, n_classes),
-            lambda_mode=METAMORPHIC_LAMBDA),
+        "naive": ppi.fit_naive(inputs),
+        "rectified": ppi.fit_multippi_report(inputs, lambda_mode=METAMORPHIC_LAMBDA),
     }
     for report in reports.values():
         assert report.diagnostics.status == "converged"

@@ -160,6 +160,17 @@ def test_coverage_rejects_alpha_before_any_replication(monkeypatch, alpha):
                                      reps=100, alpha=alpha)
 
 
+@pytest.mark.parametrize("lambda_mode", [1.5, -0.1, "tune"])
+def test_coverage_rejects_lambda_before_any_replication(monkeypatch, lambda_mode):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "fit_replications", never)
+    with pytest.raises(ParameterError, match="lambda"):
+        simulate.coverage_experiment(simulate.default_spec(), simulate.ASYMMETRIC_3CLASS,
+                                     reps=100, lambda_mode=lambda_mode)
+
+
 def test_coverage_counts_partial_failures():
     # classes occasionally missing from tiny labeled samples: those
     # replications fail and are excluded, the rest proceed
