@@ -126,6 +126,13 @@ def _reference_class(name: str) -> CodClass:
         f"{[c.value for c in CAUSE_CLASSES]}")
 
 
+def _inference_spec(args) -> experiment.InferenceSpec:
+    return experiment.InferenceSpec(
+        labeled_fraction=args.labeled_fraction, split_strategy=args.split,
+        alpha=args.alpha, lambda_mode=_parse_lambda(args.lam),
+        reference_class=_reference_class(args.reference_class), seed=args.seed)
+
+
 def _predictor_spec(args) -> experiment.PredictorSpec:
     kind = args.predictor
     external_path = None
@@ -202,6 +209,7 @@ def cmd_predict(args) -> int:
 def cmd_infer(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
+    inference = _inference_spec(args)     # a bad option fails before any loading or fitting
     table = _load(args).records
     labeled = table.causes != ingest.NO_CAUSE
     if not labeled.all():
@@ -214,23 +222,23 @@ def cmd_infer(args) -> int:
     predicted = predictions.codes != ingest.NO_CAUSE
     usable = table if predicted.all() else table.take(np.flatnonzero(predicted))
     data_split = ingest.split(usable, ingest.SplitSpec(
-        strategy=args.split, labeled_fraction=args.labeled_fraction, seed=args.seed))
-    design, yhat = experiment.build_design(usable, _reference_class(args.reference_class),
+        strategy=inference.split_strategy, labeled_fraction=inference.labeled_fraction,
+        seed=inference.seed))
+    design, yhat = experiment.build_design(usable, inference.reference_class,
                                            predictions.codes[predicted])
     meta = {"class_names": tuple(c.value for c in design.classes),
             "covariate_names": design.covariate_names,
             "standardization": design.standardization}
-    k = design.n_classes
+    k, alpha = design.n_classes, inference.alpha
     lab, unl = data_split.labeled, data_split.unlabeled
     inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
     out = Path(args.out)
     reports = {
-        "ground-truth": ppi.fit_classical(design.x, design.y, k, args.alpha,
+        "ground-truth": ppi.fit_classical(design.x, design.y, k, alpha,
                                           estimator="ground-truth", **meta),
-        "classical": ppi.fit_classical(design.x[lab], design.y[lab], k,
-                                       args.alpha, **meta),
-        "naive": ppi.fit_naive(inputs, args.alpha, **meta),
-        "multippi": ppi.fit_multippi_report(inputs, _parse_lambda(args.lam), args.alpha, **meta),
+        "classical": ppi.fit_classical(design.x[lab], design.y[lab], k, alpha, **meta),
+        "naive": ppi.fit_naive(inputs, alpha, **meta),
+        "multippi": ppi.fit_multippi_report(inputs, inference.lambda_mode, alpha, **meta),
     }
     combined = []
     for tag, report in reports.items():
@@ -247,10 +255,7 @@ def cmd_loso(args) -> int:
     config = _run_config(args)
     result = _load(args)
     spec = _predictor_spec(args)
-    inference = experiment.InferenceSpec(
-        labeled_fraction=args.labeled_fraction, split_strategy=args.split,
-        alpha=args.alpha, lambda_mode=_parse_lambda(args.lam),
-        reference_class=_reference_class(args.reference_class), seed=args.seed)
+    inference = _inference_spec(args)
     sites = args.sites.split(",") if args.sites else None
     reports = experiment.run_loso(result.records, spec, inference,
                                   sites=sites, threads=args.threads)

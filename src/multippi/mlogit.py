@@ -272,16 +272,17 @@ class PatternStack:
         return _outer_columns(resid, self.x[rows, self.x_index])
 
 
-def _weighted_hessian(x: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _weighted_hessian(x: np.ndarray, xx: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sum_i w_i (diag(p_i) - p_i p_i^T) (x) x_i x_i^T per replication, one GEMM each.
 
-    ``x`` is (R, m, d), ``w`` (R, m) and ``p`` (R, m, K-1); the result is (R, p, p).
+    ``x`` is (R, m, d), ``xx`` its ``_outer_columns(x, x)``, ``w`` (R, m) and
+    ``p`` (R, m, K-1); the result is (R, p, p).
     """
     r, n, d = x.shape
     km1 = p.shape[2]
     curv = _outer_columns(-p, p)
     curv[..., ::km1 + 1] += p
-    h = np.matmul((w[..., None] * curv).transpose(0, 2, 1), _outer_columns(x, x))
+    h = np.matmul((w[..., None] * curv).transpose(0, 2, 1), xx)
     return h.reshape(r, km1, km1, d, d).transpose(0, 1, 3, 2, 4).reshape(r, km1 * d, km1 * d)
 
 
@@ -302,18 +303,20 @@ def _outer_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Objective:
     """sum_b sum_p w_rbp psi(theta_r, x_rbp) - b_r . theta_r for each replication r.
 
-    Blocks hold distinct design rows (R, m, d) with weights (R, m). Each
-    method takes theta (R', p) for the replications at positions ``index``
-    (all R when None) and returns one value, gradient or Hessian per row
-    of theta. Each block's probabilities are computed once per theta and
-    give the value, gradient and Hessian; the last probabilities of every
-    replication are kept for the Hessian the Newton solver asks for at the
-    point it accepted.
+    Blocks hold distinct design rows (R, m, d) with weights (R, m); each
+    row's x x^T is built once, for every Hessian. Each method takes theta
+    (R', p) for the replications at positions ``index`` (all R when None)
+    and returns one value, gradient or Hessian per row of theta. Each
+    block's probabilities are computed once per theta and give the value,
+    gradient and Hessian; the last probabilities of every replication are
+    kept for the Hessian the Newton solver asks for at the point it
+    accepted.
     """
 
     def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]],
                  linear: np.ndarray | None, n_classes: int, n_replications: int):
         self.blocks = blocks
+        self._outer = [_outer_columns(x, x) for x, _ in blocks]
         self.linear = linear
         self.n_classes = n_classes
         self.n_replications = n_replications
@@ -364,7 +367,8 @@ class _Objective:
         h = np.zeros((r, n_params, n_params))
         for b, (x, w) in enumerate(self._rows(index)):
             p = probs[b] if probs is not None else _probs_and_psi(theta, x, self.n_classes)[0]
-            h += _weighted_hessian(x, w, p)
+            xx = self._outer[b] if index is None else self._outer[b][index]
+            h += _weighted_hessian(x, xx, w, p)
         return h
 
 

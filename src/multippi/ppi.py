@@ -28,17 +28,19 @@ warning.
 
 Every fit, tuning step and covariance runs on rows collapsed once per
 subset to their distinct (x, y, yhat) patterns with integer counts
-(``mlogit.group_rows``; the naive fit regroups them); covariances weight
-each pattern by its count and keep the 1/(m-1) divisor. A report's values
-match a row-by-row evaluation to about 1e-12 relative; last bits may differ.
+(``mlogit.group_rows``; the naive and classical fits of a ``PpiInputs``
+regroup them); covariances weight each pattern by its count and keep the
+1/(m-1) divisor. A report's values match a row-by-row evaluation to about
+1e-12 relative; last bits may differ.
 
 Fits, tuning and covariances work on R datasets stacked on a leading
 axis (``mlogit.PatternStack``). The public single-dataset calls are the
 R = 1 case: ``fit_classical``, ``fit_naive`` and ``fit_multippi_report``,
 whose report holds theta, lambda, diagnostics and covariance parts, plus
 ``rectified_loss``, ``rectified_hessian`` and ``confidence_intervals``.
-The ``*_many`` calls fit many datasets as one stack; each dataset's
-report equals the one its single-dataset call returns.
+``fit_estimators_many`` fits the classical, naive and multippi estimators
+of many input sets as one stack; each report equals the one its
+single-dataset call returns.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ class PpiInputs:
 
     Construction collapses the rows once: ``labeled`` into (x, y, yhat)
     patterns (label columns 0 and 1), ``unlabeled`` into (x, yhat)
-    patterns (label column 0). Every fit runs on them; ``naive`` regroups
-    them. A subset may be empty (the rectified fits check row counts).
+    patterns (label column 0). Every fit runs on them; ``naive`` and
+    ``classical`` regroup them. A subset may be empty (the fits check row
+    counts).
     """
 
     x_labeled: np.ndarray
@@ -105,6 +108,12 @@ class PpiInputs:
         return mlogit._group(np.concatenate([lab.x[lab.x_index], unl.x[unl.x_index]]),
                              np.concatenate([lab.labels[:, 1:], unl.labels]),
                              np.concatenate([lab.counts, unl.counts]))
+
+    @property
+    def classical(self) -> RowPatterns:
+        """(x, y) patterns of the labeled rows, regrouped: ``group_rows(x_labeled, y_labeled)``."""
+        lab = self.labeled
+        return mlogit._group(lab.x[lab.x_index], lab.labels[:, :1], lab.counts)
 
     @property
     def n_labeled(self) -> int:
@@ -259,16 +268,16 @@ def _check_lambda(lam: float) -> float:
 
 @dataclass(frozen=True)
 class _InputStack:
-    """The labeled, unlabeled and (when asked for) naive patterns of R input sets."""
+    """The labeled, unlabeled, naive and classical patterns of R input sets."""
 
     labeled: PatternStack
     unlabeled: PatternStack
+    naive: PatternStack
+    classical: PatternStack
     n_classes: int
-    naive: PatternStack | None = None
 
     @classmethod
-    def of(cls, inputs: list[PpiInputs], padded: bool = False,
-           naive: bool = False) -> "_InputStack":
+    def of(cls, inputs: list[PpiInputs], padded: bool = False) -> "_InputStack":
         """Stack ``inputs``; ``padded`` pads each set to the largest row counts."""
         if len({(i.n_classes, i.n_features) for i in inputs}) != 1:
             raise ShapeError("stacked inputs must share class and feature counts")
@@ -277,8 +286,9 @@ class _InputStack:
         total = max(i.n_labeled + i.n_unlabeled for i in inputs) if padded else None
         return cls(PatternStack.of([i.labeled for i in inputs], n),
                    PatternStack.of([i.unlabeled for i in inputs], big_n),
-                   inputs[0].n_classes,
-                   PatternStack.of([i.naive for i in inputs], total) if naive else None)
+                   PatternStack.of([i.naive for i in inputs], total),
+                   PatternStack.of([i.classical for i in inputs], n),
+                   inputs[0].n_classes)
 
     @property
     def size(self) -> int:
@@ -293,17 +303,19 @@ class _InputStack:
         return self.unlabeled.n_rows
 
     def take(self, index) -> "_InputStack":
-        return _InputStack(self.labeled.take(index), self.unlabeled.take(index), self.n_classes,
-                           None if self.naive is None else self.naive.take(index))
+        return _InputStack(self.labeled.take(index), self.unlabeled.take(index),
+                           self.naive.take(index), self.classical.take(index), self.n_classes)
 
 
-def _rectifiable(inputs: PpiInputs) -> PpiInputs:
-    """``inputs``, once they hold the rows a rectified fit and its covariances need."""
-    if inputs.n_unlabeled < 1:
-        raise ShapeError("need at least one unlabeled row")
-    if inputs.n_labeled < inputs.n_params + 1:
-        raise ShapeError(f"need at least {inputs.n_params + 1} labeled rows to estimate "
-                         f"covariances, got {inputs.n_labeled}")
+def _rectifiable(inputs: _InputStack) -> _InputStack:
+    """``inputs``, once every set holds the rows a rectified fit and its covariances need."""
+    n_params = inputs.labeled.x.shape[2] * (inputs.n_classes - 1)
+    for n, big_n in zip(inputs.n_labeled, inputs.n_unlabeled):
+        if big_n < 1:
+            raise ShapeError("need at least one unlabeled row")
+        if n < n_params + 1:
+            raise ShapeError(f"need at least {n_params + 1} labeled rows to estimate "
+                             f"covariances, got {n}")
     return inputs
 
 
@@ -327,14 +339,14 @@ def rectified_loss(theta: np.ndarray, inputs: PpiInputs, lam: float) -> tuple[fl
     lam = 0 and at lam = 1 with perfect labeled predictions are exact in
     floating point. Only tests call it: it exposes the fits' objective.
     """
-    objective = _rectified_objective(_InputStack.of([_rectifiable(inputs)]), _check_lambda(lam))
+    objective = _rectified_objective(_rectifiable(_InputStack.of([inputs])), _check_lambda(lam))
     value, grad = objective.value_and_grad(np.asarray(theta, dtype=float)[None])
     return float(value[0]), grad[0]
 
 
 def rectified_hessian(theta: np.ndarray, inputs: PpiInputs, lam: float) -> np.ndarray:
     """(1-lam) H_labeled + lam H_unlabeled; labels never enter. See ``rectified_loss``."""
-    objective = _rectified_objective(_InputStack.of([_rectifiable(inputs)]), _check_lambda(lam))
+    objective = _rectified_objective(_rectifiable(_InputStack.of([inputs])), _check_lambda(lam))
     return objective.hess(np.asarray(theta, dtype=float)[None])[0]
 
 
@@ -546,8 +558,10 @@ def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, est
                     labeled, total - labeled, n_classes, diagnostics, **meta)
 
 
-def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatterns:
-    """Validate and group one dataset of a classical fit.
+def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int,
+                        grouped: RowPatterns | None = None) -> RowPatterns:
+    """Validate and group one dataset of a classical fit (``grouped``: its
+    patterns with y in label column 0, if already grouped and checked).
 
     Everything that can fail for this dataset alone fails here, before it
     joins a stack.
@@ -559,7 +573,7 @@ def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatt
     if n < d * (n_classes - 1) + 1:
         raise ShapeError(
             f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
-    patterns = mlogit.group_labeled(x, y, n_classes)
+    patterns = mlogit.group_labeled(x, y, n_classes) if grouped is None else grouped
     mlogit.require_classes(PatternStack.of([patterns]), n_classes)
     return patterns
 
@@ -579,14 +593,14 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
 def fit_naive(inputs: PpiInputs, alpha: float = 0.05,
               options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
     """Classical fit treating predicted labels as truth on all n + N rows."""
-    stack = _InputStack.of([inputs], naive=True)
+    stack = _InputStack.of([inputs])
     return _classical_reports(stack.naive, stack.n_classes, alpha, "naive", options,
                               n_labeled=stack.n_labeled, **meta)[0]
 
 
 def _multippi_reports(inputs: _InputStack, lambda_mode: float | str, alpha: float,
                       options: NewtonOptions, **meta) -> list[InferenceReport]:
-    theta, choices, diagnostics = _fit_multippi(inputs, lambda_mode, options)
+    theta, choices, diagnostics = _fit_multippi(_rectifiable(inputs), lambda_mode, options)
     covariances = _sandwich(theta, inputs, np.array([c.clipped for c in choices]))
     return _reports("multippi", theta, covariances, inputs.n_labeled, alpha, choices,
                     inputs.n_labeled, inputs.n_unlabeled, inputs.n_classes, diagnostics,
@@ -597,8 +611,7 @@ def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
                         alpha: float = 0.05,
                         options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
     """Full rectified inference: point estimate, sandwich SEs, intervals."""
-    return _multippi_reports(_InputStack.of([_rectifiable(inputs)]), lambda_mode, alpha,
-                             options, **meta)[0]
+    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha, options, **meta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -623,51 +636,36 @@ def _each_dataset(run, stack) -> list:
                 + _each_dataset(run, stack.take(slice(half, None))))
 
 
-def _batched(items: list, build, stack, run) -> list:
-    """``build`` each item, ``stack`` the built ones and ``run`` them together.
+def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
+                        alpha: float = 0.05) -> list[dict[str, InferenceReport] | MultippiError]:
+    """The classical, naive and multippi reports of each input set, fitted as one stack.
 
-    Returns one result per item, or the MultippiError that building or
-    fitting it raised.
+    Each set is padded to the largest row counts, so when all sets have the
+    same counts (Monte Carlo replications) a set's reports do not depend on
+    which others share the call; each equals its single-dataset call's.
+    Returns a ``{"classical", "naive", "multippi"}`` dict of reports per
+    set, or the first error its fits raise, in that order.
     """
-    results: list = [None] * len(items)
-    built = []
-    for i, item in enumerate(items):
+    options = NewtonOptions()
+
+    def run(s: _InputStack) -> list[dict[str, InferenceReport]]:
+        classical = _classical_reports(s.classical, s.n_classes, alpha, "classical", options)
+        naive = _classical_reports(s.naive, s.n_classes, alpha, "naive", options,
+                                   n_labeled=s.n_labeled)
+        multippi = _multippi_reports(s, lambda_mode, alpha, options)
+        return [{"classical": c, "naive": n, "multippi": m}
+                for c, n, m in zip(classical, naive, multippi)]
+
+    results: list = [None] * len(inputs)
+    ready = []
+    for r, i in enumerate(inputs):
         try:
-            built.append((i, build(item)))
+            _classical_patterns(i.x_labeled, i.y_labeled, i.n_classes, grouped=i.labeled)
+            ready.append(r)
         except MultippiError as exc:
-            results[i] = exc
-    if built:
-        fitted = _each_dataset(run, stack([b for _, b in built]))
-        for (i, _), result in zip(built, fitted):
-            results[i] = result
+            results[r] = exc
+    if ready:
+        fitted = _each_dataset(run, _InputStack.of([inputs[r] for r in ready], padded=True))
+        for r, result in zip(ready, fitted):
+            results[r] = result
     return results
-
-
-def fit_classical_many(datasets: list[tuple[np.ndarray, np.ndarray]], n_classes: int,
-                       alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
-    """``fit_classical`` on each (x, y) dataset, fitted together as one stack.
-
-    Each dataset is padded to the largest row count, so when all datasets
-    have the same number of rows (Monte Carlo replications) a dataset's
-    report does not depend on which others share the call. Returns a
-    report or the error ``fit_classical`` raises for that dataset.
-    """
-    return _batched(datasets, lambda xy: _classical_patterns(*xy, n_classes),
-                    lambda built: PatternStack.of(built, max(p.n_rows for p in built)),
-                    lambda s: _classical_reports(s, n_classes, alpha, "classical",
-                                                 NewtonOptions()))
-
-
-def fit_naive_many(inputs: list[PpiInputs],
-                   alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
-    """``fit_naive`` on each input set, as ``fit_classical_many`` does."""
-    return _batched(inputs, lambda i: i, lambda built: _InputStack.of(built, True, naive=True),
-                    lambda s: _classical_reports(s.naive, s.n_classes, alpha, "naive",
-                                                 NewtonOptions(), n_labeled=s.n_labeled))
-
-
-def fit_multippi_report_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
-                             alpha: float = 0.05) -> list[InferenceReport | MultippiError]:
-    """``fit_multippi_report`` on each input set, as ``fit_classical_many`` does."""
-    return _batched(inputs, _rectifiable, lambda built: _InputStack.of(built, padded=True),
-                    lambda s: _multippi_reports(s, lambda_mode, alpha, NewtonOptions()))

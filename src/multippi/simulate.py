@@ -4,9 +4,9 @@ Monte Carlo coverage experiments.
 Randomness: every stream is a numpy PCG64 generator. Replication ``r`` of an
 experiment with master seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``.
 
-Replications are drawn one by one and fitted in chunks of ``_CHUNK``: the
-fits of a chunk run as one stacked Newton per estimator (``ppi``'s
-``*_many`` functions). Every product is made per replication and every
+Replications are drawn one by one and fitted in chunks of ``_CHUNK``: one
+``ppi.fit_estimators_many`` call fits a chunk's three estimators, each as
+one stacked Newton. Every product is made per replication and every
 replication is padded to the same row counts, so a replication's results,
 and the report, are identical whatever the chunk size.
 """
@@ -253,23 +253,14 @@ def fit_replications(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
     ``error`` line naming the first error in that order, as a separate
     fit of that replication alone would raise it.
     """
-    draws = [_draw(spec, noise, rep) for rep in reps]
-    out = [{"rep": rep} for rep in reps]
-    live = list(range(len(out)))
-
-    def keep(tag, positions, results):
-        for i, result in zip(positions, results):
-            if isinstance(result, MultippiError):
-                out[i]["error"] = f"rep {out[i]['rep']}: {type(result).__name__}: {result}"
-            else:
-                out[i][tag] = result
-        return [i for i in positions if "error" not in out[i]]
-
-    live = keep("classical", live, ppi.fit_classical_many(
-        [(draws[i].x_labeled, draws[i].y_labeled) for i in live], spec.n_classes, alpha))
-    live = keep("naive", live, ppi.fit_naive_many([draws[i] for i in live], alpha))
-    keep("multippi", live, ppi.fit_multippi_report_many(
-        [draws[i] for i in live], lambda_mode, alpha))
+    fitted = ppi.fit_estimators_many([_draw(spec, noise, rep) for rep in reps],
+                                     lambda_mode, alpha)
+    out = []
+    for rep, result in zip(reps, fitted):
+        if isinstance(result, MultippiError):
+            out.append({"rep": rep, "error": f"rep {rep}: {type(result).__name__}: {result}"})
+        else:
+            out.append({"rep": rep, **result})
     return out
 
 

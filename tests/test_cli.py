@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from multippi import cli, experiment, ingest, mlogit, simulate
+from multippi import cli, experiment, ingest, mlogit, ppi, simulate, textpred
 from multippi.ingest import CAUSE_CLASSES
 
 GOLDEN_FILES = ("predictions.csv", "metrics.json", "confusion.csv", "model.json")
@@ -221,6 +221,37 @@ def test_infer_groups_each_dataset_once(tmp_path, monkeypatch):
     split = json.loads((tmp_path / "inferred" / "report_naive.json").read_text())["split"]
     n, big_n = split["n_labeled"], split["n_unlabeled"]
     assert sorted(grouped) == sorted([n + big_n, n, n, big_n])
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--lambda", 1.5], "", "lambda must lie in [0, 1], got 1.5"),
+    (["--alpha", 1.5], "", "alpha must lie in (0, 1), got 1.5"),
+    (["--labeled-fraction", 1.5], "", "labeled_fraction must lie in (0, 1), got 1.5"),
+    ([], "split = by-site\n", "unknown split strategy 'by-site'"),
+    (["--reference-class", "stroke"], "",
+     f"unknown reference class 'stroke'; choose from {[c.value for c in CAUSE_CLASSES]}"),
+], ids=["lambda", "alpha", "labeled-fraction", "split", "reference-class"])
+def test_infer_rejects_bad_options_before_fitting(tmp_path, monkeypatch, capsys,
+                                                  flags, config, message):
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    (tmp_path / "cols.cfg").write_text(
+        "id = id\nsite = site\nage = age\nnarrative = open_text\ncause = cause\n" + config,
+        encoding="utf-8")
+
+    def never(*args, **kwargs):
+        raise AssertionError("predictions loaded or a fit ran")
+
+    monkeypatch.setattr(textpred, "load_external_predictions", never)
+    monkeypatch.setattr(ppi, "fit_classical", never)
+    args = ["infer", "--input", "synth.csv", "--columns", "cols.cfg",
+            "--predictions", "preds.csv", "--out", "out", *flags]
+    assert run_cli(args) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ParameterError", "message": message}]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("predictor", ["nb", "external:preds.csv"])

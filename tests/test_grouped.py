@@ -168,14 +168,20 @@ def _subset_cases(seed):
 @pytest.mark.parametrize("seed", [20, 21, 22])
 @pytest.mark.parametrize("case", ["tied", "continuous", "no labeled", "no unlabeled"])
 def test_naive_patterns_equal_grouping_all_rows(seed, case):
+    # and the classical patterns equal grouping the labeled rows by (x, y)
     inputs = _subset_cases(seed)[case]
-    want = mlogit.group_rows(np.vstack([inputs.x_labeled, inputs.x_unlabeled]),
-                             np.concatenate([inputs.yhat_labeled, inputs.yhat_unlabeled]))
-    got = inputs.naive
-    for name in ("x", "x_counts", "x_index", "labels", "counts"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype, name
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.n_rows == want.n_rows == inputs.n_labeled + inputs.n_unlabeled
+    tables = {
+        "naive": (inputs.naive, mlogit.group_rows(
+            np.vstack([inputs.x_labeled, inputs.x_unlabeled]),
+            np.concatenate([inputs.yhat_labeled, inputs.yhat_unlabeled]))),
+        "classical": (inputs.classical, mlogit.group_rows(inputs.x_labeled, inputs.y_labeled)),
+    }
+    for table, (got, want) in tables.items():
+        for name in ("x", "x_counts", "x_index", "labels", "counts"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, (table, name)
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (table, name)
+    assert inputs.naive.n_rows == inputs.n_labeled + inputs.n_unlabeled
+    assert inputs.classical.n_rows == inputs.n_labeled
 
 
 @pytest.mark.parametrize("case", ["tied", "continuous", "no labeled", "no unlabeled"])
@@ -272,11 +278,12 @@ def test_duplicating_rows_keeps_theta_and_shrinks_classical_se(make):
 def test_many_calls_pad_ragged_patterns_and_match_single_calls():
     inputs = [repeated_inputs(seed, n=80, big_n=240) for seed in range(10, 14)]
     assert len({i.labeled.counts.shape[0] for i in inputs}) > 1       # ragged: padding needed
+    fitted = ppi.fit_estimators_many(inputs)
     pairs = [
-        (ppi.fit_classical_many([(i.x_labeled, i.y_labeled) for i in inputs], K),
+        ([f["classical"] for f in fitted],
          [ppi.fit_classical(i.x_labeled, i.y_labeled, K) for i in inputs]),
-        (ppi.fit_naive_many(inputs), [ppi.fit_naive(i) for i in inputs]),
-        (ppi.fit_multippi_report_many(inputs), [ppi.fit_multippi_report(i) for i in inputs]),
+        ([f["naive"] for f in fitted], [ppi.fit_naive(i) for i in inputs]),
+        ([f["multippi"] for f in fitted], [ppi.fit_multippi_report(i) for i in inputs]),
     ]
     for many, single in pairs:
         for a, b in zip(many, single, strict=True):

@@ -255,6 +255,24 @@ def test_batched_replications_match_one_at_a_time(spec, noise, lambda_mode, reps
             == [0, 3, 16]
 
 
+def test_replications_group_each_subset_once(monkeypatch):
+    # the labeled and unlabeled rows of each replication; the classical and
+    # naive fits regroup those two subsets' patterns instead of the rows
+    grouped = []
+    group_rows = mlogit.group_rows
+
+    def counted(x, *labels):
+        grouped.append(len(x))
+        return group_rows(x, *labels)
+
+    monkeypatch.setattr(mlogit, "group_rows", counted)
+    spec = simulate.default_spec(seed=5)
+    results = simulate.fit_replications(spec, simulate.ASYMMETRIC_3CLASS, 0.05, "tuned",
+                                        range(8))
+    assert not any("error" in r for r in results)
+    assert sorted(grouped) == sorted([spec.n_labeled, spec.n_unlabeled] * 8)
+
+
 def test_mc_seed_fit_statuses_and_pilot_fallbacks(asymmetric_coverage_run):
     run = asymmetric_coverage_run
     for tag in simulate.ESTIMATORS:
