@@ -168,8 +168,8 @@ def cmd_ingest(args) -> int:
 def cmd_predict(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
+    spec = _predictor_spec(args)          # a bad setting fails before any loading
     table = _load(args).records
-    spec = _predictor_spec(args)
     out = Path(args.out)
     if spec.kind == "external":
         predictions = textpred.load_external_predictions(
@@ -232,14 +232,13 @@ def cmd_infer(args) -> int:
     k, alpha = design.n_classes, inference.alpha
     lab, unl = data_split.labeled, data_split.unlabeled
     inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
+    ground_truth = ppi.fit_classical(design.x, design.y, k, alpha,
+                                     estimator="ground-truth", **meta)
+    (fitted,) = ppi.fit_estimators_many([inputs], inference.lambda_mode, alpha, **meta)
+    if isinstance(fitted, MultippiError):
+        raise fitted
+    reports = {"ground-truth": ground_truth, **fitted}
     out = Path(args.out)
-    reports = {
-        "ground-truth": ppi.fit_classical(design.x, design.y, k, alpha,
-                                          estimator="ground-truth", **meta),
-        "classical": ppi.fit_classical(design.x[lab], design.y[lab], k, alpha, **meta),
-        "naive": ppi.fit_naive(inputs, alpha, **meta),
-        "multippi": ppi.fit_multippi_report(inputs, inference.lambda_mode, alpha, **meta),
-    }
     combined = []
     for tag, report in reports.items():
         _write_text(out / f"report_{tag}.json",
@@ -253,9 +252,9 @@ def cmd_infer(args) -> int:
 def cmd_loso(args) -> int:
     _apply_config_defaults(args)
     config = _run_config(args)
-    result = _load(args)
-    spec = _predictor_spec(args)
+    spec = _predictor_spec(args)          # bad settings fail before any loading
     inference = _inference_spec(args)
+    result = _load(args)
     sites = args.sites.split(",") if args.sites else None
     reports = experiment.run_loso(result.records, spec, inference,
                                   sites=sites, threads=args.threads)
@@ -340,11 +339,10 @@ def cmd_simulate(args) -> int:
 # Parser wiring
 
 
-def _add_io_flags(p, needs_columns=True):
+def _add_io_flags(p):
     p.add_argument("--input", required=True, help="input CSV path")
-    if needs_columns:
-        p.add_argument("--columns", required=True,
-                       help="role=column pairs or a key=value config file")
+    p.add_argument("--columns", required=True,
+                   help="role=column pairs or a key=value config file")
     p.add_argument("--delimiter", default=",")
     p.add_argument("--out", required=True, help="output directory")
 

@@ -114,20 +114,26 @@ class PredictorSpec:
     svm_epochs: int = 60
     svm_seed: int = 0
     min_count: int = 1
-    weighting: str | None = None            # default: count for nb, tfidf otherwise
     external_path: str | None = None
-    external_name: str = "external"
     unclassified_policy: str = "drop"
 
     def __post_init__(self):
+        # a bad setting fails here, before any record loads or any site trains
         if self.kind not in ("nb", "knn", "svm", "external"):
             raise ParameterError(f"unknown predictor kind {self.kind!r}")
         if self.kind == "external" and not self.external_path:
             raise ParameterError("external predictor needs external_path")
+        for name in ("nb_alpha", "svm_c"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
+        for name in ("svm_epochs", "knn_k", "min_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ParameterError(f"{name} must be at least 1, got {value}")
 
     def effective_weighting(self) -> str:
-        if self.weighting is not None:
-            return self.weighting
+        """Term counts for naive Bayes, tf-idf for the other bag-of-words models."""
         return "count" if self.kind == "nb" else "tfidf"
 
     def to_dict(self) -> dict:
@@ -379,7 +385,7 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
     if predictor_spec.kind == "external":
         external_set = textpred.load_external_predictions(
             predictor_spec.external_path, predictor_spec.unclassified_policy, records,
-            majority_class=majority_true_cause(records), name=predictor_spec.external_name)
+            majority_class=majority_true_cause(records))
     else:
         # tokenized once: every site trains and predicts on rows of this corpus
         corpus = textpred.tokenize_corpus(records.narratives.tolist())

@@ -34,6 +34,13 @@ theta of shape (R, p). Every product is made per replication (one BLAS
 call per slice), so a replication's numbers do not depend on which others
 share its stack. A single dataset is the R = 1 case of the same code (see
 ``docs/math.md``, "Batched replications").
+
+Newton settings
+---------------
+The damped-Newton policy (gradient tolerance, iteration cap, Armijo
+constant, step shrink, minimum step, separation bound, ridge) is fixed:
+the private constants below, which ``newton_batch`` and ``_ridged_solve``
+read when called. No fit takes a solver setting.
 """
 
 from __future__ import annotations
@@ -46,17 +53,14 @@ import scipy.linalg.lapack
 from .errors import NumericError, SeparationError, ShapeError
 
 
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Damped-Newton solver settings."""
-
-    grad_tol: float = 1e-8          # max-norm convergence threshold
-    max_iterations: int = 100
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-14
-    coef_bound: float = 1e4         # separation detector
-    ridge: float = 1e-10            # added to the Hessian when a solve fails
+# See "Newton settings" above and docs/math.md, "Multinomial model".
+_GRAD_TOL = 1e-8                    # max-norm convergence threshold
+_MAX_ITERATIONS = 100
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP = 1e-14
+_COEF_BOUND = 1e4                   # separation detector
+_RIDGE = 1e-10                      # added to a Hessian when its solve fails
 
 
 @dataclass(frozen=True)
@@ -445,9 +449,9 @@ def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     return _mean_nll(_single(x), n_classes, column=None).hess(theta)[0]
 
 
-def _ridged_solve(h: np.ndarray, b: np.ndarray,
-                  ridge: float) -> tuple[np.ndarray, bool] | None:
-    """Cholesky solve of h x = b, ridging h upward by powers of 100 until it succeeds.
+def _ridged_solve(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """Cholesky solve of h x = b, ridging h upward from ``_RIDGE`` by powers of 100
+    until it succeeds.
 
     Returns (x, whether h was ridged), or None when every attempt failed.
     Calls LAPACK's potrf/potrs as ``scipy.linalg.cho_factor``/``cho_solve``
@@ -455,7 +459,7 @@ def _ridged_solve(h: np.ndarray, b: np.ndarray,
     """
     candidate = h
     regularized = False
-    reg = ridge
+    reg = _RIDGE
     for _ in range(12):
         c, info = scipy.linalg.lapack.dpotrf(candidate, lower=0, clean=0)
         if info == 0:
@@ -468,8 +472,7 @@ def _ridged_solve(h: np.ndarray, b: np.ndarray,
     return None
 
 
-def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonOptions()
-                 ) -> tuple[np.ndarray, list[FitDiagnostics]]:
+def newton_batch(objective, theta0: np.ndarray) -> tuple[np.ndarray, list[FitDiagnostics]]:
     """Damped Newton with Armijo backtracking, one iterate per replication.
 
     ``objective.value_and_grad(theta, index)`` and ``objective.hess(theta,
@@ -484,12 +487,12 @@ def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonO
     n_rep, n_params = theta.shape
     value, grad = objective.value_and_grad(theta)
     prev_value = np.full(n_rep, np.inf)
-    iterations = np.full(n_rep, options.max_iterations)
+    iterations = np.full(n_rep, _MAX_ITERATIONS)
     status = np.full(n_rep, "max_iterations", dtype=object)
     condition_warning = np.zeros(n_rep, dtype=bool)
     active = np.arange(n_rep)
-    for it in range(1, options.max_iterations + 1):
-        done = np.abs(grad[active]).max(axis=1, initial=0.0) <= options.grad_tol
+    for it in range(1, _MAX_ITERATIONS + 1):
+        done = np.abs(grad[active]).max(axis=1, initial=0.0) <= _GRAD_TOL
         status[active[done]] = "converged"
         iterations[active[done]] = it - 1
         active = active[~done]
@@ -500,7 +503,7 @@ def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonO
         g = grad[active]
         step = np.empty_like(g)
         for j, r in enumerate(active):
-            solved = _ridged_solve(h[j], -g[j], options.ridge)
+            solved = _ridged_solve(h[j], -g[j])
             if solved is None:
                 raise NumericError("Hessian solve failed even after regularization")
             step[j], regularized = solved
@@ -518,29 +521,29 @@ def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonO
         while pending.size:
             accepted = np.isfinite(new_value[pending]) & (
                 new_value[pending] <= value[active[pending]]
-                + options.armijo_c * t[pending] * slope[pending])
+                + _ARMIJO_C * t[pending] * slope[pending])
             pending = pending[~accepted]
-            t[pending] *= options.backtrack_factor
-            pending = pending[t[pending] >= options.min_step]
+            t[pending] *= _BACKTRACK_FACTOR
+            pending = pending[t[pending] >= _MIN_STEP]
             if pending.size:
                 trial = theta[active[pending]] + t[pending, None] * step[pending]
                 new_value[pending], new_grad[pending] = objective.value_and_grad(
                     trial, active[pending])
                 new_theta[pending] = trial
-        stalled = t < options.min_step
+        stalled = t < _MIN_STEP
         status[active[stalled]] = "stalled"
         iterations[active[stalled]] = it
         moved, keep = active[~stalled], ~stalled
         decreasing = new_value[keep] < prev_value[moved]
         prev_value[moved] = value[moved]
         theta[moved], value[moved], grad[moved] = new_theta[keep], new_value[keep], new_grad[keep]
-        separated = (np.abs(theta[moved]).max(axis=1, initial=0.0) > options.coef_bound) \
+        separated = (np.abs(theta[moved]).max(axis=1, initial=0.0) > _COEF_BOUND) \
             & decreasing
         status[moved[separated]] = "separation"
         iterations[moved[separated]] = it
         active = moved[~separated]
     gnorm = np.abs(grad).max(axis=1, initial=0.0)
-    status[gnorm <= options.grad_tol] = "converged"
+    status[gnorm <= _GRAD_TOL] = "converged"
     return theta, [
         FitDiagnostics(iterations=int(iterations[r]), gradient_norm=float(gnorm[r]),
                        converged=status[r] == "converged",
@@ -548,19 +551,17 @@ def newton_batch(objective, theta0: np.ndarray, options: NewtonOptions = NewtonO
         for r in range(n_rep)]
 
 
-def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int,
-            options: NewtonOptions = NewtonOptions(),
-            theta0: np.ndarray | None = None) -> tuple[np.ndarray, FitDiagnostics]:
-    """Maximum likelihood fit by damped Newton.
+def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, FitDiagnostics]:
+    """Maximum likelihood fit by damped Newton from theta = 0.
 
     Every class in ``0..n_classes-1`` must appear in ``y``. Raises
-    SeparationError when coefficients pass ``options.coef_bound`` while the
-    loss is still decreasing (complete or quasi-complete separation).
-    ``fit_stack`` at R = 1; ``ppi`` fits stacks itself, tests call this.
+    SeparationError when coefficients pass the bound ``_COEF_BOUND`` (1e4)
+    while the loss is still decreasing (complete or quasi-complete
+    separation). ``fit_stack`` at R = 1; ``ppi`` fits stacks itself, tests
+    call this.
     """
-    theta0 = None if theta0 is None else np.asarray(theta0, dtype=float)[None]
     theta, diagnostics = fit_stack(PatternStack.of([group_labeled(x, y, n_classes)]),
-                                   n_classes, options, theta0)
+                                   n_classes)
     return theta[0], diagnostics[0]
 
 
@@ -572,21 +573,18 @@ def require_classes(patterns: PatternStack, n_classes: int, rows: str = "data") 
             raise ShapeError(f"classes absent from {rows}: {np.flatnonzero(~row).tolist()}")
 
 
-def fit_stack(patterns: PatternStack, n_classes: int,
-              options: NewtonOptions = NewtonOptions(),
-              theta0: np.ndarray | None = None) -> tuple[np.ndarray, list[FitDiagnostics]]:
+def fit_stack(patterns: PatternStack, n_classes: int) -> tuple[np.ndarray, list[FitDiagnostics]]:
     """``fit_mle`` for every replication of a stack (label column 0), as one Newton.
 
     Raises ShapeError when a class is absent from some replication and
     SeparationError when some replication separates.
     """
     require_classes(patterns, n_classes)
-    if theta0 is None:
-        theta0 = np.zeros((patterns.size, patterns.x.shape[2] * (n_classes - 1)))
-    theta, diagnostics = newton_batch(_mean_nll(patterns, n_classes), theta0, options)
+    theta0 = np.zeros((patterns.size, patterns.x.shape[2] * (n_classes - 1)))
+    theta, diagnostics = newton_batch(_mean_nll(patterns, n_classes), theta0)
     if any(d.status == "separation" for d in diagnostics):
         raise SeparationError(
-            f"coefficient max-norm exceeded {options.coef_bound:g} while the "
+            f"coefficient max-norm exceeded {_COEF_BOUND:g} while the "
             "loss was still decreasing; data are (quasi-)separated"
         )
     return theta, diagnostics

@@ -40,7 +40,9 @@ whose report holds theta, lambda, diagnostics and covariance parts, plus
 ``rectified_loss``, ``rectified_hessian`` and ``confidence_intervals``.
 ``fit_estimators_many`` fits the classical, naive and multippi estimators
 of many input sets as one stack; each report equals the one its
-single-dataset call returns.
+single-dataset call returns. ``multippi infer`` calls it with its one
+set. Every fit runs ``mlogit.newton_batch`` with the solver constants
+``mlogit`` fixes; no call here takes a solver setting.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import scipy.special
 
 from . import mlogit
 from .errors import MultippiError, ParameterError, ShapeError
-from .mlogit import FitDiagnostics, NewtonOptions, PatternStack, RowPatterns
+from .mlogit import FitDiagnostics, PatternStack, RowPatterns
 
 
 @dataclass(frozen=True)
@@ -277,13 +279,19 @@ class _InputStack:
     n_classes: int
 
     @classmethod
-    def of(cls, inputs: list[PpiInputs], padded: bool = False) -> "_InputStack":
-        """Stack ``inputs``; ``padded`` pads each set to the largest row counts."""
+    def of(cls, inputs: list[PpiInputs]) -> "_InputStack":
+        """Stack ``inputs``; several sets are padded to their largest row counts.
+
+        A single set keeps its pattern counts: padding it to its row counts
+        would only add zero entries.
+        """
         if len({(i.n_classes, i.n_features) for i in inputs}) != 1:
             raise ShapeError("stacked inputs must share class and feature counts")
-        n = max(i.n_labeled for i in inputs) if padded else None
-        big_n = max(i.n_unlabeled for i in inputs) if padded else None
-        total = max(i.n_labeled + i.n_unlabeled for i in inputs) if padded else None
+        n = big_n = total = None
+        if len(inputs) > 1:
+            n = max(i.n_labeled for i in inputs)
+            big_n = max(i.n_unlabeled for i in inputs)
+            total = max(i.n_labeled + i.n_unlabeled for i in inputs)
         return cls(PatternStack.of([i.labeled for i in inputs], n),
                    PatternStack.of([i.unlabeled for i in inputs], big_n),
                    PatternStack.of([i.naive for i in inputs], total),
@@ -388,8 +396,8 @@ def _pattern_gradients(theta: np.ndarray, inputs: _InputStack):
             pred_all, np.concatenate([lab.counts, unl.counts], axis=1))
 
 
-def _regularized_inverse(h: np.ndarray, ridge: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric inverse of each (p, p) slice of ``h``, ridged upward until it succeeds.
+def _regularized_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric inverse of each (p, p) slice of ``h``, ridged upward as Newton's solves are.
 
     Returns the inverses and, per slice, whether a ridge was needed.
     """
@@ -397,7 +405,7 @@ def _regularized_inverse(h: np.ndarray, ridge: float = 1e-10) -> tuple[np.ndarra
     inverse = np.empty_like(h)
     warned = np.zeros(h.shape[0], dtype=bool)
     for r in range(h.shape[0]):
-        solved = mlogit._ridged_solve(h[r], eye, ridge)
+        solved = mlogit._ridged_solve(h[r], eye)
         if solved is None:
             raise ShapeError("empirical Hessian could not be inverted")
         inv, warned[r] = solved
@@ -405,11 +413,11 @@ def _regularized_inverse(h: np.ndarray, ridge: float = 1e-10) -> tuple[np.ndarra
     return inverse, warned
 
 
-def _fit_rectified(inputs: _InputStack, lam: np.ndarray, theta0: np.ndarray | None,
-                   options: NewtonOptions) -> tuple[np.ndarray, list[FitDiagnostics]]:
+def _fit_rectified(inputs: _InputStack, lam: np.ndarray, theta0: np.ndarray | None
+                   ) -> tuple[np.ndarray, list[FitDiagnostics]]:
     if theta0 is None:
         theta0 = np.zeros((inputs.size, inputs.labeled.x.shape[2] * (inputs.n_classes - 1)))
-    return mlogit.newton_batch(_rectified_objective(inputs, lam), theta0, options)
+    return mlogit.newton_batch(_rectified_objective(inputs, lam), theta0)
 
 
 def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaChoice]:
@@ -436,19 +444,19 @@ def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaCho
     return choices
 
 
-def _fit_multippi(inputs: _InputStack, lambda_mode: float | str, options: NewtonOptions
+def _fit_multippi(inputs: _InputStack, lambda_mode: float | str
                   ) -> tuple[np.ndarray, list[LambdaChoice], list[FitDiagnostics]]:
     size = inputs.size
     lam = None if lambda_mode == "tuned" else _check_lambda(lambda_mode)
     mlogit.require_classes(inputs.labeled, inputs.n_classes, "labeled data")
     if lam is not None:
-        theta, diagnostics = _fit_rectified(inputs, np.full(size, lam), None, options)
+        theta, diagnostics = _fit_rectified(inputs, np.full(size, lam), None)
         return theta, [LambdaChoice(raw=lam, clipped=lam, mode="fixed")] * size, diagnostics
-    theta_pilot, pilot = _fit_rectified(inputs, np.ones(size), None, options)
+    theta_pilot, pilot = _fit_rectified(inputs, np.ones(size), None)
     fallback = np.array([not d.converged for d in pilot])
     if fallback.any():
         theta_pilot[fallback], _ = mlogit.fit_stack(
-            inputs.labeled.take(fallback), inputs.n_classes, options)
+            inputs.labeled.take(fallback), inputs.n_classes)
     choices = _tune_lambda(inputs, theta_pilot)
     for r in np.flatnonzero(fallback):
         note = f"pilot fit at lambda=1 {pilot[r].status}; tuned at labeled-only MLE"
@@ -457,7 +465,7 @@ def _fit_multippi(inputs: _InputStack, lambda_mode: float | str, options: Newton
                                   warning=note if c.warning is None else f"{c.warning}; {note}",
                                   pilot_fallback=True)
     lam = np.array([c.clipped for c in choices])
-    theta, diagnostics = _fit_rectified(inputs, lam, theta_pilot, options)
+    theta, diagnostics = _fit_rectified(inputs, lam, theta_pilot)
     return theta, choices, diagnostics
 
 
@@ -543,14 +551,13 @@ def _reports(estimator: str, theta: np.ndarray, covariances: list[CovarianceEsti
 
 
 def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, estimator: str,
-                       options: NewtonOptions, n_labeled: np.ndarray | None = None,
-                       **meta) -> list[InferenceReport]:
+                       n_labeled: np.ndarray | None = None, **meta) -> list[InferenceReport]:
     """Labeled-only MLE and classical sandwich for every replication of a stack.
 
     Intervals use each replication's row count; ``n_labeled`` (default:
     all rows) is each report's labeled count.
     """
-    theta, diagnostics = mlogit.fit_stack(patterns, n_classes, options)
+    theta, diagnostics = mlogit.fit_stack(patterns, n_classes)
     total = patterns.n_rows
     labeled = total if n_labeled is None else n_labeled
     return _reports(estimator, theta, _classical_covariance(theta, patterns, n_classes),
@@ -579,28 +586,26 @@ def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int,
 
 
 def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0.05,
-                  estimator: str = "classical",
-                  options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
+                  estimator: str = "classical", **meta) -> InferenceReport:
     """Labeled-rows-only MLE with the classical sandwich.
 
     Tag with ``estimator="ground-truth"`` when the rows are the complete
     dataset rather than a labeled subset.
     """
     patterns = PatternStack.of([_classical_patterns(x, y, n_classes)])
-    return _classical_reports(patterns, n_classes, alpha, estimator, options, **meta)[0]
+    return _classical_reports(patterns, n_classes, alpha, estimator, **meta)[0]
 
 
-def fit_naive(inputs: PpiInputs, alpha: float = 0.05,
-              options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
+def fit_naive(inputs: PpiInputs, alpha: float = 0.05, **meta) -> InferenceReport:
     """Classical fit treating predicted labels as truth on all n + N rows."""
     stack = _InputStack.of([inputs])
-    return _classical_reports(stack.naive, stack.n_classes, alpha, "naive", options,
+    return _classical_reports(stack.naive, stack.n_classes, alpha, "naive",
                               n_labeled=stack.n_labeled, **meta)[0]
 
 
 def _multippi_reports(inputs: _InputStack, lambda_mode: float | str, alpha: float,
-                      options: NewtonOptions, **meta) -> list[InferenceReport]:
-    theta, choices, diagnostics = _fit_multippi(_rectifiable(inputs), lambda_mode, options)
+                      **meta) -> list[InferenceReport]:
+    theta, choices, diagnostics = _fit_multippi(_rectifiable(inputs), lambda_mode)
     covariances = _sandwich(theta, inputs, np.array([c.clipped for c in choices]))
     return _reports("multippi", theta, covariances, inputs.n_labeled, alpha, choices,
                     inputs.n_labeled, inputs.n_unlabeled, inputs.n_classes, diagnostics,
@@ -608,10 +613,9 @@ def _multippi_reports(inputs: _InputStack, lambda_mode: float | str, alpha: floa
 
 
 def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
-                        alpha: float = 0.05,
-                        options: NewtonOptions = NewtonOptions(), **meta) -> InferenceReport:
+                        alpha: float = 0.05, **meta) -> InferenceReport:
     """Full rectified inference: point estimate, sandwich SEs, intervals."""
-    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha, options, **meta)[0]
+    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha, **meta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -637,22 +641,21 @@ def _each_dataset(run, stack) -> list:
 
 
 def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
-                        alpha: float = 0.05) -> list[dict[str, InferenceReport] | MultippiError]:
+                        alpha: float = 0.05, **meta
+                        ) -> list[dict[str, InferenceReport] | MultippiError]:
     """The classical, naive and multippi reports of each input set, fitted as one stack.
 
-    Each set is padded to the largest row counts, so when all sets have the
-    same counts (Monte Carlo replications) a set's reports do not depend on
-    which others share the call; each equals its single-dataset call's.
-    Returns a ``{"classical", "naive", "multippi"}`` dict of reports per
-    set, or the first error its fits raise, in that order.
+    Several sets are padded to the largest row counts, so when all sets have
+    the same counts (Monte Carlo replications) a set's reports do not depend
+    on which others share the call; each equals its single-dataset call's,
+    ``meta`` included. Returns a ``{"classical", "naive", "multippi"}`` dict
+    of reports per set, or the first error its fits raise, in that order.
     """
-    options = NewtonOptions()
-
     def run(s: _InputStack) -> list[dict[str, InferenceReport]]:
-        classical = _classical_reports(s.classical, s.n_classes, alpha, "classical", options)
-        naive = _classical_reports(s.naive, s.n_classes, alpha, "naive", options,
-                                   n_labeled=s.n_labeled)
-        multippi = _multippi_reports(s, lambda_mode, alpha, options)
+        classical = _classical_reports(s.classical, s.n_classes, alpha, "classical", **meta)
+        naive = _classical_reports(s.naive, s.n_classes, alpha, "naive",
+                                   n_labeled=s.n_labeled, **meta)
+        multippi = _multippi_reports(s, lambda_mode, alpha, **meta)
         return [{"classical": c, "naive": n, "multippi": m}
                 for c, n, m in zip(classical, naive, multippi)]
 
@@ -665,7 +668,7 @@ def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tun
         except MultippiError as exc:
             results[r] = exc
     if ready:
-        fitted = _each_dataset(run, _InputStack.of([inputs[r] for r in ready], padded=True))
+        fitted = _each_dataset(run, _InputStack.of([inputs[r] for r in ready]))
         for r, result in zip(ready, fitted):
             results[r] = result
     return results

@@ -6,9 +6,10 @@ experiment with master seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``
 
 Replications are drawn one by one and fitted in chunks of ``_CHUNK``: one
 ``ppi.fit_estimators_many`` call fits a chunk's three estimators, each as
-one stacked Newton. Every product is made per replication and every
-replication is padded to the same row counts, so a replication's results,
-and the report, are identical whatever the chunk size.
+one stacked Newton. Every product is made per replication and the
+replications of a chunk are padded to the same row counts, so a
+replication's results, and the report, are identical whatever the chunk
+size.
 """
 
 from __future__ import annotations

@@ -273,8 +273,8 @@ def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
              alpha: float = 1.0, vocabulary: Vocabulary | None = None,
              weighting: str = "count") -> NbModel:
     """Fit multinomial NB; class-conditional token distributions each sum to 1."""
-    if alpha <= 0:
-        raise ParameterError(f"smoothing alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ParameterError(f"smoothing alpha must be finite and positive, got {alpha}")
     _check_training("train_nb", vectors, labels, vocabulary)
     present, y = _present_classes(labels)
     m = len(y)
@@ -424,8 +424,10 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     weights average the epoch-end iterates of the second half of
     training. With one row per batch this is the per-sample trainer.
     """
-    if c <= 0:
-        raise ParameterError(f"C must be positive, got {c}")
+    if not 0 < c < np.inf:
+        raise ParameterError(f"C must be finite and positive, got {c}")
+    if epochs < 1:
+        raise ParameterError(f"epochs must be at least 1, got {epochs}")
     _check_training("train_svm_ovr", vectors, labels, vocabulary)
     present, y = _present_classes(labels)
     if len(present) < 2:
@@ -533,8 +535,7 @@ _BAD_LABEL = -2
 
 
 def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
-                              majority_class: CodClass | None = None,
-                              name: str = "external") -> PredictionSet:
+                              majority_class: CodClass | None = None) -> PredictionSet:
     """Read a (record_id, predicted_label) CSV, align it to ``table``'s rows,
     and resolve unclassified rows.
 
@@ -601,7 +602,7 @@ def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
     if len(row_of) < len(table):        # rows sharing an id share its prediction
         aligned = aligned[np.fromiter(map(row_of.__getitem__, table.ids.tolist()),
                                       dtype=np.intp, count=len(table))]
-    return PredictionSet(codes=aligned, provenance=f"external:{name}", policy=policy,
+    return PredictionSet(codes=aligned, provenance="external:external", policy=policy,
                          dropped=dropped, imputed=imputed, order=rows)
 
 

@@ -200,8 +200,8 @@ def test_infer_tuned_lambda_recorded(tmp_path, monkeypatch):
 
 
 def test_infer_groups_each_dataset_once(tmp_path, monkeypatch):
-    # ground truth, classical, and the labeled and unlabeled subsets; the
-    # naive fit regroups the two subsets' patterns instead of the rows
+    # ground truth and the labeled and unlabeled subsets; the classical and
+    # naive fits regroup the two subsets' patterns instead of the rows
     monkeypatch.chdir(tmp_path)
     write_synth_csv(tmp_path / "synth.csv")
     write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
@@ -220,7 +220,102 @@ def test_infer_groups_each_dataset_once(tmp_path, monkeypatch):
     assert run_cli(args) == 0
     split = json.loads((tmp_path / "inferred" / "report_naive.json").read_text())["split"]
     n, big_n = split["n_labeled"], split["n_unlabeled"]
-    assert sorted(grouped) == sorted([n + big_n, n, n, big_n])
+    assert sorted(grouped) == sorted([n + big_n, n, big_n])
+
+
+def test_infer_reports_equal_single_dataset_fits(tmp_path, monkeypatch):
+    # classical, naive and multippi come from one batched call; each report
+    # is the one its single-dataset call gives on the same rows
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    seen = {}
+    build_design, split = experiment.build_design, ingest.split
+
+    def spy(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        return call
+
+    monkeypatch.setattr(experiment, "build_design", spy("design", build_design))
+    monkeypatch.setattr(ingest, "split", spy("split", split))
+    args = ["infer", "--input", "synth.csv",
+            "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
+            "--predictions", "preds.csv", "--labeled-fraction", 0.3, "--seed", 9,
+            "--out", "inferred", "--threads", 1]
+    assert run_cli(args) == 0
+    (design, yhat), lab, unl = seen["design"], seen["split"].labeled, seen["split"].unlabeled
+    assert len(np.unique(design.x, axis=0)) < len(design.x) / 4     # tied ages
+    k = design.n_classes
+    meta = {"class_names": tuple(c.value for c in design.classes),
+            "covariate_names": design.covariate_names,
+            "standardization": design.standardization}
+    inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
+    expected = {
+        "ground-truth": ppi.fit_classical(design.x, design.y, k, estimator="ground-truth",
+                                          **meta),
+        "classical": ppi.fit_classical(design.x[lab], design.y[lab], k, **meta),
+        "naive": ppi.fit_naive(inputs, **meta),
+        "multippi": ppi.fit_multippi_report(inputs, "tuned", **meta),
+    }
+    for tag, report in expected.items():
+        written = json.loads((tmp_path / "inferred" / f"report_{tag}.json").read_text())
+        assert json.dumps(written["report"], sort_keys=True) \
+            == json.dumps(report.to_dict(), sort_keys=True), tag
+
+
+def test_infer_labeled_split_missing_a_class_is_one_json_error(tmp_path, monkeypatch, capsys):
+    # three external deaths, none drawn into the labeled rows: ground truth
+    # fits, and the classical fit's error is the run's one record
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    lines = (tmp_path / "synth.csv").read_text().splitlines()
+    external = [i for i, line in enumerate(lines) if line.endswith(",external")]
+    for i in external[3:]:
+        lines[i] = lines[i].replace("crash", "fever").replace(",external", ",communicable")
+    (tmp_path / "synth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv", flip_every=10**6)
+    args = ["infer", "--input", "synth.csv",
+            "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
+            "--predictions", "preds.csv", "--labeled-fraction", 0.1, "--seed", 2,
+            "--out", "inferred"]
+    assert run_cli(args) == cli.EXIT_DATA_ERROR
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ShapeError", "message": "classes absent from data: [2]"}]
+    assert not (tmp_path / "inferred").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "loso"])
+@pytest.mark.parametrize("flags, message", [
+    (["--predictor", "svm", "--svm-c", "nan"], "svm_c must be finite and positive, got nan"),
+    (["--predictor", "svm", "--svm-c", "inf"], "svm_c must be finite and positive, got inf"),
+    (["--predictor", "svm", "--svm-epochs", 0], "svm_epochs must be at least 1, got 0"),
+    (["--predictor", "svm", "--svm-epochs=-3"], "svm_epochs must be at least 1, got -3"),
+    (["--predictor", "nb", "--nb-alpha", "nan"], "nb_alpha must be finite and positive, got nan"),
+    (["--predictor", "nb", "--nb-alpha", "inf"], "nb_alpha must be finite and positive, got inf"),
+    (["--predictor", "knn", "--knn-k", 0], "knn_k must be at least 1, got 0"),
+    (["--predictor", "nb", "--min-count", 0], "min_count must be at least 1, got 0"),
+], ids=["svm-c-nan", "svm-c-inf", "svm-epochs-0", "svm-epochs-neg", "nb-alpha-nan",
+        "nb-alpha-inf", "knn-k-0", "min-count-0"])
+def test_bad_predictor_settings_fail_before_loading(tmp_path, monkeypatch, capsys,
+                                                    command, flags, message):
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+
+    def never(*args, **kwargs):
+        raise AssertionError("records loaded")
+
+    monkeypatch.setattr(ingest, "load_records", never)
+    args = [command, "--input", "synth.csv",
+            "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
+            "--out", "out", "--threads", 1, *flags]
+    assert run_cli(args) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ParameterError", "message": message}]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags, config, message", [

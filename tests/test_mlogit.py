@@ -170,12 +170,13 @@ def test_fit_mle_detects_separation_hairline_margin():
         mlogit.fit_mle(x, y, 2)
 
 
-def test_fit_mle_separation_bound_configurable():
+def test_fit_mle_separation_bound_configurable(monkeypatch):
     x2 = np.concatenate([np.linspace(0.5, 2, 20), np.linspace(-2, -0.5, 20)])
     x = np.column_stack([np.ones(40), x2])
     y = (x2 > 0).astype(np.int64)
+    monkeypatch.setattr(mlogit, "_COEF_BOUND", 10.0)
     with pytest.raises(SeparationError):
-        mlogit.fit_mle(x, y, 2, options=mlogit.NewtonOptions(coef_bound=10.0))
+        mlogit.fit_mle(x, y, 2)
 
 
 @given(st.integers(0, 10_000), st.floats(0.05, 0.95))
@@ -205,10 +206,11 @@ def test_covariate_rescaling_inverse_coefficients():
     assert np.max(np.abs(probs - probs_scaled)) < 1e-8
 
 
-def test_newton_diagnostics_max_iterations():
+def test_newton_diagnostics_max_iterations(monkeypatch):
     rng = np.random.default_rng(12)
     x, y, _ = oracles.make_instance(rng, 3, 2, 60)
-    opts = mlogit.NewtonOptions(max_iterations=1, grad_tol=1e-14)
-    theta, diag = mlogit.fit_mle(x, y, 3, options=opts)
+    monkeypatch.setattr(mlogit, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(mlogit, "_GRAD_TOL", 1e-14)
+    theta, diag = mlogit.fit_mle(x, y, 3)
     assert not diag.converged
     assert diag.status == "max_iterations"

@@ -11,7 +11,6 @@ import scipy.stats
 
 import oracles
 from multippi import mlogit, ppi, simulate
-from multippi.mlogit import NewtonOptions
 from multippi.errors import ParameterError, SeparationError, ShapeError
 
 
@@ -141,12 +140,12 @@ def test_multippi_closer_to_truth_than_naive():
     assert wins / reps >= 0.95
 
 
-def test_fit_rectified_nonconvergence_reported_not_raised():
+def test_fit_rectified_nonconvergence_reported_not_raised(monkeypatch):
     rng = np.random.default_rng(44)
     inputs, _, _ = make_inputs(rng, noise=simulate.NoiseModel.uniform(3))
-    diag = ppi.fit_multippi_report(inputs, 0.6,
-                                   options=NewtonOptions(max_iterations=1,
-                                                         grad_tol=1e-14)).diagnostics
+    monkeypatch.setattr(mlogit, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(mlogit, "_GRAD_TOL", 1e-14)
+    diag = ppi.fit_multippi_report(inputs, 0.6).diagnostics
     assert not diag.converged
     assert diag.status in ("max_iterations", "stalled")
 
@@ -406,7 +405,7 @@ def test_classical_fit_flags_complete_separation():
     assert any("intervals not valid" in w for w in report.warnings)
 
 
-def test_report_warns_when_fit_did_not_converge():
+def test_report_warns_when_fit_did_not_converge(monkeypatch):
     # a Newton budget too small to converge: the report must say that its
     # intervals are invalid
     spec = simulate.default_spec(seed=3, n_labeled=60, n_unlabeled=400)
@@ -416,7 +415,9 @@ def test_report_warns_when_fit_did_not_converge():
     yhat_u = simulate.corrupt(data.y_unlabeled, simulate.ASYMMETRIC_3CLASS, rng)
     inputs = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
                            data.x_unlabeled, yhat_u, 3)
-    report = ppi.fit_multippi_report(inputs, 0.5, options=NewtonOptions(max_iterations=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(mlogit, "_MAX_ITERATIONS", 1)
+        report = ppi.fit_multippi_report(inputs, 0.5)
     assert report.diagnostics.status == "max_iterations"
     assert report.warnings[0] == "fit status max_iterations: intervals not valid"
     assert report.to_dict()["warnings"][0] == report.warnings[0]

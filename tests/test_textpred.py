@@ -307,8 +307,9 @@ def test_nb_duplicated_corpus_same_priors_and_predictions():
 
 
 def test_nb_alpha_validation():
-    with pytest.raises(ParameterError):
-        tp.train_nb(sv([(0, 1.0)], 1), [COM], alpha=0.0, vocabulary=make_vocab(1))
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            tp.train_nb(sv([(0, 1.0)], 1), [COM], alpha=alpha, vocabulary=make_vocab(1))
 
 
 def test_trainers_reject_vectors_wider_than_vocabulary():
@@ -514,9 +515,10 @@ def test_svm_single_class_error():
 
 
 def test_svm_c_validation():
-    with pytest.raises(ParameterError):
-        tp.train_svm_ovr(stack([sv([(0, 1.0)], 1)] * 2), [COM, EXT], c=0.0,
-                         vocabulary=make_vocab(1))
+    for c, epochs in ((0.0, 60), (np.nan, 60), (np.inf, 60), (1.0, 0), (1.0, -3)):
+        with pytest.raises(ParameterError):
+            tp.train_svm_ovr(stack([sv([(0, 1.0)], 1)] * 2), [COM, EXT], c=c, epochs=epochs,
+                             vocabulary=make_vocab(1))
 
 
 def test_svm_deterministic():
