@@ -31,9 +31,10 @@ Replication axis
 The kernel works on R datasets at once: ``PatternStack`` stacks their
 patterns on a leading axis, and the objective and ``newton_batch`` take
 theta of shape (R, p). Every product is made per replication (one BLAS
-call per slice), so a replication's numbers do not depend on which others
-share its stack. A single dataset is the R = 1 case of the same code (see
-``docs/math.md``, "Batched replications").
+call per slice), and the Newton solves substitute elementwise over the
+stack (``_cholesky_solve``), so a replication's numbers do not depend on
+which others share its stack. A single dataset is the R = 1 case of the
+same code (see ``docs/math.md``, "Batched replications").
 
 Newton settings
 ---------------
@@ -48,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import NumericError, SeparationError, ShapeError
 
@@ -449,27 +449,56 @@ def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     return _mean_nll(_single(x), n_classes, column=None).hess(theta)[0]
 
 
-def _ridged_solve(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """Cholesky solve of h x = b, ridging h upward from ``_RIDGE`` by powers of 100
-    until it succeeds.
+def _cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with h x = b for each slice of h (R, p, p) and b (R, p, m), by one stacked
+    ``np.linalg.cholesky`` and forward then back substitution.
 
-    Returns (x, whether h was ridged), or None when every attempt failed.
-    Calls LAPACK's potrf/potrs as ``scipy.linalg.cho_factor``/``cho_solve``
-    do, without their per-call checks.
+    Each substitution step updates whole rows elementwise, one column of the
+    factor at a time, so a slice's result does not depend on the stack it is
+    in. Raises ``np.linalg.LinAlgError`` when some slice is not positive definite.
     """
-    candidate = h
-    regularized = False
-    reg = _RIDGE
-    for _ in range(12):
-        c, info = scipy.linalg.lapack.dpotrf(candidate, lower=0, clean=0)
-        if info == 0:
-            x, info = scipy.linalg.lapack.dpotrs(c, b, lower=0)
-            if info == 0 and np.all(np.isfinite(x)):
-                return x, regularized
-        candidate = h + reg * np.eye(h.shape[0])
-        regularized = True
-        reg *= 100.0
-    return None
+    low = np.linalg.cholesky(h)
+    x = np.array(b, dtype=float)
+    for k in range(h.shape[1]):                 # L y = b
+        x[:, k] /= low[:, k, k, None]
+        x[:, k + 1:] -= low[:, k + 1:, k, None] * x[:, k, None]
+    for k in reversed(range(h.shape[1])):       # L^T x = y
+        x[:, k] /= low[:, k, k, None]
+        x[:, :k] -= low[:, k, :k, None] * x[:, k, None]
+    return x
+
+
+def _ridged_solve(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Cholesky solves of h x = b for a stack h (R, p, p), b (R, p, m).
+
+    One ``_cholesky_solve`` over the whole stack. Only when it raises, or
+    gives a non-finite result, do slices go one at a time: a slice that
+    fails on its own is ridged upward from ``_RIDGE`` by powers of 100
+    (12 tries in all) until its solve succeeds. Returns (x, whether each
+    slice was ridged), or None when some slice failed every try.
+    """
+    ridged = np.zeros(h.shape[0], dtype=bool)
+    try:
+        x = _cholesky_solve(h, b)
+        retry = np.flatnonzero(~np.isfinite(x).all(axis=(1, 2)))
+    except np.linalg.LinAlgError:
+        x = np.empty(b.shape)
+        retry = np.arange(h.shape[0])
+    for r in retry:
+        candidate, reg = h[r], _RIDGE
+        for _ in range(12):
+            try:
+                x[r] = _cholesky_solve(candidate[None], b[r, None])[0]
+            except np.linalg.LinAlgError:
+                x[r] = np.nan
+            if np.all(np.isfinite(x[r])):
+                break
+            candidate = h[r] + reg * np.eye(h.shape[1])
+            ridged[r] = True
+            reg *= 100.0
+        else:
+            return None
+    return x, ridged
 
 
 def newton_batch(objective, theta0: np.ndarray) -> tuple[np.ndarray, list[FitDiagnostics]]:
@@ -501,13 +530,12 @@ def newton_batch(objective, theta0: np.ndarray) -> tuple[np.ndarray, list[FitDia
         index = None if active.size == n_rep else active
         h = objective.hess(theta[active], index)
         g = grad[active]
-        step = np.empty_like(g)
-        for j, r in enumerate(active):
-            solved = _ridged_solve(h[j], -g[j])
-            if solved is None:
-                raise NumericError("Hessian solve failed even after regularization")
-            step[j], regularized = solved
-            condition_warning[r] |= regularized
+        solved = _ridged_solve(h, -g[:, :, None])
+        if solved is None:
+            raise NumericError("Hessian solve failed even after regularization")
+        step, regularized = solved
+        step = step[:, :, 0]
+        condition_warning[active] |= regularized
         slope = _rowdot(g, step)
         uphill = slope >= 0
         if uphill.any():

@@ -48,10 +48,10 @@ set. Every fit runs ``mlogit.newton_batch`` with the solver constants
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from . import mlogit
 from .errors import MultippiError, ParameterError, ShapeError
@@ -401,16 +401,11 @@ def _regularized_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the inverses and, per slice, whether a ridge was needed.
     """
-    eye = np.eye(h.shape[1])
-    inverse = np.empty_like(h)
-    warned = np.zeros(h.shape[0], dtype=bool)
-    for r in range(h.shape[0]):
-        solved = mlogit._ridged_solve(h[r], eye)
-        if solved is None:
-            raise ShapeError("empirical Hessian could not be inverted")
-        inv, warned[r] = solved
-        inverse[r] = (inv + inv.T) / 2
-    return inverse, warned
+    solved = mlogit._ridged_solve(h, np.broadcast_to(np.eye(h.shape[1]), h.shape))
+    if solved is None:
+        raise ShapeError("empirical Hessian could not be inverted")
+    inverse, warned = solved
+    return (inverse + inverse.transpose(0, 2, 1)) / 2, warned
 
 
 def _fit_rectified(inputs: _InputStack, lam: np.ndarray, theta0: np.ndarray | None
@@ -502,7 +497,65 @@ def z_quantile(alpha: float) -> float:
     """Two-sided standard normal critical value z_{1 - alpha/2}."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(scipy.special.ndtri(1.0 - alpha / 2.0))
+    return _ndtri(1.0 - alpha / 2.0)
+
+
+# Cephes ndtri (S. L. Moshier), the routine behind scipy.special.ndtri and
+# scipy.stats.norm.ppf. Ported with its coefficients and its order of
+# operations, so the quantile is the same double without importing scipy.
+# Cephes' p1evl (an implied leading 1) is _polevl with a leading 1.0: 1.0 * x
+# is exact, so the operations are the same.
+_S2PI = 2.50662827463100050242e0           # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189           # exp(-2)
+# |y - 0.5| <= 3/8
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# z = sqrt(-2 log y) in [2, 8): y between exp(-2) and exp(-32)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# z in [8, 64): y between exp(-32) and exp(-2048)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF at y0 in (0, 1]."""
+    if y0 == 1.0:
+        return math.inf
+    y = y0
+    negate = True
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x0 - z * _polevl(z, p) / _polevl(z, q)
+    return -x if negate else x
 
 
 def confidence_intervals(theta: np.ndarray, sigma: np.ndarray, n: int,

@@ -34,13 +34,16 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (AlignmentError, DegenerateModelError, ParameterError,
                      PredictionFormatError)
 from .ingest import CAUSE_CLASSES, NO_CAUSE, VALUE_OF_CODE, CodClass, RecordTable, _csv_rows
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 _TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+", re.UNICODE)
 
@@ -49,6 +52,19 @@ UNCLASSIFIED_POLICIES = ("drop", "impute-majority", "keep-as-error")
 _SVM_BATCH = 256        # training rows per SVM mini-batch step
 _TOKENIZE_BATCH = 512   # documents whose whitespace chunks are tokenized together
 _KNN_BLOCK_BYTES = 2 << 20     # target size of one float64 KNN similarity block
+
+
+def _csr_matrix(arg, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
+    """``scipy.sparse.csr_matrix(arg, shape=shape)``, the one place this module builds CSR.
+
+    scipy is imported here, on first use, and not with the module: ``cli``
+    imports this module for every command, and only ``predict`` and
+    ``loso`` with a text predictor build CSR matrices. ``infer``,
+    ``ingest``, ``simulate`` and ``loso`` with external predictions then
+    never pay for importing scipy.
+    """
+    import scipy.sparse
+    return scipy.sparse.csr_matrix(arg, shape=shape)
 
 
 def tokenize(text: str) -> list[str]:
@@ -87,8 +103,7 @@ class Corpus:
         """Documents of ``lengths`` ids each, read off ``ids`` in order; ``table`` numbers tokens."""
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         offsets[1:] = np.cumsum(lengths)
-        counts = scipy.sparse.csr_matrix((np.ones(ids.size), ids, offsets),
-                                         shape=(len(lengths), len(table)))
+        counts = _csr_matrix((np.ones(ids.size), ids, offsets), (len(lengths), len(table)))
         counts.sum_duplicates()
         return cls(tokens=tuple(table), ids=ids, offsets=offsets, counts=counts)
 
@@ -213,7 +228,7 @@ def vectorize_corpus(corpus: Corpus, vocab: Vocabulary, weighting: str = "count"
     data = selected.data[keep]
     if weighting == "tfidf":
         data = data * (np.log((1.0 + vocab.n_docs) / (1.0 + vocab.doc_freq[cols])) + 1.0)
-    out = scipy.sparse.csr_matrix((data, cols, indptr), shape=(rows.size, vocab.size))
+    out = _csr_matrix((data, cols, indptr), (rows.size, vocab.size))
     out.sort_indices()
     return out
 
@@ -279,7 +294,7 @@ def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     present, y = _present_classes(labels)
     m = len(y)
     # class-by-document membership; the product sums each class's rows in row order
-    member = scipy.sparse.csr_matrix((np.ones(m), (y, np.arange(m))), shape=(len(present), m))
+    member = _csr_matrix((np.ones(m), (y, np.arange(m))), (len(present), m))
     counts = (member @ vectors).toarray()
     class_sizes = np.bincount(y, minlength=len(present)).astype(float)
     log_priors = np.log(class_sizes / class_sizes.sum())

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -605,3 +609,43 @@ def test_input_with_a_latin1_byte_is_one_json_error(tmp_path, monkeypatch, capsy
     assert record["error"] == error
     assert record["message"].startswith(f"{name}: byte {at} is not UTF-8")
     assert not (tmp_path / "out").exists()
+
+
+# Runs each argv list of sys.argv[1] (JSON) through cli.main in this one process and
+# prints, per run, its exit code and the scipy modules loaded by then.
+SCIPY_PROBE = """
+import json, sys
+from multippi import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+runs = {"import multippi.cli": [0, scipy_modules()]}
+for label, argv in json.loads(sys.argv[1]):
+    runs[label] = [cli.main(argv), scipy_modules()]
+print(json.dumps(runs))
+"""
+
+
+def test_commands_without_text_models_leave_scipy_out(tmp_path):
+    stage_text_inputs(tmp_path)
+    inputs = ["--input", "synth.csv", "--columns", "cols.cfg", "--seed", "9", "--threads", "1"]
+    scipy_free = [
+        ("ingest", ["ingest", *inputs, "--out", "ingested"]),
+        ("infer", ["infer", *inputs, "--predictions", "preds.csv", "--out", "inferred"]),
+        ("simulate", ["simulate", "--reps", "100", "--seed", "7", "--out", "sim"]),
+        ("simulate failing", ["simulate", "--reps", "100", "--n", "12", "--unlabeled", "40",
+                              "--noise", "identity", "--seed", "3", "--out", "sim_fail"]),
+        ("loso external", ["loso", *inputs, "--predictor", "external:preds.csv",
+                           "--out", "loso_external"]),
+    ]
+    text_model = ("loso nb", ["loso", *inputs, "--predictor", "nb", "--out", "loso_nb"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                             json.dumps([*scipy_free, text_model])],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    runs = json.loads(result.stdout)
+    for label in ["import multippi.cli", *(label for label, _ in scipy_free)]:
+        assert runs[label] == [0, []], label
+    assert runs["loso nb"][0] == 0

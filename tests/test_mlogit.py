@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from multippi import mlogit
+from multippi import mlogit, ppi
 from multippi.errors import NumericError, SeparationError, ShapeError
 
 
@@ -214,3 +214,55 @@ def test_newton_diagnostics_max_iterations(monkeypatch):
     theta, diag = mlogit.fit_mle(x, y, 3)
     assert not diag.converged
     assert diag.status == "max_iterations"
+
+
+def spd_stack(rng, size, p):
+    a = rng.normal(size=(size, p, p))
+    return a @ a.transpose(0, 2, 1) + p * np.eye(p)
+
+
+def test_stacked_solve_matches_one_slice_solves_and_numpy():
+    rng = np.random.default_rng(5)
+    h, b = spd_stack(rng, 6, 4), rng.normal(size=(6, 4, 3))
+    x, ridged = mlogit._ridged_solve(h, b)
+    assert not ridged.any()
+    np.testing.assert_allclose(x, np.linalg.solve(h, b), rtol=1e-12, atol=0)
+    for r in range(6):
+        alone, _ = mlogit._ridged_solve(h[r:r + 1], b[r:r + 1])
+        assert np.array_equal(alone[0], x[r]), r
+
+
+def test_stacked_solve_ridges_only_the_singular_slice():
+    rng = np.random.default_rng(6)
+    h, b = spd_stack(rng, 5, 4), rng.normal(size=(5, 4, 1))
+    h[2, :2, :] = 0.0       # a zero block makes slice 2 singular
+    h[2, :, :2] = 0.0
+    x, ridged = mlogit._ridged_solve(h, b)
+    assert ridged.tolist() == [False, False, True, False, False]
+    for r in (0, 1, 3, 4):
+        alone, alone_ridged = mlogit._ridged_solve(h[r:r + 1], b[r:r + 1])
+        assert np.array_equal(alone[0], x[r]) and not alone_ridged[0], r
+    # the smallest ridge that factors: the zero block's rows hold only the ridge
+    ridge = mlogit._RIDGE
+    np.testing.assert_allclose((h[2] + ridge * np.eye(4)) @ x[2], b[2], rtol=1e-8, atol=1e-8)
+
+
+class _UnsolvableHessian:
+    """An objective whose replication 1 has a Hessian no ridge makes positive definite."""
+
+    def value_and_grad(self, theta, index=None):
+        return np.zeros(theta.shape[0]), np.ones_like(theta)
+
+    def hess(self, theta, index=None):
+        h = np.repeat(np.eye(theta.shape[1])[None], theta.shape[0], axis=0)
+        h[1] *= -1e12
+        return h
+
+
+def test_unsolvable_slice_raises_after_every_ridge():
+    h = _UnsolvableHessian().hess(np.zeros((3, 4)))
+    assert mlogit._ridged_solve(h, np.ones((3, 4, 1))) is None
+    with pytest.raises(NumericError):
+        mlogit.newton_batch(_UnsolvableHessian(), np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        ppi._regularized_inverse(h)

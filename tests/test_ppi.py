@@ -246,7 +246,8 @@ def test_z_quantile_value():
 
 def test_z_quantile_equals_normal_ppf_exactly():
     alphas = np.concatenate([[1e-6, 0.01, 0.05, 0.1, 0.2, 0.5, 0.999],
-                             np.linspace(0.001, 0.999, 499), np.logspace(-12, -0.01, 100)])
+                             np.linspace(0.001, 0.999, 499), np.logspace(-12, -0.01, 100),
+                             np.logspace(-16, -13, 50), np.linspace(0.01, 0.99, 2001)])
     for alpha in alphas:
         assert ppi.z_quantile(float(alpha)) == float(scipy.stats.norm.ppf(1.0 - alpha / 2.0))
 
