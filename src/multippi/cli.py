@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiment, ingest, ppi, simulate, textpred
-from .errors import MultippiError, ParameterError
+from . import __version__, experiment, ingest, simulate, textpred
+from .errors import MultippiError, ParameterError, SchemaError
 from .ingest import CAUSE_CLASSES, CodClass
 
 EXIT_OK, EXIT_DATA_ERROR, EXIT_USAGE = 0, 1, 2
@@ -221,23 +221,11 @@ def cmd_infer(args) -> int:
         majority_class=experiment.majority_true_cause(table))
     predicted = predictions.codes != ingest.NO_CAUSE
     usable = table if predicted.all() else table.take(np.flatnonzero(predicted))
-    data_split = ingest.split(usable, ingest.SplitSpec(
-        strategy=inference.split_strategy, labeled_fraction=inference.labeled_fraction,
-        seed=inference.seed))
-    design, yhat = experiment.build_design(usable, inference.reference_class,
-                                           predictions.codes[predicted])
-    meta = {"class_names": tuple(c.value for c in design.classes),
-            "covariate_names": design.covariate_names,
-            "standardization": design.standardization}
-    k, alpha = design.n_classes, inference.alpha
-    lab, unl = data_split.labeled, data_split.unlabeled
-    inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
-    ground_truth = ppi.fit_classical(design.x, design.y, k, alpha,
-                                     estimator="ground-truth", **meta)
-    (fitted,) = ppi.fit_estimators_many([inputs], inference.lambda_mode, alpha, **meta)
-    if isinstance(fitted, MultippiError):
-        raise fitted
-    reports = {"ground-truth": ground_truth, **fitted}
+    data_split, _, reports = experiment.fit_reports(usable, predictions.codes[predicted],
+                                                    inference, inference.seed)
+    for report in reports.values():
+        if isinstance(report, MultippiError):
+            raise report
     out = Path(args.out)
     combined = []
     for tag, report in reports.items():
@@ -258,10 +246,15 @@ def cmd_loso(args) -> int:
     sites = args.sites.split(",") if args.sites else None
     reports = experiment.run_loso(result.records, spec, inference,
                                   sites=sites, threads=args.threads)
-    out = Path(args.out)
-    combined = []
+    site_of = {}                          # file-name form -> site
     for site_report in reports:
         safe = site_report.site.replace("/", "_").replace(" ", "_").lower()
+        if site_of.setdefault(safe, site_report.site) != site_report.site:
+            raise SchemaError(f"sites {site_of[safe]!r} and {site_report.site!r} would both "
+                              f"write site_{safe}.json")
+    out = Path(args.out)
+    combined = []
+    for safe, site_report in zip(site_of, reports):
         _write_text(out / f"site_{safe}.json",
                     _json_artifact(config, {"site_report": site_report.to_dict()}))
         if site_report.confusion is not None:

@@ -4,6 +4,13 @@
 class MultippiError(Exception):
     """Base class for all multippi errors."""
 
+    dataset: int | None = None      # set by ``at``
+
+    def at(self, dataset: int) -> "MultippiError":
+        """This error, naming the dataset of a stack that a check made before any fit failed on."""
+        self.dataset = dataset
+        return self
+
 
 class SchemaError(MultippiError):
     """A required column binding is missing from the input file."""

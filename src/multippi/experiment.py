@@ -6,6 +6,8 @@ z-standardized age; standardization constants are pooled over the full
 set of analyzed site rows so all three estimators consume bit-identical
 design matrices. The labeled subset is drawn from the held-out site
 only (recorded in every report's metadata).
+``fit_reports`` is the split -> design -> fit step that ``loso`` runs per
+site and ``infer`` once, whichever predictor made the labels.
 """
 
 from __future__ import annotations
@@ -301,10 +303,37 @@ def _site_seed(master_seed: int, site_index: int) -> int:
                .generate_state(1)[0])
 
 
+def fit_reports(usable: RecordTable, predicted: np.ndarray, inference_spec: InferenceSpec,
+                split_seed: int) -> tuple[DataSplit, Design, dict]:
+    """Split ``usable`` records (``predicted``: a cause code each), build their
+    design, and fit ground truth and, in one ``ppi.fit_estimators_many`` call,
+    classical, naive and multippi. Returns the split, the design and, per tag
+    in that order, the report or the error its fit raised.
+    """
+    data_split = split(usable, SplitSpec(strategy=inference_spec.split_strategy,
+                                         labeled_fraction=inference_spec.labeled_fraction,
+                                         seed=split_seed))
+    design, yhat = build_design(usable, inference_spec.reference_class, predicted)
+    k, alpha = design.n_classes, inference_spec.alpha
+    meta = {"class_names": tuple(c.value for c in design.classes),
+            "covariate_names": design.covariate_names,
+            "standardization": design.standardization}
+    try:
+        ground_truth = ppi.fit_classical(design.x, design.y, k, alpha,
+                                         estimator="ground-truth", **meta)
+    except MultippiError as exc:
+        ground_truth = exc
+    lab, unl = data_split.labeled, data_split.unlabeled
+    inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
+    (fitted,) = ppi.fit_estimators_many([inputs], inference_spec.lambda_mode, alpha, **meta)
+    return data_split, design, {"ground-truth": ground_truth, **fitted}
+
+
 def evaluate_site(site_records: RecordTable, predictions: PredictionSet,
                   inference_spec: InferenceSpec, split_seed: int,
                   site: str, provenance: str) -> SiteReport:
-    """Metrics and the three-estimator comparison for one site's predictions."""
+    """Metrics and the ground-truth, naive and multippi fits for one site's predictions;
+    a fit that raises is recorded under its tag in ``errors``."""
     report = SiteReport(site=site, provenance=provenance)
     report.metadata = {
         "labeled_subset_source": LABELED_SUBSET_SOURCE,
@@ -323,41 +352,18 @@ def evaluate_site(site_records: RecordTable, predictions: PredictionSet,
     report.macro_f1 = macro_f1(cm)
     report.degenerate_classes = [c.value for c in cm.degenerate_classes()]
 
-    data_split = split(usable, SplitSpec(strategy=inference_spec.split_strategy,
-                                         labeled_fraction=inference_spec.labeled_fraction,
-                                         seed=split_seed))
-    report.split = data_split
-    design, yhat = build_design(usable, inference_spec.reference_class,
-                                predictions.codes[predicted])
-    k = design.n_classes
-    meta = {
-        "class_names": tuple(c.value for c in design.classes),
-        "covariate_names": design.covariate_names,
-        "standardization": design.standardization,
-    }
-    lab, unl = data_split.labeled, data_split.unlabeled
-    labeled_classes = set(design.y[lab].tolist())
-    if len(labeled_classes) < k:
+    report.split, design, fits = fit_reports(usable, predictions.codes[predicted],
+                                             inference_spec, split_seed)
+    labeled_classes = set(design.y[report.split.labeled].tolist())
+    missing = [c.value for i, c in enumerate(design.classes) if i not in labeled_classes]
+    if missing:
         report.degeneracy_flag = True
-        missing = [design.classes[i].value for i in range(k) if i not in labeled_classes]
         report.metadata["labeled_split_missing_classes"] = missing
-
-    try:
-        report.reports["ground-truth"] = ppi.fit_classical(
-            design.x, design.y, k, inference_spec.alpha,
-            estimator="ground-truth", **meta)
-    except MultippiError as exc:
-        report.errors["ground-truth"] = f"{type(exc).__name__}: {exc}"
-    inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
-    try:
-        report.reports["naive"] = ppi.fit_naive(inputs, inference_spec.alpha, **meta)
-    except MultippiError as exc:
-        report.errors["naive"] = f"{type(exc).__name__}: {exc}"
-    try:
-        report.reports["multippi"] = ppi.fit_multippi_report(
-            inputs, inference_spec.lambda_mode, inference_spec.alpha, **meta)
-    except MultippiError as exc:
-        report.errors["multippi"] = f"{type(exc).__name__}: {exc}"
+    for tag in ("ground-truth", "naive", "multippi"):
+        if isinstance(fits[tag], MultippiError):
+            report.errors[tag] = f"{type(fits[tag]).__name__}: {fits[tag]}"
+        else:
+            report.reports[tag] = fits[tag]
     return report
 
 

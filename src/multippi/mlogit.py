@@ -588,26 +588,26 @@ def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, F
     separation). ``fit_stack`` at R = 1; ``ppi`` fits stacks itself, tests
     call this.
     """
-    theta, diagnostics = fit_stack(PatternStack.of([group_labeled(x, y, n_classes)]),
-                                   n_classes)
+    patterns = PatternStack.of([group_labeled(x, y, n_classes)])
+    require_classes(patterns, n_classes)
+    theta, diagnostics = fit_stack(patterns, n_classes)
     return theta[0], diagnostics[0]
 
 
 def require_classes(patterns: PatternStack, n_classes: int, rows: str = "data") -> None:
-    """ShapeError unless every class appears under label column 0 in every replication."""
+    """ShapeError ``at`` the first replication missing a class under label column 0."""
     present = patterns.class_counts(0, n_classes).sum(axis=1) > 0
-    for row in present:
+    for r, row in enumerate(present):
         if not row.all():
-            raise ShapeError(f"classes absent from {rows}: {np.flatnonzero(~row).tolist()}")
+            raise ShapeError(f"classes absent from {rows}: {np.flatnonzero(~row).tolist()}").at(r)
 
 
 def fit_stack(patterns: PatternStack, n_classes: int) -> tuple[np.ndarray, list[FitDiagnostics]]:
     """``fit_mle`` for every replication of a stack (label column 0), as one Newton.
 
-    Raises ShapeError when a class is absent from some replication and
-    SeparationError when some replication separates.
+    Callers check with ``require_classes`` that every class appears in every
+    replication. Raises SeparationError when some replication separates.
     """
-    require_classes(patterns, n_classes)
     theta0 = np.zeros((patterns.size, patterns.x.shape[2] * (n_classes - 1)))
     theta, diagnostics = newton_batch(_mean_nll(patterns, n_classes), theta0)
     if any(d.status == "separation" for d in diagnostics):

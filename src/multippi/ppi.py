@@ -39,10 +39,10 @@ R = 1 case: ``fit_classical``, ``fit_naive`` and ``fit_multippi_report``,
 whose report holds theta, lambda, diagnostics and covariance parts, plus
 ``rectified_loss``, ``rectified_hessian`` and ``confidence_intervals``.
 ``fit_estimators_many`` fits the classical, naive and multippi estimators
-of many input sets as one stack; each report equals the one its
-single-dataset call returns. ``multippi infer`` calls it with its one
-set. Every fit runs ``mlogit.newton_batch`` with the solver constants
-``mlogit`` fixes; no call here takes a solver setting.
+of many input sets, each estimator as one stack; a set gets each
+estimator's report or error, as its single-dataset call gives it.
+``infer`` and ``loso`` call it with one set. Every fit runs
+``mlogit.newton_batch`` with the constants ``mlogit`` fixes.
 """
 
 from __future__ import annotations
@@ -318,12 +318,12 @@ class _InputStack:
 def _rectifiable(inputs: _InputStack) -> _InputStack:
     """``inputs``, once every set holds the rows a rectified fit and its covariances need."""
     n_params = inputs.labeled.x.shape[2] * (inputs.n_classes - 1)
-    for n, big_n in zip(inputs.n_labeled, inputs.n_unlabeled):
+    for r, (n, big_n) in enumerate(zip(inputs.n_labeled, inputs.n_unlabeled)):
         if big_n < 1:
-            raise ShapeError("need at least one unlabeled row")
+            raise ShapeError("need at least one unlabeled row").at(r)
         if n < n_params + 1:
             raise ShapeError(f"need at least {n_params + 1} labeled rows to estimate "
-                             f"covariances, got {n}")
+                             f"covariances, got {n}").at(r)
     return inputs
 
 
@@ -610,6 +610,7 @@ def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, est
     Intervals use each replication's row count; ``n_labeled`` (default:
     all rows) is each report's labeled count.
     """
+    mlogit.require_classes(patterns, n_classes)
     theta, diagnostics = mlogit.fit_stack(patterns, n_classes)
     total = patterns.n_rows
     labeled = total if n_labeled is None else n_labeled
@@ -618,24 +619,12 @@ def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, est
                     labeled, total - labeled, n_classes, diagnostics, **meta)
 
 
-def _classical_patterns(x: np.ndarray, y: np.ndarray, n_classes: int,
-                        grouped: RowPatterns | None = None) -> RowPatterns:
-    """Validate and group one dataset of a classical fit (``grouped``: its
-    patterns with y in label column 0, if already grouped and checked).
-
-    Everything that can fail for this dataset alone fails here, before it
-    joins a stack.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError("design matrix must be 2-d")
-    n, d = x.shape
-    if n < d * (n_classes - 1) + 1:
-        raise ShapeError(
-            f"need at least {d * (n_classes - 1) + 1} rows for inference, got {n}")
-    patterns = mlogit.group_labeled(x, y, n_classes) if grouped is None else grouped
-    mlogit.require_classes(PatternStack.of([patterns]), n_classes)
-    return patterns
+def _check_rows(n_rows, n_features: int, n_classes: int) -> None:
+    """ShapeError ``at`` the first set with too few rows for a classical fit's covariance."""
+    need = n_features * (n_classes - 1) + 1
+    for r, n in enumerate(n_rows):
+        if n < need:
+            raise ShapeError(f"need at least {need} rows for inference, got {n}").at(r)
 
 
 def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0.05,
@@ -645,7 +634,11 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
     Tag with ``estimator="ground-truth"`` when the rows are the complete
     dataset rather than a labeled subset.
     """
-    patterns = PatternStack.of([_classical_patterns(x, y, n_classes)])
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError("design matrix must be 2-d")
+    _check_rows([x.shape[0]], x.shape[1], n_classes)
+    patterns = PatternStack.of([mlogit.group_labeled(x, y, n_classes)])
     return _classical_reports(patterns, n_classes, alpha, estimator, **meta)[0]
 
 
@@ -675,19 +668,23 @@ def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
 # Many datasets at once
 
 
-def _each_dataset(run, stack) -> list:
-    """``run(stack)`` as one batch, or each half on its own if the batch raises.
+def _each_dataset(run, stack: _InputStack) -> list:
+    """``run(stack)`` as one batch; if it raises, each set gets what its own call gives.
 
-    A failure then lands on the replication that caused it, as the error a
-    single-dataset call raises, and the others keep their results: every
-    product is made per replication, so those equal the batch's. Halving
-    refits about ``2 log2(R)`` batches per failing replication, not ``R``.
+    An error ``at`` a set (from a check on the whole stack, before any Newton
+    step) lands on that set and the others rerun without it. Any other error
+    halves the stack and each half reruns, down to single sets: about
+    ``2 log2(R)`` batches per failing set, not ``R``. The other sets keep
+    their results, since every product is made per set.
     """
     try:
         return run(stack)
     except MultippiError as exc:
         if stack.size == 1:
             return [exc]
+        if exc.dataset is not None:
+            rest = _each_dataset(run, stack.take(np.arange(stack.size) != exc.dataset))
+            return rest[:exc.dataset] + [exc] + rest[exc.dataset:]
         half = stack.size // 2
         return (_each_dataset(run, stack.take(slice(None, half)))
                 + _each_dataset(run, stack.take(slice(half, None))))
@@ -695,33 +692,27 @@ def _each_dataset(run, stack) -> list:
 
 def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
                         alpha: float = 0.05, **meta
-                        ) -> list[dict[str, InferenceReport] | MultippiError]:
-    """The classical, naive and multippi reports of each input set, fitted as one stack.
+                        ) -> list[dict[str, InferenceReport | MultippiError]]:
+    """A ``{"classical", "naive", "multippi"}`` dict per input set: each value is
+    what that estimator's single-dataset call gives on the set, its report
+    (``meta`` included) or the error it raises.
 
-    Several sets are padded to the largest row counts, so when all sets have
-    the same counts (Monte Carlo replications) a set's reports do not depend
-    on which others share the call; each equals its single-dataset call's,
-    ``meta`` included. Returns a ``{"classical", "naive", "multippi"}`` dict
-    of reports per set, or the first error its fits raise, in that order.
+    Each estimator fits all sets as one stack, padded to the largest row
+    counts, so with equal counts (Monte Carlo replications) a set's results
+    do not depend on which others share the call.
     """
-    def run(s: _InputStack) -> list[dict[str, InferenceReport]]:
-        classical = _classical_reports(s.classical, s.n_classes, alpha, "classical", **meta)
-        naive = _classical_reports(s.naive, s.n_classes, alpha, "naive",
-                                   n_labeled=s.n_labeled, **meta)
-        multippi = _multippi_reports(s, lambda_mode, alpha, **meta)
-        return [{"classical": c, "naive": n, "multippi": m}
-                for c, n, m in zip(classical, naive, multippi)]
+    stack = _InputStack.of(inputs)
+    k = stack.n_classes
 
-    results: list = [None] * len(inputs)
-    ready = []
-    for r, i in enumerate(inputs):
-        try:
-            _classical_patterns(i.x_labeled, i.y_labeled, i.n_classes, grouped=i.labeled)
-            ready.append(r)
-        except MultippiError as exc:
-            results[r] = exc
-    if ready:
-        fitted = _each_dataset(run, _InputStack.of([inputs[r] for r in ready]))
-        for r, result in zip(ready, fitted):
-            results[r] = result
-    return results
+    def classical(s: _InputStack) -> list[InferenceReport]:
+        _check_rows(s.n_labeled, s.labeled.x.shape[2], k)
+        return _classical_reports(s.classical, k, alpha, "classical", **meta)
+
+    runs = {
+        "classical": classical,
+        "naive": lambda s: _classical_reports(s.naive, k, alpha, "naive",
+                                              n_labeled=s.n_labeled, **meta),
+        "multippi": lambda s: _multippi_reports(s, lambda_mode, alpha, **meta),
+    }
+    fitted = {tag: _each_dataset(run, stack) for tag, run in runs.items()}
+    return [dict(zip(fitted, fits)) for fits in zip(*fitted.values())]

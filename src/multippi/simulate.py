@@ -6,10 +6,10 @@ experiment with master seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``
 
 Replications are drawn one by one and fitted in chunks of ``_CHUNK``: one
 ``ppi.fit_estimators_many`` call fits a chunk's three estimators, each as
-one stacked Newton. Every product is made per replication and the
-replications of a chunk are padded to the same row counts, so a
-replication's results, and the report, are identical whatever the chunk
-size.
+one stacked Newton, and gives each estimator's report or error per
+replication. Every product is made per replication and the replications
+of a chunk are padded to the same row counts, so a replication's results,
+and the report, are identical whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def fit_replications(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
     """Draw and fit replications ``reps`` together; one dict per replication.
 
     Each dict has ``rep`` and either the ``classical``, ``naive`` and
-    ``multippi`` reports or, for a replication whose fits raised, an
+    ``multippi`` reports or, for a replication with a fit that raised, an
     ``error`` line naming the first error in that order, as a separate
     fit of that replication alone would raise it.
     """
@@ -258,10 +258,9 @@ def fit_replications(spec: SyntheticSpec, noise: NoiseModel, alpha: float,
                                      lambda_mode, alpha)
     out = []
     for rep, result in zip(reps, fitted):
-        if isinstance(result, MultippiError):
-            out.append({"rep": rep, "error": f"rep {rep}: {type(result).__name__}: {result}"})
-        else:
-            out.append({"rep": rep, **result})
+        error = next((e for e in result.values() if isinstance(e, MultippiError)), None)
+        out.append({"rep": rep, **result} if error is None else
+                   {"rep": rep, "error": f"rep {rep}: {type(error).__name__}: {error}"})
     return out
 
 

@@ -61,9 +61,12 @@ def _csr_matrix(arg, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
     imports this module for every command, and only ``predict`` and
     ``loso`` with a text predictor build CSR matrices. ``infer``,
     ``ingest``, ``simulate`` and ``loso`` with external predictions then
-    never pay for importing scipy.
+    never pay for importing scipy. Without a working scipy: ParameterError.
     """
-    import scipy.sparse
+    try:
+        import scipy.sparse
+    except ImportError as exc:
+        raise ParameterError(f"the nb, knn and svm predictors need scipy: {exc}") from exc
     return scipy.sparse.csr_matrix(arg, shape=shape)
 
 

@@ -32,14 +32,14 @@ def predict_args(out):
             "--predictor", "nb", "--out", out, "--seed", 0, "--threads", 1]
 
 
-def write_synth_csv(path, n_per_site=120, seed=4):
-    """Two-site, three-cause corpus with token signals and age effects."""
+def write_synth_csv(path, n_per_site=120, seed=4, sites=("alpha", "beta")):
+    """Three-cause corpus with token signals and age effects, two sites by default."""
     rng = np.random.default_rng(seed)
     token_of = {"non-communicable": "tumor", "communicable": "fever",
                 "external": "crash"}
     lines = ["id,site,age,open_text,cause"]
     causes = []
-    for s, site in enumerate(("alpha", "beta")):
+    for site in sites:
         for i in range(n_per_site):
             age = 20 + int(rng.integers(0, 60))
             probs = [0.5, 0.25, 0.25] if age < 50 else [0.4, 0.15, 0.45]
@@ -234,7 +234,7 @@ def test_infer_reports_equal_single_dataset_fits(tmp_path, monkeypatch):
     write_synth_csv(tmp_path / "synth.csv")
     write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
     seen = {}
-    build_design, split = experiment.build_design, ingest.split
+    build_design, split = experiment.build_design, experiment.split
 
     def spy(name, fn):
         def call(*args, **kwargs):
@@ -243,7 +243,7 @@ def test_infer_reports_equal_single_dataset_fits(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(experiment, "build_design", spy("design", build_design))
-    monkeypatch.setattr(ingest, "split", spy("split", split))
+    monkeypatch.setattr(experiment, "split", spy("split", split))
     args = ["infer", "--input", "synth.csv",
             "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
             "--predictions", "preds.csv", "--labeled-fraction", 0.3, "--seed", 9,
@@ -649,3 +649,44 @@ def test_commands_without_text_models_leave_scipy_out(tmp_path):
     for label in ["import multippi.cli", *(label for label, _ in scipy_free)]:
         assert runs[label] == [0, []], label
     assert runs["loso nb"][0] == 0
+
+
+def test_loso_sites_sharing_a_file_name_fail_before_writing(tmp_path, monkeypatch, capsys):
+    # "A B" and "a_b" both map to site_a_b.json; the second must not overwrite the first
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv", n_per_site=60, sites=("A B", "a_b", "c"))
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    args = ["loso", "--input", "synth.csv",
+            "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
+            "--predictor", "external:preds.csv", "--seed", 3, "--out", "out", "--threads", 1]
+    assert run_cli(args) == cli.EXIT_DATA_ERROR
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "SchemaError",
+         "message": "sites 'A B' and 'a_b' would both write site_a_b.json"}]
+    assert not (tmp_path / "out").exists()
+
+
+def test_text_predictors_without_scipy_are_one_usage_error(tmp_path):
+    # a scipy package that fails to import, first on the path
+    stage_text_inputs(tmp_path)
+    (tmp_path / "no_scipy" / "scipy").mkdir(parents=True)
+    (tmp_path / "no_scipy" / "scipy" / "__init__.py").write_text(
+        'raise ImportError("scipy is blocked: this command must not import it")\n',
+        encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tmp_path / "no_scipy"), src, os.environ.get("PYTHONPATH", "")])}
+    inputs = ["--input", "synth.csv", "--columns", "cols.cfg", "--seed", "9", "--threads", "1",
+              "--predictor", "nb"]
+    for command in ("loso", "predict"):
+        result = subprocess.run([sys.executable, "-m", "multippi.cli", command, *inputs,
+                                 "--out", command], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == cli.EXIT_USAGE, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert json.loads(lines[0]) == {
+            "error": "ParameterError",
+            "message": "the nb, knn and svm predictors need scipy: "
+                       "scipy is blocked: this command must not import it"}

@@ -218,6 +218,26 @@ def test_evaluate_site_with_too_few_labeled_rows_keeps_its_naive_report():
         "multippi": "ShapeError: need at least 5 labeled rows to estimate covariances, got 3"}
 
 
+def test_evaluate_site_stacks_its_inputs_once(monkeypatch):
+    # naive and multippi come from one batched call on one stack of the site's inputs
+    records = toy_multisite_records(n_sites=1, per_site=60)
+    predictions = textpred.PredictionSet(codes=records.causes,
+                                         provenance="external:perfect", policy="drop")
+    stacked = []
+    stack_of = ppi._InputStack.of
+
+    def counted(inputs):
+        stacked.append(len(inputs))
+        return stack_of(inputs)
+
+    monkeypatch.setattr(ppi._InputStack, "of", counted)
+    report = experiment.evaluate_site(
+        records, predictions, InferenceSpec(labeled_fraction=0.5, seed=0),
+        split_seed=0, site="site0", provenance="external:perfect")
+    assert set(report.reports) == {"ground-truth", "naive", "multippi"}
+    assert stacked == [1]
+
+
 @pytest.mark.parametrize("options, message", [
     ({"alpha": 1.5}, "alpha must lie in (0, 1), got 1.5"),
     ({"lambda_mode": 1.5}, "lambda must lie in [0, 1], got 1.5"),

@@ -13,6 +13,7 @@ import scipy.special
 
 import oracles
 from multippi import mlogit, ppi, simulate
+from multippi.errors import ShapeError
 
 K = 3
 
@@ -287,8 +288,51 @@ def test_many_calls_pad_ragged_patterns_and_match_single_calls():
     ]
     for many, single in pairs:
         for a, b in zip(many, single, strict=True):
-            np.testing.assert_allclose(a.theta, b.theta, rtol=1e-10, atol=0)
-            np.testing.assert_allclose(a.se, b.se, rtol=1e-10, atol=0)
-            assert a.lambda_choice.raw == pytest.approx(b.lambda_choice.raw, rel=1e-10)
-            assert a.diagnostics.status == b.diagnostics.status
-            assert a.warnings == b.warnings
+            assert_same_report(a, b)
+
+
+def assert_same_report(a, b):
+    """Equal up to the last bits that padding a stack may move."""
+    np.testing.assert_allclose(a.theta, b.theta, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(a.se, b.se, rtol=1e-10, atol=0)
+    assert a.lambda_choice.raw == pytest.approx(b.lambda_choice.raw, rel=1e-10)
+    assert a.diagnostics.status == b.diagnostics.status
+    assert a.warnings == b.warnings
+
+
+def test_many_calls_give_each_estimator_its_own_outcome(monkeypatch):
+    # set 1's labeled rows miss class 2: its classical and multippi fits fail
+    # their class checks and leave the stack without halving it; its naive
+    # fit, on predicted labels, still succeeds
+    sets = [repeated_inputs(seed, n=80, big_n=240) for seed in (20, 21, 22)]
+    s = sets[1]
+    sets[1] = ppi.PpiInputs(s.x_labeled, np.where(s.y_labeled == 2, 1, s.y_labeled),
+                            s.yhat_labeled, s.x_unlabeled, s.yhat_unlabeled, K)
+    assert (sets[1].yhat_labeled == 2).any()
+    newtons = []
+    newton_batch = mlogit.newton_batch
+
+    def counted(objective, theta0):
+        newtons.append(theta0.shape[0])
+        return newton_batch(objective, theta0)
+
+    monkeypatch.setattr(mlogit, "newton_batch", counted)
+    fitted = ppi.fit_estimators_many(sets)
+    three = len(newtons)
+    newtons.clear()
+    ppi.fit_estimators_many([sets[0], sets[2]])
+    assert three == len(newtons)
+
+    classical, naive, multippi = (fitted[1][tag] for tag in ("classical", "naive", "multippi"))
+    assert isinstance(classical, ShapeError)
+    assert str(classical) == "classes absent from data: [2]"
+    assert isinstance(multippi, ShapeError)
+    assert str(multippi) == "classes absent from labeled data: [2]"
+    assert_same_report(naive, ppi.fit_naive(sets[1]))
+    for r in (0, 2):
+        i = sets[r]
+        single = {"classical": ppi.fit_classical(i.x_labeled, i.y_labeled, K),
+                  "naive": ppi.fit_naive(i), "multippi": ppi.fit_multippi_report(i)}
+        assert list(fitted[r]) == list(single)
+        for tag, report in single.items():
+            assert_same_report(fitted[r][tag], report)

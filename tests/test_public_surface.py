@@ -19,6 +19,8 @@ UNCALLED_BY_DESIGN = {
     "mlogit.nll_hess": "criteria 1-2 test the package's own kernel through it",
     "mlogit.per_row_grads": "criteria 1-2 test the package's own kernel through it",
     "mlogit.fit_mle": "criteria 1-2 reference fit of one labeled dataset",
+    "ppi.fit_naive": "README library API: the naive fit of one PpiInputs",
+    "ppi.fit_multippi_report": "README library API: the multippi fit of one PpiInputs",
     "ppi.rectified_loss": "library API in docs/math.md; the exact lambda = 0 / 1 identity tests",
     "ppi.rectified_hessian": "library API in docs/math.md; the exact lambda identity tests",
     "ppi.confidence_intervals": "library API in docs/math.md; the interval tests in test_ppi.py",
