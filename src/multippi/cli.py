@@ -60,21 +60,6 @@ def _write_csv(path: Path, config: dict, rows: list, header: list[str] | None = 
             writer.writerows(rows)
 
 
-def _resolve_columns(spec: str) -> tuple[ingest.ColumnMap, dict]:
-    """--columns accepts inline role=column pairs or a key=value file path."""
-    if "=" in spec:
-        return ingest.ColumnMap.from_string(spec), {}
-    entries = ingest.parse_config_file(spec)
-    extras = {k: v for k, v in entries.items()
-              if k not in ("id", "site", "age", "narrative", "cause")}
-    return ingest.column_map_from_config(entries), extras
-
-
-def _load(args) -> ingest.LoadResult:
-    column_map, _ = _resolve_columns(args.columns)
-    return ingest.load_records(args.input, column_map, delimiter=args.delimiter)
-
-
 _CONFIG_DEFAULTS = {
     "split": ("split", str, "full-random"),
     "labeled_fraction": ("labeled_fraction", float, 0.2),
@@ -82,6 +67,25 @@ _CONFIG_DEFAULTS = {
     "lambda": ("lam", str, "tuned"),
     "alpha": ("alpha", float, 0.05),
 }
+
+
+def _resolve_columns(spec: str) -> tuple[ingest.ColumnMap, dict]:
+    """--columns accepts inline role=column pairs or a file of role and default keys."""
+    if "=" in spec:
+        return ingest.ColumnMap.from_string(spec), {}
+    entries = ingest.parse_config_file(spec)
+    extras = {k: v for k, v in entries.items()
+              if k not in ("id", "site", "age", "narrative", "cause")}
+    unknown = sorted(set(extras) - set(_CONFIG_DEFAULTS))
+    if unknown:
+        raise SchemaError(f"{spec}: unknown key(s) {unknown}; keys are the roles id, site, "
+                          f"age, narrative, cause and the defaults {list(_CONFIG_DEFAULTS)}")
+    return ingest.column_map_from_config(entries), extras
+
+
+def _load(args) -> ingest.LoadResult:
+    column_map, _ = _resolve_columns(args.columns)
+    return ingest.load_records(args.input, column_map, delimiter=args.delimiter)
 
 
 def _apply_config_defaults(args) -> None:
@@ -243,15 +247,16 @@ def cmd_loso(args) -> int:
     spec = _predictor_spec(args)          # bad settings fail before any loading
     inference = _inference_spec(args)
     result = _load(args)
-    sites = args.sites.split(",") if args.sites else None
+    # the sites and their file names are checked before any site trains
+    sites = experiment.loso_sites(result.records, args.sites.split(",") if args.sites else None)
+    site_of = {}                          # file-name form -> site
+    for site in sites:
+        safe = site.replace("/", "_").replace(" ", "_").lower()
+        if site_of.setdefault(safe, site) != site:
+            raise SchemaError(f"sites {site_of[safe]!r} and {site!r} would both "
+                              f"write site_{safe}.json")
     reports = experiment.run_loso(result.records, spec, inference,
                                   sites=sites, threads=args.threads)
-    site_of = {}                          # file-name form -> site
-    for site_report in reports:
-        safe = site_report.site.replace("/", "_").replace(" ", "_").lower()
-        if site_of.setdefault(safe, site_report.site) != site_report.site:
-            raise SchemaError(f"sites {site_of[safe]!r} and {site_report.site!r} would both "
-                              f"write site_{safe}.json")
     out = Path(args.out)
     combined = []
     for safe, site_report in zip(site_of, reports):

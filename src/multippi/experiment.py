@@ -13,7 +13,7 @@ site and ``infer`` once, whichever predictor made the labels.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -308,33 +308,34 @@ def fit_reports(usable: RecordTable, predicted: np.ndarray, inference_spec: Infe
     """Split ``usable`` records (``predicted``: a cause code each), build their
     design, and fit ground truth and, in one ``ppi.fit_estimators_many`` call,
     classical, naive and multippi. Returns the split, the design and, per tag
-    in that order, the report or the error its fit raised.
+    in that order, the report, labeled with the design's class and covariate
+    names, or the error its fit raised.
     """
     data_split = split(usable, SplitSpec(strategy=inference_spec.split_strategy,
                                          labeled_fraction=inference_spec.labeled_fraction,
                                          seed=split_seed))
     design, yhat = build_design(usable, inference_spec.reference_class, predicted)
     k, alpha = design.n_classes, inference_spec.alpha
-    meta = {"class_names": tuple(c.value for c in design.classes),
-            "covariate_names": design.covariate_names,
-            "standardization": design.standardization}
     try:
-        ground_truth = ppi.fit_classical(design.x, design.y, k, alpha,
-                                         estimator="ground-truth", **meta)
+        ground_truth = ppi.fit_classical(design.x, design.y, k, alpha, estimator="ground-truth")
     except MultippiError as exc:
         ground_truth = exc
     lab, unl = data_split.labeled, data_split.unlabeled
     inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
-    (fitted,) = ppi.fit_estimators_many([inputs], inference_spec.lambda_mode, alpha, **meta)
-    return data_split, design, {"ground-truth": ground_truth, **fitted}
+    (fitted,) = ppi.fit_estimators_many([inputs], inference_spec.lambda_mode, alpha)
+    labels = {"class_names": tuple(c.value for c in design.classes),
+              "covariate_names": design.covariate_names,
+              "standardization": design.standardization}
+    return data_split, design, {
+        tag: fit if isinstance(fit, MultippiError) else replace(fit, **labels)
+        for tag, fit in {"ground-truth": ground_truth, **fitted}.items()}
 
 
 def evaluate_site(site_records: RecordTable, predictions: PredictionSet,
-                  inference_spec: InferenceSpec, split_seed: int,
-                  site: str, provenance: str) -> SiteReport:
+                  inference_spec: InferenceSpec, split_seed: int, site: str) -> SiteReport:
     """Metrics and the ground-truth, naive and multippi fits for one site's predictions;
     a fit that raises is recorded under its tag in ``errors``."""
-    report = SiteReport(site=site, provenance=provenance)
+    report = SiteReport(site=site, provenance=predictions.provenance)
     report.metadata = {
         "labeled_subset_source": LABELED_SUBSET_SOURCE,
         "inference": inference_spec.to_dict(),
@@ -367,6 +368,19 @@ def evaluate_site(site_records: RecordTable, predictions: PredictionSet,
     return report
 
 
+def loso_sites(records: RecordTable, sites: list[str] | None = None) -> list[str]:
+    """The sites ``run_loso`` holds out, sorted: ``sites`` (default: all), each one known."""
+    all_sites = sorted(set(records.sites.tolist()))
+    if len(all_sites) < 2:
+        raise ShapeError(f"need at least 2 sites, got {all_sites}")
+    if sites is None:
+        return all_sites
+    unknown = sorted(set(sites) - set(all_sites))
+    if unknown:
+        raise ParameterError(f"unknown site(s) {unknown}; the records hold {all_sites}")
+    return [s for s in all_sites if s in set(sites)]
+
+
 def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
              inference_spec: InferenceSpec, sites: list[str] | None = None,
              threads: int = 1) -> list[SiteReport]:
@@ -380,12 +394,8 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
     """
     if (records.causes == NO_CAUSE).any():
         raise ShapeError("run_loso needs true causes on every record")
-    all_sites = sorted(set(records.sites.tolist()))
-    if len(all_sites) < 2:
-        raise ShapeError(f"need at least 2 sites, got {all_sites}")
-    chosen = all_sites if sites is None else [s for s in all_sites if s in set(sites)]
-    if sites is not None and not chosen:
-        raise ParameterError(f"no requested site among {all_sites}")
+    all_sites = loso_sites(records)
+    chosen = loso_sites(records, sites)
 
     external_set = None
     if predictor_spec.kind == "external":
@@ -412,8 +422,7 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
                 report.errors["training"] = f"{type(exc).__name__}: {exc}"
                 return report
             predictions = textpred.predict_all(model, site_records, corpus, site_rows)
-        return evaluate_site(site_records, predictions, inference_spec,
-                             split_seed, site, predictions.provenance)
+        return evaluate_site(site_records, predictions, inference_spec, split_seed, site)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -18,9 +18,10 @@ Grouped evaluation
 Every objective is a weighted sum of ``psi`` over rows minus a linear term
 that is constant in theta, so it depends on the rows only through the
 counts of their distinct patterns. ``group_rows`` collapses each dataset
-once (regrouped patterns give the same table) and ``weighted_objective``
-evaluates value, gradient and Hessian from one pass of class probabilities
-per block of distinct design rows (see ``docs/math.md``, "Grouped form").
+once, into a one-replication ``PatternStack`` (regrouped patterns give the
+same table), and ``weighted_objective`` evaluates value, gradient and
+Hessian from one pass of class probabilities per block of distinct design
+rows (see ``docs/math.md``, "Grouped form").
 The public ``nll``, ``nll_grad``, ``nll_hess`` and ``per_row_grads`` run
 the same kernel; only tests call them, as the reference for the fits. Sums
 run in pattern order rather than row order, so results agree with a
@@ -28,7 +29,7 @@ row-by-row evaluation to about 1e-12 relative; their last bits may differ.
 
 Replication axis
 ----------------
-The kernel works on R datasets at once: ``PatternStack`` stacks their
+The kernel works on R datasets at once: ``PatternStack`` holds their
 patterns on a leading axis, and the objective and ``newton_batch`` take
 theta of shape (R, p). Every product is made per replication (one BLAS
 call per slice), and the Newton solves substitute elementwise over the
@@ -67,9 +68,12 @@ _RIDGE = 1e-10                      # added to a Hessian when its solve fails
 class FitDiagnostics:
     iterations: int
     gradient_norm: float
-    converged: bool
     condition_warning: bool = False
     status: str = "converged"       # converged | max_iterations | stalled | separation
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 FIT_STATUSES = ("converged", "max_iterations", "stalled", "separation")
@@ -157,28 +161,8 @@ def _check_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.nda
     return x, y
 
 
-@dataclass(frozen=True)
-class RowPatterns:
-    """Rows collapsed to their distinct (x, labels) patterns, with integer counts.
-
-    ``x`` holds the distinct design rows in lexicographic order and
-    ``x_counts`` how many rows share each. Pattern ``t`` is design row
-    ``x_index[t]`` with label tuple ``labels[t]``, seen ``counts[t]`` times.
-    """
-
-    x: np.ndarray
-    x_counts: np.ndarray
-    x_index: np.ndarray
-    labels: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.counts.sum())
-
-
-def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
-    """Collapse rows to their distinct (x, labels...) patterns.
+def group_rows(x: np.ndarray, *labels: np.ndarray) -> "PatternStack":
+    """Collapse rows to their distinct (x, labels...) patterns, as a one-replication stack.
 
     The one grouping every fit uses. Patterns come out sorted, so they do
     not depend on row order; a continuous design collapses nothing and
@@ -189,7 +173,7 @@ def group_rows(x: np.ndarray, *labels: np.ndarray) -> RowPatterns:
     return _group(x, lab, np.ones(len(x), dtype=np.intp))
 
 
-def _group(x: np.ndarray, lab: np.ndarray, weights: np.ndarray) -> RowPatterns:
+def _group(x: np.ndarray, lab: np.ndarray, weights: np.ndarray) -> "PatternStack":
     """``group_rows`` of rows ``x`` with label columns ``lab``, row i counted weights[i] times."""
     n = x.shape[0]
     order = np.lexsort([*lab.T[::-1], *x.T[::-1]])
@@ -202,25 +186,28 @@ def _group(x: np.ndarray, lab: np.ndarray, weights: np.ndarray) -> RowPatterns:
     counts = np.add.reduceat(weights[order], starts)
     x_index = (np.cumsum(new_x) - 1)[starts]
     x_unique = xs[new_x]
-    return RowPatterns(x=x_unique,
-                       x_counts=np.bincount(x_index, weights=counts, minlength=len(x_unique)),
-                       x_index=x_index, labels=ls[starts], counts=counts)
+    x_counts = np.bincount(x_index, weights=counts, minlength=len(x_unique))
+    return PatternStack(x_unique[None], x_counts[None], x_index[None], ls[starts][None],
+                        counts[None])
 
 
-def group_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> RowPatterns:
+def group_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> "PatternStack":
     """Validate labeled rows and collapse them to (x, y) patterns."""
     return group_rows(*_check_labeled(x, y, n_classes))
 
 
 @dataclass(frozen=True)
 class PatternStack:
-    """The ``RowPatterns`` of R datasets on a leading replication axis.
+    """Rows of R datasets collapsed to distinct (x, labels) patterns with integer
+    counts, on a leading replication axis.
 
-    Shapes: ``x`` (R, P, d), ``x_counts`` (R, P), ``x_index`` (R, T),
-    ``labels`` (R, T, L), ``counts`` (R, T), ``n_rows`` (R,). A dataset
-    with fewer patterns is padded at the end: padded design rows are zero
-    with count 0, padded patterns point at design row 0 with label 0 and
-    count 0, so every padded entry adds an exact zero.
+    ``x`` (R, P, d) holds each dataset's distinct design rows in
+    lexicographic order and ``x_counts`` (R, P) how many rows share each.
+    Pattern ``t`` of replication ``r`` is design row ``x_index[r, t]`` with
+    label tuple ``labels[r, t]`` (R, T, L), seen ``counts[r, t]`` times. A
+    dataset with fewer patterns is padded at the end: padded design rows are
+    zero with count 0, padded patterns point at design row 0 with label 0
+    and count 0, so every padded entry adds an exact zero.
     """
 
     x: np.ndarray
@@ -228,26 +215,31 @@ class PatternStack:
     x_index: np.ndarray
     labels: np.ndarray
     counts: np.ndarray
-    n_rows: np.ndarray
 
     @classmethod
-    def of(cls, patterns: list[RowPatterns], size: int | None = None) -> "PatternStack":
-        """Stack ``patterns``, padded to ``size`` entries (default: the longest)."""
-        n_x = size or max(p.x.shape[0] for p in patterns)
-        n_t = size or max(p.counts.shape[0] for p in patterns)
-        first = patterns[0]
-        r = len(patterns)
-        x = np.zeros((r, n_x, first.x.shape[1]))
+    def of(cls, stacks: list["PatternStack"], size: int | None = None) -> "PatternStack":
+        """Stack one-replication ``stacks``, padded to ``size`` entries (default:
+        the longest). A single stack with no ``size`` is returned as it is."""
+        if len(stacks) == 1 and size is None:
+            return stacks[0]
+        n_x = size or max(p.x.shape[1] for p in stacks)
+        n_t = size or max(p.counts.shape[1] for p in stacks)
+        first = stacks[0]
+        r = len(stacks)
+        x = np.zeros((r, n_x, first.x.shape[2]))
         x_counts = np.zeros((r, n_x))
         x_index = np.zeros((r, n_t), dtype=first.x_index.dtype)
-        labels = np.zeros((r, n_t, first.labels.shape[1]), dtype=first.labels.dtype)
+        labels = np.zeros((r, n_t, first.labels.shape[2]), dtype=first.labels.dtype)
         counts = np.zeros((r, n_t), dtype=first.counts.dtype)
-        for i, p in enumerate(patterns):
-            m, t = p.x.shape[0], p.counts.shape[0]
-            x[i, :m], x_counts[i, :m] = p.x, p.x_counts
-            x_index[i, :t], labels[i, :t], counts[i, :t] = p.x_index, p.labels, p.counts
-        return cls(x, x_counts, x_index, labels, counts,
-                   np.array([p.n_rows for p in patterns]))
+        for i, p in enumerate(stacks):
+            m, t = p.x.shape[1], p.counts.shape[1]
+            x[i, :m], x_counts[i, :m] = p.x[0], p.x_counts[0]
+            x_index[i, :t], labels[i, :t], counts[i, :t] = p.x_index[0], p.labels[0], p.counts[0]
+        return cls(x, x_counts, x_index, labels, counts)
+
+    @property
+    def n_rows(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
 
     @property
     def size(self) -> int:
@@ -256,7 +248,7 @@ class PatternStack:
     def take(self, index) -> "PatternStack":
         """The replications at positions ``index``."""
         return PatternStack(self.x[index], self.x_counts[index], self.x_index[index],
-                            self.labels[index], self.counts[index], self.n_rows[index])
+                            self.labels[index], self.counts[index])
 
     def class_counts(self, column: int, n_classes: int) -> np.ndarray:
         """(R, P, K) count of rows per distinct design row and class of label ``column``."""
@@ -412,31 +404,25 @@ def _mean_nll(patterns: PatternStack, n_classes: int, column: int | None = 0) ->
     return weighted_objective([(patterns, column, 1.0 / patterns.n_rows)], n_classes)
 
 
-def _single(x: np.ndarray, *labels: np.ndarray) -> PatternStack:
-    return PatternStack.of([group_rows(x, *labels)])
-
-
 def nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> float:
     """Mean negative log likelihood over labeled rows."""
-    stack = _single(*_check_labeled(x, y, n_classes))
     theta = np.asarray(theta, dtype=float)[None]
-    return float(_mean_nll(stack, n_classes).value_and_grad(theta)[0][0])
+    return float(_mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[0][0])
 
 
 def per_row_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Per-row gradients (probs - onehot(y)) (x) x, shape (n, d*(K-1)): one pattern per row."""
     x, y = _check_labeled(x, y, n_classes)
-    ones = np.ones(len(y), dtype=np.intp)
-    stack = PatternStack.of([RowPatterns(x, ones, np.arange(len(y)), y[:, None], ones)])
+    ones = np.ones((1, len(y)), dtype=np.intp)
+    stack = PatternStack(x[None], ones, np.arange(len(y))[None], y[None, :, None], ones)
     probs = class_probs(np.asarray(theta, dtype=float)[None], stack.x, n_classes)
     return stack.gradients(probs, 0, n_classes)[0]
 
 
 def nll_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Gradient of nll, block layout matching theta."""
-    stack = _single(*_check_labeled(x, y, n_classes))
     theta = np.asarray(theta, dtype=float)[None]
-    return _mean_nll(stack, n_classes).value_and_grad(theta)[1][0]
+    return _mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[1][0]
 
 
 def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
@@ -446,7 +432,7 @@ def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
     Hessian is the mean of its Kronecker product with x x^T.
     """
     theta = np.asarray(theta, dtype=float)[None]
-    return _mean_nll(_single(x), n_classes, column=None).hess(theta)[0]
+    return _mean_nll(group_rows(x), n_classes, column=None).hess(theta)[0]
 
 
 def _cholesky_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -574,7 +560,6 @@ def newton_batch(objective, theta0: np.ndarray) -> tuple[np.ndarray, list[FitDia
     status[gnorm <= _GRAD_TOL] = "converged"
     return theta, [
         FitDiagnostics(iterations=int(iterations[r]), gradient_norm=float(gnorm[r]),
-                       converged=status[r] == "converged",
                        condition_warning=bool(condition_warning[r]), status=status[r])
         for r in range(n_rep)]
 
@@ -588,7 +573,7 @@ def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, F
     separation). ``fit_stack`` at R = 1; ``ppi`` fits stacks itself, tests
     call this.
     """
-    patterns = PatternStack.of([group_labeled(x, y, n_classes)])
+    patterns = group_labeled(x, y, n_classes)
     require_classes(patterns, n_classes)
     theta, diagnostics = fit_stack(patterns, n_classes)
     return theta[0], diagnostics[0]

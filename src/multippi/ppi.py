@@ -34,39 +34,41 @@ regroup them); covariances weight each pattern by its count and keep the
 1e-12 relative; last bits may differ.
 
 Fits, tuning and covariances work on R datasets stacked on a leading
-axis (``mlogit.PatternStack``). The public single-dataset calls are the
-R = 1 case: ``fit_classical``, ``fit_naive`` and ``fit_multippi_report``,
-whose report holds theta, lambda, diagnostics and covariance parts, plus
+axis (``mlogit.PatternStack``; one set's patterns are its R = 1 stack,
+used as they are). The public single-dataset calls are the R = 1 case:
+``fit_classical``, ``fit_naive`` and ``fit_multippi_report``, whose report
+holds theta, lambda, diagnostics and covariance parts, plus
 ``rectified_loss``, ``rectified_hessian`` and ``confidence_intervals``.
 ``fit_estimators_many`` fits the classical, naive and multippi estimators
 of many input sets, each estimator as one stack; a set gets each
 estimator's report or error, as its single-dataset call gives it.
-``infer`` and ``loso`` call it with one set. Every fit runs
-``mlogit.newton_batch`` with the constants ``mlogit`` fixes.
+``infer`` and ``loso`` call it with one set. Reports carry no class or
+covariate names; a caller adds them with ``dataclasses.replace``. Every
+fit runs ``mlogit.newton_batch`` with the constants ``mlogit`` fixes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import mlogit
 from .errors import MultippiError, ParameterError, ShapeError
-from .mlogit import FitDiagnostics, PatternStack, RowPatterns
+from .mlogit import FitDiagnostics, PatternStack
 
 
 @dataclass(frozen=True)
 class PpiInputs:
     """Aligned labeled and unlabeled design rows with predictions on every row.
 
-    Construction collapses the rows once: ``labeled`` into (x, y, yhat)
-    patterns (label columns 0 and 1), ``unlabeled`` into (x, yhat)
-    patterns (label column 0). Every fit runs on them; ``naive`` and
-    ``classical`` regroup them. A subset may be empty (the fits check row
-    counts).
+    Construction collapses the rows once, each subset into a one-replication
+    ``PatternStack``: ``labeled`` into (x, y, yhat) patterns (label columns
+    0 and 1), ``unlabeled`` into (x, yhat) patterns (label column 0). Every
+    fit runs on them; ``naive`` and ``classical`` regroup them on each
+    access. A subset may be empty (the fits check row counts).
     """
 
     x_labeled: np.ndarray
@@ -75,8 +77,8 @@ class PpiInputs:
     x_unlabeled: np.ndarray
     yhat_unlabeled: np.ndarray
     n_classes: int
-    labeled: RowPatterns = field(init=False, repr=False, compare=False)
-    unlabeled: RowPatterns = field(init=False, repr=False, compare=False)
+    labeled: PatternStack = field(init=False, repr=False, compare=False)
+    unlabeled: PatternStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x_labeled", np.asarray(self.x_labeled, dtype=float))
@@ -104,18 +106,18 @@ class PpiInputs:
             self.x_unlabeled, self.yhat_unlabeled))
 
     @property
-    def naive(self) -> RowPatterns:
+    def naive(self) -> PatternStack:
         """(x, yhat) patterns of all rows, regrouped: ``group_rows`` of the stacked rows."""
         lab, unl = self.labeled, self.unlabeled
-        return mlogit._group(np.concatenate([lab.x[lab.x_index], unl.x[unl.x_index]]),
-                             np.concatenate([lab.labels[:, 1:], unl.labels]),
-                             np.concatenate([lab.counts, unl.counts]))
+        return mlogit._group(np.concatenate([lab.x[0, lab.x_index[0]], unl.x[0, unl.x_index[0]]]),
+                             np.concatenate([lab.labels[0, :, 1:], unl.labels[0]]),
+                             np.concatenate([lab.counts[0], unl.counts[0]]))
 
     @property
-    def classical(self) -> RowPatterns:
+    def classical(self) -> PatternStack:
         """(x, y) patterns of the labeled rows, regrouped: ``group_rows(x_labeled, y_labeled)``."""
         lab = self.labeled
-        return mlogit._group(lab.x[lab.x_index], lab.labels[:, :1], lab.counts)
+        return mlogit._group(lab.x[0, lab.x_index[0]], lab.labels[0, :, :1], lab.counts[0])
 
     @property
     def n_labeled(self) -> int:
@@ -136,18 +138,16 @@ class PpiInputs:
 
 @dataclass(frozen=True)
 class LambdaChoice:
-    """Raw and clipped weight on predicted labels, plus how it was chosen."""
+    """Raw weight on predicted labels, clipped to [0, 1] for use, plus how it was chosen."""
 
     raw: float
-    clipped: float
     mode: str                      # "fixed" | "tuned"
     warning: str | None = None
     pilot_fallback: bool = False   # tuned at the labeled-only MLE: the lambda=1 pilot failed
 
-    @classmethod
-    def from_raw(cls, raw: float, mode: str, warning: str | None = None) -> "LambdaChoice":
-        return cls(raw=float(raw), clipped=float(min(1.0, max(0.0, raw))),
-                   mode=mode, warning=warning)
+    @property
+    def clipped(self) -> float:
+        return float(min(1.0, max(0.0, self.raw)))
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,8 @@ class _InputStack:
     def of(cls, inputs: list[PpiInputs]) -> "_InputStack":
         """Stack ``inputs``; several sets are padded to their largest row counts.
 
-        A single set keeps its pattern counts: padding it to its row counts
-        would only add zero entries.
+        A single set's stacks are used as they are, not copied: padding them
+        to its row counts would only add zero entries.
         """
         if len({(i.n_classes, i.n_features) for i in inputs}) != 1:
             raise ShapeError("stacked inputs must share class and feature counts")
@@ -430,11 +430,11 @@ def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaCho
     choices = []
     for num, den, regularized in zip(numerator, denominator, warned):
         if den <= 0.0:
-            choices.append(LambdaChoice.from_raw(
+            choices.append(LambdaChoice(
                 0.0, "tuned", warning="zero variance denominator; lambda set to 0"))
         else:
-            choices.append(LambdaChoice.from_raw(
-                num / den, "tuned",
+            choices.append(LambdaChoice(
+                float(num / den), "tuned",
                 warning="pooled Hessian regularized for lambda tuning" if regularized else None))
     return choices
 
@@ -446,7 +446,7 @@ def _fit_multippi(inputs: _InputStack, lambda_mode: float | str
     mlogit.require_classes(inputs.labeled, inputs.n_classes, "labeled data")
     if lam is not None:
         theta, diagnostics = _fit_rectified(inputs, np.full(size, lam), None)
-        return theta, [LambdaChoice(raw=lam, clipped=lam, mode="fixed")] * size, diagnostics
+        return theta, [LambdaChoice(raw=lam, mode="fixed")] * size, diagnostics
     theta_pilot, pilot = _fit_rectified(inputs, np.ones(size), None)
     fallback = np.array([not d.converged for d in pilot])
     if fallback.any():
@@ -456,9 +456,8 @@ def _fit_multippi(inputs: _InputStack, lambda_mode: float | str
     for r in np.flatnonzero(fallback):
         note = f"pilot fit at lambda=1 {pilot[r].status}; tuned at labeled-only MLE"
         c = choices[r]
-        choices[r] = LambdaChoice(c.raw, c.clipped, c.mode,
-                                  warning=note if c.warning is None else f"{c.warning}; {note}",
-                                  pilot_fallback=True)
+        choices[r] = replace(c, warning=note if c.warning is None else f"{c.warning}; {note}",
+                             pilot_fallback=True)
     lam = np.array([c.clipped for c in choices])
     theta, diagnostics = _fit_rectified(inputs, lam, theta_pilot)
     return theta, choices, diagnostics
@@ -586,7 +585,7 @@ def _intervals(theta: np.ndarray, sigma: np.ndarray, n: np.ndarray, alpha: float
 def _reports(estimator: str, theta: np.ndarray, covariances: list[CovarianceEstimate],
              n_denominator: np.ndarray, alpha: float, choices: list[LambdaChoice],
              n_labeled: np.ndarray, n_unlabeled: np.ndarray, n_classes: int,
-             diagnostics: list[FitDiagnostics], **meta) -> list[InferenceReport]:
+             diagnostics: list[FitDiagnostics]) -> list[InferenceReport]:
     """One report per replication, with the intervals of all of them computed together."""
     se, lower, upper, warnings = _intervals(
         theta, np.stack([c.sigma for c in covariances]), n_denominator, alpha)
@@ -599,12 +598,12 @@ def _reports(estimator: str, theta: np.ndarray, covariances: list[CovarianceEsti
             ci_upper=upper[r], alpha=alpha, lambda_choice=choices[r],
             n_labeled=int(n_labeled[r]), n_unlabeled=int(n_unlabeled[r]),
             n_classes=n_classes, diagnostics=diag, covariance=covariances[r],
-            warnings=tuple(warnings[r]), **meta))
+            warnings=tuple(warnings[r])))
     return reports
 
 
 def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, estimator: str,
-                       n_labeled: np.ndarray | None = None, **meta) -> list[InferenceReport]:
+                       n_labeled: np.ndarray | None = None) -> list[InferenceReport]:
     """Labeled-only MLE and classical sandwich for every replication of a stack.
 
     Intervals use each replication's row count; ``n_labeled`` (default:
@@ -615,8 +614,8 @@ def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, est
     total = patterns.n_rows
     labeled = total if n_labeled is None else n_labeled
     return _reports(estimator, theta, _classical_covariance(theta, patterns, n_classes),
-                    total, alpha, [LambdaChoice(0.0, 0.0, "fixed")] * patterns.size,
-                    labeled, total - labeled, n_classes, diagnostics, **meta)
+                    total, alpha, [LambdaChoice(0.0, "fixed")] * patterns.size,
+                    labeled, total - labeled, n_classes, diagnostics)
 
 
 def _check_rows(n_rows, n_features: int, n_classes: int) -> None:
@@ -628,7 +627,7 @@ def _check_rows(n_rows, n_features: int, n_classes: int) -> None:
 
 
 def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0.05,
-                  estimator: str = "classical", **meta) -> InferenceReport:
+                  estimator: str = "classical") -> InferenceReport:
     """Labeled-rows-only MLE with the classical sandwich.
 
     Tag with ``estimator="ground-truth"`` when the rows are the complete
@@ -638,30 +637,29 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
     if x.ndim != 2:
         raise ShapeError("design matrix must be 2-d")
     _check_rows([x.shape[0]], x.shape[1], n_classes)
-    patterns = PatternStack.of([mlogit.group_labeled(x, y, n_classes)])
-    return _classical_reports(patterns, n_classes, alpha, estimator, **meta)[0]
+    patterns = mlogit.group_labeled(x, y, n_classes)
+    return _classical_reports(patterns, n_classes, alpha, estimator)[0]
 
 
-def fit_naive(inputs: PpiInputs, alpha: float = 0.05, **meta) -> InferenceReport:
+def fit_naive(inputs: PpiInputs, alpha: float = 0.05) -> InferenceReport:
     """Classical fit treating predicted labels as truth on all n + N rows."""
     stack = _InputStack.of([inputs])
     return _classical_reports(stack.naive, stack.n_classes, alpha, "naive",
-                              n_labeled=stack.n_labeled, **meta)[0]
+                              n_labeled=stack.n_labeled)[0]
 
 
-def _multippi_reports(inputs: _InputStack, lambda_mode: float | str, alpha: float,
-                      **meta) -> list[InferenceReport]:
+def _multippi_reports(inputs: _InputStack, lambda_mode: float | str,
+                      alpha: float) -> list[InferenceReport]:
     theta, choices, diagnostics = _fit_multippi(_rectifiable(inputs), lambda_mode)
     covariances = _sandwich(theta, inputs, np.array([c.clipped for c in choices]))
     return _reports("multippi", theta, covariances, inputs.n_labeled, alpha, choices,
-                    inputs.n_labeled, inputs.n_unlabeled, inputs.n_classes, diagnostics,
-                    **meta)
+                    inputs.n_labeled, inputs.n_unlabeled, inputs.n_classes, diagnostics)
 
 
 def fit_multippi_report(inputs: PpiInputs, lambda_mode: float | str = "tuned",
-                        alpha: float = 0.05, **meta) -> InferenceReport:
+                        alpha: float = 0.05) -> InferenceReport:
     """Full rectified inference: point estimate, sandwich SEs, intervals."""
-    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha, **meta)[0]
+    return _multippi_reports(_InputStack.of([inputs]), lambda_mode, alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +689,10 @@ def _each_dataset(run, stack: _InputStack) -> list:
 
 
 def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tuned",
-                        alpha: float = 0.05, **meta
-                        ) -> list[dict[str, InferenceReport | MultippiError]]:
+                        alpha: float = 0.05) -> list[dict[str, InferenceReport | MultippiError]]:
     """A ``{"classical", "naive", "multippi"}`` dict per input set: each value is
-    what that estimator's single-dataset call gives on the set, its report
-    (``meta`` included) or the error it raises.
+    what that estimator's single-dataset call gives on the set, its report or
+    the error it raises.
 
     Each estimator fits all sets as one stack, padded to the largest row
     counts, so with equal counts (Monte Carlo replications) a set's results
@@ -706,13 +703,12 @@ def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tun
 
     def classical(s: _InputStack) -> list[InferenceReport]:
         _check_rows(s.n_labeled, s.labeled.x.shape[2], k)
-        return _classical_reports(s.classical, k, alpha, "classical", **meta)
+        return _classical_reports(s.classical, k, alpha, "classical")
 
     runs = {
         "classical": classical,
-        "naive": lambda s: _classical_reports(s.naive, k, alpha, "naive",
-                                              n_labeled=s.n_labeled, **meta),
-        "multippi": lambda s: _multippi_reports(s, lambda_mode, alpha, **meta),
+        "naive": lambda s: _classical_reports(s.naive, k, alpha, "naive", n_labeled=s.n_labeled),
+        "multippi": lambda s: _multippi_reports(s, lambda_mode, alpha),
     }
     fitted = {tag: _each_dataset(run, stack) for tag, run in runs.items()}
     return [dict(zip(fitted, fits)) for fits in zip(*fitted.values())]

@@ -509,7 +509,6 @@ class PredictionSet:
 
     codes: np.ndarray
     provenance: str
-    policy: str
     dropped: tuple[str, ...] = ()
     imputed: tuple[str, ...] = ()
     order: np.ndarray | None = None
@@ -530,7 +529,7 @@ class PredictionSet:
         dropped = tuple(rid for rid in self.dropped if rid in keep)
         imputed = tuple(rid for rid in self.imputed if rid in keep)
         return PredictionSet(codes=self.codes[rows], provenance=self.provenance,
-                             policy=self.policy, dropped=dropped, imputed=imputed)
+                             dropped=dropped, imputed=imputed)
 
     @property
     def unclassified_count(self) -> int:
@@ -620,7 +619,7 @@ def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
     if len(row_of) < len(table):        # rows sharing an id share its prediction
         aligned = aligned[np.fromiter(map(row_of.__getitem__, table.ids.tolist()),
                                       dtype=np.intp, count=len(table))]
-    return PredictionSet(codes=aligned, provenance="external:external", policy=policy,
+    return PredictionSet(codes=aligned, provenance="external:external",
                          dropped=dropped, imputed=imputed, order=rows)
 
 
@@ -635,7 +634,7 @@ def predict_all(model, records: RecordTable, corpus: Corpus | None = None,
         corpus = tokenize_corpus(records.narratives.tolist())
     predicted = model.predict_many(
         vectorize_corpus(corpus, model.vocabulary, model.weighting, rows))
-    return PredictionSet(codes=_class_ids(predicted), provenance=model.kind, policy="drop")
+    return PredictionSet(codes=_class_ids(predicted), provenance=model.kind)
 
 
 # ---------------------------------------------------------------------------

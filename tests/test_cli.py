@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -252,18 +253,18 @@ def test_infer_reports_equal_single_dataset_fits(tmp_path, monkeypatch):
     (design, yhat), lab, unl = seen["design"], seen["split"].labeled, seen["split"].unlabeled
     assert len(np.unique(design.x, axis=0)) < len(design.x) / 4     # tied ages
     k = design.n_classes
-    meta = {"class_names": tuple(c.value for c in design.classes),
-            "covariate_names": design.covariate_names,
-            "standardization": design.standardization}
+    labels = {"class_names": tuple(c.value for c in design.classes),
+              "covariate_names": design.covariate_names,
+              "standardization": design.standardization}
     inputs = ppi.PpiInputs(design.x[lab], design.y[lab], yhat[lab], design.x[unl], yhat[unl], k)
     expected = {
-        "ground-truth": ppi.fit_classical(design.x, design.y, k, estimator="ground-truth",
-                                          **meta),
-        "classical": ppi.fit_classical(design.x[lab], design.y[lab], k, **meta),
-        "naive": ppi.fit_naive(inputs, **meta),
-        "multippi": ppi.fit_multippi_report(inputs, "tuned", **meta),
+        "ground-truth": ppi.fit_classical(design.x, design.y, k, estimator="ground-truth"),
+        "classical": ppi.fit_classical(design.x[lab], design.y[lab], k),
+        "naive": ppi.fit_naive(inputs),
+        "multippi": ppi.fit_multippi_report(inputs, "tuned"),
     }
     for tag, report in expected.items():
+        report = dataclasses.replace(report, **labels)
         written = json.loads((tmp_path / "inferred" / f"report_{tag}.json").read_text())
         assert json.dumps(written["report"], sort_keys=True) \
             == json.dumps(report.to_dict(), sort_keys=True), tag
@@ -478,6 +479,35 @@ def test_config_file_supplies_split_parameters(tmp_path, monkeypatch):
     assert doc2["split"]["labeled_fraction"] == 0.2
 
 
+@pytest.mark.parametrize("command", ["ingest", "infer"])
+def test_config_file_key_typo_is_one_json_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    stage_text_inputs(tmp_path)
+    (tmp_path / "cols.cfg").write_text(SYNTH_COLUMNS + "labelled_fraction = 0.4\n",
+                                       encoding="utf-8")
+    args = {"ingest": INGEST_ARGS, "infer": DECODED_FILES["predictions"][1]}[command]
+    assert run_cli(args) == cli.EXIT_DATA_ERROR
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "SchemaError",
+         "message": "cols.cfg: unknown key(s) ['labelled_fraction']; keys are the roles id, "
+                    "site, age, narrative, cause and the defaults "
+                    "['split', 'labeled_fraction', 'seed', 'lambda', 'alpha']"}]
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_and_infer_accept_the_config_file_defaults(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stage_text_inputs(tmp_path)
+    (tmp_path / "cols.cfg").write_text(
+        SYNTH_COLUMNS + "split = full-random\nlabeled_fraction = 0.3\nseed = 4\n"
+        "lambda = tuned\nalpha = 0.1\n", encoding="utf-8")
+    assert run_cli(INGEST_ARGS) == 0
+    assert run_cli(DECODED_FILES["predictions"][1][:-4] + ["--out", "inferred"]) == 0
+    doc = json.loads((tmp_path / "inferred" / "report_multippi.json").read_text())
+    assert (doc["split"]["labeled_fraction"], doc["report"]["alpha"]) == (0.3, 0.1)
+
+
 @pytest.mark.parametrize("flags, noise_text", [
     ([], "0.8,0.1,0.1\n0.1,nan,0.1\n0.1,0.1,0.8\n"),
     (["--alpha", 1.5], None),
@@ -664,6 +694,30 @@ def test_loso_sites_sharing_a_file_name_fail_before_writing(tmp_path, monkeypatc
     assert [json.loads(line) for line in lines] == [
         {"error": "SchemaError",
          "message": "sites 'A B' and 'a_b' would both write site_a_b.json"}]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sites, flags, error, code, message", [
+    (("alpha", "beta"), ["--sites", "beta,Gamma,delta"], "ParameterError", cli.EXIT_USAGE,
+     "unknown site(s) ['Gamma', 'delta']; the records hold ['alpha', 'beta']"),
+    (("A B", "a_b", "c"), [], "SchemaError", cli.EXIT_DATA_ERROR,
+     "sites 'A B' and 'a_b' would both write site_a_b.json"),
+], ids=["unknown", "shared-file-name"])
+def test_loso_site_checks_run_before_any_site_trains(tmp_path, monkeypatch, capsys,
+                                                     sites, flags, error, code, message):
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv", n_per_site=60, sites=sites)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a site trained")
+
+    monkeypatch.setattr(experiment, "train_predictor", never)
+    args = ["loso", "--input", "synth.csv",
+            "--columns", "id=id,site=site,age=age,narrative=open_text,cause=cause",
+            "--predictor", "nb", "--seed", 3, "--out", "out", "--threads", 1, *flags]
+    assert run_cli(args) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{"error": error, "message": message}]
     assert not (tmp_path / "out").exists()
 
 

@@ -189,12 +189,12 @@ def test_evaluate_site_degeneracy_flag():
     ages = 30 + 3 * np.arange(12)
     records = records_from_arrays(ages, causes)
     predictions = textpred.PredictionSet(codes=records.causes,
-                                         provenance="external:perfect", policy="drop")
+                                         provenance="external:perfect")
     flagged = None
     for seed in range(60):
         report = experiment.evaluate_site(
             records, predictions, InferenceSpec(labeled_fraction=0.25, seed=seed),
-            split_seed=seed, site="s", provenance="external:perfect")
+            split_seed=seed, site="s")
         if report.degeneracy_flag:
             flagged = report
             break
@@ -207,10 +207,10 @@ def test_evaluate_site_with_too_few_labeled_rows_keeps_its_naive_report():
     causes = [NC] * 6 + [COM] * 5 + [MAT]
     records = records_from_arrays(30 + 3 * np.arange(12), causes)
     predictions = textpred.PredictionSet(codes=records.causes,
-                                         provenance="external:perfect", policy="drop")
+                                         provenance="external:perfect")
     report = experiment.evaluate_site(
         records, predictions, InferenceSpec(labeled_fraction=0.25, seed=0),
-        split_seed=0, site="s", provenance="external:perfect")
+        split_seed=0, site="s")
     assert set(report.reports) == {"ground-truth", "naive"}
     naive = report.reports["naive"]
     assert (naive.n_labeled, naive.n_unlabeled) == (3, 9)
@@ -222,7 +222,7 @@ def test_evaluate_site_stacks_its_inputs_once(monkeypatch):
     # naive and multippi come from one batched call on one stack of the site's inputs
     records = toy_multisite_records(n_sites=1, per_site=60)
     predictions = textpred.PredictionSet(codes=records.causes,
-                                         provenance="external:perfect", policy="drop")
+                                         provenance="external:perfect")
     stacked = []
     stack_of = ppi._InputStack.of
 
@@ -233,7 +233,7 @@ def test_evaluate_site_stacks_its_inputs_once(monkeypatch):
     monkeypatch.setattr(ppi._InputStack, "of", counted)
     report = experiment.evaluate_site(
         records, predictions, InferenceSpec(labeled_fraction=0.5, seed=0),
-        split_seed=0, site="site0", provenance="external:perfect")
+        split_seed=0, site="site0")
     assert set(report.reports) == {"ground-truth", "naive", "multippi"}
     assert stacked == [1]
 

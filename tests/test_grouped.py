@@ -128,26 +128,28 @@ def row_multippi(inputs):
 
 def test_repeated_design_collapses():
     inputs = repeated_inputs(0)
-    assert inputs.labeled.x.shape[0] <= 51
-    assert inputs.unlabeled.x.shape[0] <= 51
+    assert inputs.labeled.x.shape[1] <= 51
+    assert inputs.unlabeled.x.shape[1] <= 51
     assert inputs.labeled.counts.sum() == inputs.n_labeled
-    assert inputs.labeled.x.shape[0] < inputs.labeled.counts.shape[0] < inputs.n_labeled
+    assert inputs.labeled.x.shape[1] < inputs.labeled.counts.shape[1] < inputs.n_labeled
 
 
 def test_group_rows_round_trip():
     rng = np.random.default_rng(1)
     x, y = repeated_design(rng, 300)
     yhat = rng.integers(0, K, 300)
-    patterns = mlogit.group_rows(x, y, yhat)
+    stack = mlogit.group_rows(x, y, yhat)
+    assert stack.size == 1
+    x_u, x_counts, x_index, labels, counts = (stack.x[0], stack.x_counts[0], stack.x_index[0],
+                                              stack.labels[0], stack.counts[0])
     rows = np.column_stack([x, y, yhat])
-    rebuilt = np.column_stack([patterns.x[patterns.x_index], patterns.labels])
-    assert np.array_equal(np.repeat(rebuilt, patterns.counts, axis=0),
+    rebuilt = np.column_stack([x_u[x_index], labels])
+    assert np.array_equal(np.repeat(rebuilt, counts, axis=0),
                           rows[np.lexsort(rows.T[::-1])])
-    assert patterns.n_rows == 300
-    assert np.array_equal(patterns.x_counts,
-                          np.bincount(patterns.x_index, weights=patterns.counts))
-    class_counts = mlogit.PatternStack.of([patterns]).class_counts(0, K)[0]
-    assert class_counts.sum(axis=1).tolist() == patterns.x_counts.tolist()
+    assert stack.n_rows[0] == 300
+    assert np.array_equal(x_counts, np.bincount(x_index, weights=counts))
+    class_counts = stack.class_counts(0, K)[0]
+    assert class_counts.sum(axis=1).tolist() == x_counts.tolist()
 
 
 def _subset_cases(seed):
@@ -278,7 +280,7 @@ def test_duplicating_rows_keeps_theta_and_shrinks_classical_se(make):
 
 def test_many_calls_pad_ragged_patterns_and_match_single_calls():
     inputs = [repeated_inputs(seed, n=80, big_n=240) for seed in range(10, 14)]
-    assert len({i.labeled.counts.shape[0] for i in inputs}) > 1       # ragged: padding needed
+    assert len({i.labeled.counts.shape[1] for i in inputs}) > 1       # ragged: padding needed
     fitted = ppi.fit_estimators_many(inputs)
     pairs = [
         ([f["classical"] for f in fitted],

@@ -151,10 +151,10 @@ def test_fit_rectified_nonconvergence_reported_not_raised(monkeypatch):
 
 
 def test_tune_lambda_clipping_preserves_raw():
-    choice = ppi.LambdaChoice.from_raw(1.7, "tuned")
+    choice = ppi.LambdaChoice(1.7, "tuned")
     assert choice.raw == 1.7
     assert choice.clipped == 1.0
-    low = ppi.LambdaChoice.from_raw(-0.4, "tuned")
+    low = ppi.LambdaChoice(-0.4, "tuned")
     assert low.clipped == 0.0 and low.raw == -0.4
 
 

@@ -1,8 +1,9 @@
 """Every public function, class and method in the package has a caller in the package.
 
-A public name that no code in ``src/multippi`` names (as a variable,
-attribute or import; strings and docstrings do not count) is either
-listed below with the reason it stays, or it is dead code to delete.
+A public function or class that no code in ``src/multippi`` names (as a
+variable, attribute or import), or a public method or property that no code
+reads as an attribute (``obj.name``), is either listed below with the reason
+it stays, or it is dead code to delete. Strings and docstrings do not count.
 """
 
 import ast
@@ -25,6 +26,7 @@ UNCALLED_BY_DESIGN = {
     "ppi.rectified_hessian": "library API in docs/math.md; the exact lambda identity tests",
     "ppi.confidence_intervals": "library API in docs/math.md; the interval tests in test_ppi.py",
     "ppi.InferenceReport.to_json": "README library example",
+    "ppi.PpiInputs.n_params": "the row-level reference fits in tests/test_grouped.py",
     "simulate.default_spec": "the default config of the tests and perfbench/test_selftest.py",
     "textpred.tokenize": "the tokenizer reference in tests/oracles.py",
     "textpred.Corpus.from_tokens": "the tokenizer reference in tests/oracles.py",
@@ -44,26 +46,31 @@ def public_definitions(module: str, tree: ast.Module) -> set[str]:
     return found
 
 
-def named_in_code(tree: ast.Module) -> set[str]:
-    """Every identifier the module's code names: variables, attributes and imports."""
-    names = set()
+def named_in_code(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The identifiers the module's code names (variables, attributes and imports),
+    and those of them it reads as attributes."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    return names
+    return names | attributes, attributes
 
 
 def uncalled_public_names(sources) -> set[str]:
-    defined, named = set(), set()
+    defined, named, attributes = set(), set(), set()
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         defined |= public_definitions(path.stem, tree)
-        named |= named_in_code(tree)
-    return {qual for qual in defined if qual.rsplit(".", 1)[-1] not in named}
+        in_module, as_attributes = named_in_code(tree)
+        named |= in_module
+        attributes |= as_attributes
+    # module.function and module.Class need a name; module.Class.member an attribute
+    return {qual for qual in defined
+            if qual.rsplit(".", 1)[-1] not in (attributes if qual.count(".") == 2 else named)}
 
 
 def test_every_uncalled_public_name_is_listed_with_a_reason():
@@ -76,3 +83,17 @@ def test_guard_sees_a_new_uncalled_function(tmp_path):
     extra.write_text('def helper():\n    """Named only here: "helper"."""\n',
                      encoding="utf-8")
     assert uncalled_public_names(SOURCES + [extra]) == set(UNCALLED_BY_DESIGN) | {"extra.helper"}
+
+
+def test_guard_counts_a_member_only_when_read_as_an_attribute(tmp_path):
+    # a local variable that shares a property's name is not a call of it
+    extra = tmp_path / "extra.py"
+    extra.write_text("class Box:\n"
+                     "    @property\n"
+                     "    def width(self):\n"
+                     "        return 1\n"
+                     "\n"
+                     "\n"
+                     "width = Box()\n", encoding="utf-8")
+    assert uncalled_public_names(SOURCES + [extra]) \
+        == set(UNCALLED_BY_DESIGN) | {"extra.Box.width"}

@@ -637,7 +637,7 @@ def test_load_external_first_offending_row_raises(tmp_path):
 
 def test_prediction_set_rejects_surviving_unclassified():
     with pytest.raises(PredictionFormatError):
-        tp.PredictionSet(codes=[len(CAUSE_CLASSES)], provenance="external:x", policy="drop")
+        tp.PredictionSet(codes=[len(CAUSE_CLASSES)], provenance="external:x")
 
 
 def make_records(texts, causes=None, site="a"):
