@@ -152,9 +152,7 @@ def _predictor_spec(args) -> experiment.PredictorSpec:
 # Subcommands
 
 
-def cmd_ingest(args) -> int:
-    _apply_config_defaults(args)
-    config = _run_config(args)
+def cmd_ingest(args, config: dict) -> int:
     result = _load(args)
     table = result.records
     out = Path(args.out)
@@ -169,27 +167,25 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    _apply_config_defaults(args)
-    config = _run_config(args)
+def cmd_predict(args, config: dict) -> int:
     spec = _predictor_spec(args)          # a bad setting fails before any loading
     table = _load(args).records
     out = Path(args.out)
     if spec.kind == "external":
         predictions = textpred.load_external_predictions(
-            spec.external_path, spec.unclassified_policy, table,
-            majority_class=experiment.majority_true_cause(table))
+            spec.external_path, spec.unclassified_policy, table)
         model = None
     else:
+        train = table
         if args.train:
             train_map, _ = _resolve_columns(args.columns)
             train = ingest.load_records(args.train, train_map, delimiter=args.delimiter).records
-        else:
-            train = table
         corpus = textpred.tokenize_corpus(train.narratives.tolist())
         labels = ingest.CLASS_OF_CODE[train.causes].tolist()
         model = experiment.train_predictor(corpus, labels, spec)
-        predictions = textpred.predict_all(model, table, None if args.train else corpus)
+        if train is not table:
+            corpus = textpred.tokenize_corpus(table.narratives.tolist())
+        predictions = textpred.predict_all(model, corpus)
     _write_csv(out / "predictions.csv", config, predictions.to_rows(table.ids),
                header=["record_id", "predicted_label"])
     if model is not None:
@@ -210,9 +206,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
-    _apply_config_defaults(args)
-    config = _run_config(args)
+def cmd_infer(args, config: dict) -> int:
     inference = _inference_spec(args)     # a bad option fails before any loading or fitting
     table = _load(args).records
     labeled = table.causes != ingest.NO_CAUSE
@@ -220,9 +214,8 @@ def cmd_infer(args) -> int:
         table = table.take(np.flatnonzero(labeled))
     if not len(table):
         raise ParameterError("infer needs records with true causes (bind a cause column)")
-    predictions = textpred.load_external_predictions(
-        args.predictions, args.unclassified_policy, table,
-        majority_class=experiment.majority_true_cause(table))
+    predictions = textpred.load_external_predictions(args.predictions,
+                                                     args.unclassified_policy, table)
     predicted = predictions.codes != ingest.NO_CAUSE
     usable = table if predicted.all() else table.take(np.flatnonzero(predicted))
     data_split, _, reports = experiment.fit_reports(usable, predictions.codes[predicted],
@@ -241,9 +234,7 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def cmd_loso(args) -> int:
-    _apply_config_defaults(args)
-    config = _run_config(args)
+def cmd_loso(args, config: dict) -> int:
     spec = _predictor_spec(args)          # bad settings fail before any loading
     inference = _inference_spec(args)
     result = _load(args)
@@ -276,9 +267,7 @@ def cmd_loso(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    _apply_config_defaults(args)
-    config = _run_config(args)
+def cmd_simulate(args, config: dict) -> int:
     k, d = args.classes, args.features
     if args.n < 1 or args.unlabeled < 1:
         raise ParameterError("--n and --unlabeled must each be at least 1")
@@ -445,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            _apply_config_defaults(args)
+            return args.func(args, _run_config(args))
         except (MultippiError, OSError) as exc:
             _print_record(error=type(exc).__name__, message=str(exc))
             return EXIT_USAGE if isinstance(exc, ParameterError) else EXIT_DATA_ERROR

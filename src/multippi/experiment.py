@@ -134,20 +134,6 @@ class PredictorSpec:
             if value < 1:
                 raise ParameterError(f"{name} must be at least 1, got {value}")
 
-    def effective_weighting(self) -> str:
-        """Term counts for naive Bayes, tf-idf for the other bag-of-words models."""
-        return "count" if self.kind == "nb" else "tfidf"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "nb_alpha": self.nb_alpha, "knn_k": self.knn_k,
-            "svm_c": self.svm_c, "svm_epochs": self.svm_epochs,
-            "svm_seed": self.svm_seed, "min_count": self.min_count,
-            "weighting": self.effective_weighting(),
-            "external_path": self.external_path,
-            "unclassified_policy": self.unclassified_policy,
-        }
-
 
 @dataclass(frozen=True)
 class InferenceSpec:
@@ -282,20 +268,18 @@ def train_predictor(corpus: textpred.Corpus, labels: list[CodClass], spec: Predi
     """Build the vocabulary on the training rows of a tokenized corpus, and train.
 
     ``rows`` (default: all) are the training documents, aligned with
-    ``labels``.
+    ``labels``; they are vectorized with the chosen model class's ``weighting``.
     """
     vocab = textpred.build_vocabulary(corpus, min_count=spec.min_count, rows=rows)
-    weighting = spec.effective_weighting()
-    vectors = textpred.vectorize_corpus(corpus, vocab, weighting, rows)
+    model_class = {"nb": textpred.NbModel, "knn": textpred.KnnModel,
+                   "svm": textpred.SvmModel}[spec.kind]
+    vectors = textpred.vectorize_corpus(corpus, vocab, model_class.weighting, rows)
     if spec.kind == "nb":
-        return textpred.train_nb(vectors, labels, alpha=spec.nb_alpha,
-                                 vocabulary=vocab, weighting=weighting)
+        return textpred.train_nb(vectors, labels, alpha=spec.nb_alpha, vocabulary=vocab)
     if spec.kind == "knn":
-        return textpred.train_knn(vectors, labels, k=spec.knn_k,
-                                  vocabulary=vocab, weighting=weighting)
-    return textpred.train_svm_ovr(vectors, labels, c=spec.svm_c,
-                                  epochs=spec.svm_epochs, seed=spec.svm_seed,
-                                  vocabulary=vocab, weighting=weighting)
+        return textpred.train_knn(vectors, labels, k=spec.knn_k, vocabulary=vocab)
+    return textpred.train_svm_ovr(vectors, labels, c=spec.svm_c, epochs=spec.svm_epochs,
+                                  seed=spec.svm_seed, vocabulary=vocab)
 
 
 def _site_seed(master_seed: int, site_index: int) -> int:
@@ -400,8 +384,7 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
     external_set = None
     if predictor_spec.kind == "external":
         external_set = textpred.load_external_predictions(
-            predictor_spec.external_path, predictor_spec.unclassified_policy, records,
-            majority_class=majority_true_cause(records))
+            predictor_spec.external_path, predictor_spec.unclassified_policy, records)
     else:
         # tokenized once: every site trains and predicts on rows of this corpus
         corpus = textpred.tokenize_corpus(records.narratives.tolist())
@@ -421,17 +404,10 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
                 report = SiteReport(site=site, provenance=predictor_spec.kind)
                 report.errors["training"] = f"{type(exc).__name__}: {exc}"
                 return report
-            predictions = textpred.predict_all(model, site_records, corpus, site_rows)
+            predictions = textpred.predict_all(model, corpus, site_rows)
         return evaluate_site(site_records, predictions, inference_spec, split_seed, site)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run_site, chosen))
     return [run_site(site) for site in chosen]
-
-
-def majority_true_cause(records: RecordTable) -> CodClass:
-    """The most frequent true cause; ties go to the earlier class."""
-    counts = np.bincount(records.causes[records.causes != NO_CAUSE],
-                         minlength=len(CAUSE_CLASSES))
-    return CAUSE_CLASSES[int(np.argmax(counts))]

@@ -15,9 +15,12 @@ vocabulary is built from any subset of those rows, and
 column indices: token counts, or tf-idf with the smoothed weight
 ``tf * (ln((1+D)/(1+df)) + 1)``. CSR is the only sparse type; the three
 bundled classifiers (multinomial Naive Bayes, cosine KNN, linear
-one-vs-rest SVM) train and predict on CSR rows. They are deterministic
-given their training data, hyperparameters, and seed; ties always break
-by the CodClass enumeration order.
+one-vs-rest SVM) train and predict on CSR rows. Each model class fixes
+its ``kind`` and its ``weighting`` (NB counts, KNN and SVM tf-idf): a
+trainer takes rows vectorized that way over the vocabulary it is given,
+and ``predict_all`` vectorizes a corpus's rows the same way. They are
+deterministic given their training data, hyperparameters, and seed; ties
+always break by the CodClass enumeration order.
 
 KNN scores query rows in blocks sized from the training row count so
 that one float64 (block x training rows) similarity block stays near
@@ -34,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -236,12 +239,10 @@ def vectorize_corpus(corpus: Corpus, vocab: Vocabulary, weighting: str = "count"
     return out
 
 
-def _check_training(trainer: str, vectors: scipy.sparse.csr_matrix, labels: list,
-                    vocabulary: Vocabulary | None) -> None:
+def _check_training(vectors: scipy.sparse.csr_matrix, labels: list,
+                    vocabulary: Vocabulary) -> None:
     if vectors.shape[0] != len(labels) or not labels:
         raise ParameterError("need equally many vectors and labels, at least one")
-    if vocabulary is None:
-        raise ParameterError(f"{trainer} requires the vocabulary for model metadata")
     if vectors.shape[1] != vocabulary.size:
         raise ParameterError(f"vectors have {vectors.shape[1]} columns, "
                              f"the vocabulary {vocabulary.size} tokens")
@@ -276,8 +277,8 @@ class NbModel:
     log_likelihoods: np.ndarray            # (C, V)
     alpha: float
     vocabulary: Vocabulary
-    weighting: str = "count"
-    kind: str = "nb"
+    kind: ClassVar[str] = "nb"
+    weighting: ClassVar[str] = "count"
 
     def decision_scores(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
         return vectors @ self.log_likelihoods.T + self.log_priors
@@ -288,12 +289,12 @@ class NbModel:
 
 
 def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
-             alpha: float = 1.0, vocabulary: Vocabulary | None = None,
-             weighting: str = "count") -> NbModel:
-    """Fit multinomial NB; class-conditional token distributions each sum to 1."""
+             alpha: float = 1.0, *, vocabulary: Vocabulary) -> NbModel:
+    """Fit multinomial NB on ``vectors`` over ``vocabulary`` (token counts, the
+    model's ``weighting``); class-conditional token distributions each sum to 1."""
     if not 0 < alpha < np.inf:
         raise ParameterError(f"smoothing alpha must be finite and positive, got {alpha}")
-    _check_training("train_nb", vectors, labels, vocabulary)
+    _check_training(vectors, labels, vocabulary)
     present, y = _present_classes(labels)
     m = len(y)
     # class-by-document membership; the product sums each class's rows in row order
@@ -304,8 +305,7 @@ def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     smoothed = counts + alpha
     log_lik = np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None]
     return NbModel(classes=present, log_priors=log_priors,
-                   log_likelihoods=log_lik, alpha=alpha,
-                   vocabulary=vocabulary, weighting=weighting)
+                   log_likelihoods=log_lik, alpha=alpha, vocabulary=vocabulary)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +356,8 @@ class KnnModel:
     labels: tuple[CodClass, ...]
     k: int
     vocabulary: Vocabulary
-    weighting: str = "tfidf"
-    kind: str = "knn"
+    kind: ClassVar[str] = "knn"
+    weighting: ClassVar[str] = "tfidf"
     norms: np.ndarray = field(init=False, repr=False)
     label_ids: np.ndarray = field(init=False, repr=False)
 
@@ -392,13 +392,13 @@ class KnnModel:
         return np.argmax(votes.reshape(-1, n_classes), axis=1)
 
 
-def train_knn(vectors: scipy.sparse.csr_matrix, labels: list[CodClass], k: int = 9,
-              vocabulary: Vocabulary | None = None, weighting: str = "tfidf") -> KnnModel:
-    _check_training("train_knn", vectors, labels, vocabulary)
+def train_knn(vectors: scipy.sparse.csr_matrix, labels: list[CodClass], k: int = 9, *,
+              vocabulary: Vocabulary) -> KnnModel:
+    """Memorize ``vectors`` over ``vocabulary`` (tf-idf, the model's ``weighting``)."""
+    _check_training(vectors, labels, vocabulary)
     if not 1 <= k <= len(labels):
         raise ParameterError(f"k must lie in [1, {len(labels)}], got {k}")
-    return KnnModel(vectors=vectors, labels=tuple(labels), k=k,
-                    vocabulary=vocabulary, weighting=weighting)
+    return KnnModel(vectors=vectors, labels=tuple(labels), k=k, vocabulary=vocabulary)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +416,8 @@ class SvmModel:
     epochs: int
     seed: int
     vocabulary: Vocabulary
-    weighting: str = "tfidf"
-    kind: str = "svm"
+    kind: ClassVar[str] = "svm"
+    weighting: ClassVar[str] = "tfidf"
 
     def decision_scores(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
         return vectors @ self.weights.T + self.biases
@@ -429,10 +429,10 @@ class SvmModel:
 
 def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
                   c: float = 1.0, *, epochs: int = 60, seed: int = 0,
-                  vocabulary: Vocabulary | None = None,
-                  weighting: str = "tfidf") -> SvmModel:
+                  vocabulary: Vocabulary) -> SvmModel:
     """Hinge-loss one-vs-rest classifiers by deterministic mini-batch subgradient steps.
 
+    ``vectors`` are rows over ``vocabulary`` (tf-idf, the model's ``weighting``).
     Each epoch visits the rows in a seeded permutation, ``_SVM_BATCH``
     rows per step. Every row in a batch takes its margins from the
     batch-start weights; its own harmonic step size shrinks the weights
@@ -446,7 +446,7 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
         raise ParameterError(f"C must be finite and positive, got {c}")
     if epochs < 1:
         raise ParameterError(f"epochs must be at least 1, got {epochs}")
-    _check_training("train_svm_ovr", vectors, labels, vocabulary)
+    _check_training(vectors, labels, vocabulary)
     present, y = _present_classes(labels)
     if len(present) < 2:
         raise DegenerateModelError(
@@ -461,8 +461,7 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
     b = np.zeros(n_classes)
     w_avg = np.zeros_like(w)
     b_avg = np.zeros(n_classes)
-    n_avg = 0
-    avg_from = epochs // 2
+    avg_from = epochs // 2         # epochs >= 1: at least the last iterate is averaged
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     step = 0
     for epoch in range(epochs):
@@ -484,12 +483,9 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
         if epoch >= avg_from:
             w_avg += scale * w
             b_avg += b
-            n_avg += 1
-    w_final = (w_avg / n_avg) if n_avg else scale * w
-    b_final = (b_avg / n_avg) if n_avg else b
-    return SvmModel(classes=present, weights=np.ascontiguousarray(w_final.T),
-                    biases=b_final, c=c, epochs=epochs, seed=seed, vocabulary=vocabulary,
-                    weighting=weighting)
+    n_avg = epochs - avg_from
+    return SvmModel(classes=present, weights=np.ascontiguousarray((w_avg / n_avg).T),
+                    biases=b_avg / n_avg, c=c, epochs=epochs, seed=seed, vocabulary=vocabulary)
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +547,18 @@ _UNCLASSIFIED_CODE = _LABEL_CODE[CodClass.UNCLASSIFIED.value]
 _BAD_LABEL = -2
 
 
-def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
-                              majority_class: CodClass | None = None) -> PredictionSet:
+def load_external_predictions(path: str | Path, policy: str, table: RecordTable) -> PredictionSet:
     """Read a (record_id, predicted_label) CSV, align it to ``table``'s rows,
     and resolve unclassified rows.
 
     drop removes them (and enumerates the ids); impute-majority replaces
-    them with the labeled subset's majority class; keep-as-error fails if
-    any are present. The first offending row raises: an id not in the
-    table or given twice (AlignmentError), then an unknown label
-    (PredictionFormatError).
+    them with the most frequent true cause among ``table``'s records, ties
+    going to the earlier class; keep-as-error fails if any are present.
+    The first offending row raises: an id not in the table or given twice
+    (AlignmentError), then an unknown label (PredictionFormatError).
     """
     if policy not in UNCLASSIFIED_POLICIES:
         raise ParameterError(f"unknown unclassified policy {policy!r}")
-    if policy == "impute-majority" and majority_class is None:
-        raise ParameterError("impute-majority requires the labeled majority class")
     path = Path(path)
     with _csv_rows(path, PredictionFormatError) as (header, reader):
         if "record_id" not in header or "predicted_label" not in header:
@@ -612,7 +605,8 @@ def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
         rows, codes = rows[~unclassified], codes[~unclassified]
         dropped = tuple(unclassified_ids)
     elif policy == "impute-majority":
-        codes[unclassified] = CAUSE_CLASSES.index(majority_class)
+        causes = table.causes[table.causes != NO_CAUSE]
+        codes[unclassified] = np.argmax(np.bincount(causes, minlength=len(CAUSE_CLASSES)))
         imputed = tuple(unclassified_ids)
     aligned = np.full(len(table), NO_CAUSE, dtype=np.int8)
     aligned[rows] = codes
@@ -623,15 +617,9 @@ def load_external_predictions(path: str | Path, policy: str, table: RecordTable,
                          dropped=dropped, imputed=imputed, order=rows)
 
 
-def predict_all(model, records: RecordTable, corpus: Corpus | None = None,
-                rows: np.ndarray | None = None) -> PredictionSet:
-    """One prediction per record from a trained bag-of-words model.
-
-    ``corpus`` (default: the records' narratives, tokenized here) holds
-    the records' documents at ``rows`` (default: all rows, in order).
-    """
-    if corpus is None:
-        corpus = tokenize_corpus(records.narratives.tolist())
+def predict_all(model, corpus: Corpus, rows: np.ndarray | None = None) -> PredictionSet:
+    """One prediction per document at ``rows`` of ``corpus`` (default: all, in
+    order) from a trained bag-of-words model, vectorized with its ``weighting``."""
     predicted = model.predict_many(
         vectorize_corpus(corpus, model.vocabulary, model.weighting, rows))
     return PredictionSet(codes=_class_ids(predicted), provenance=model.kind)

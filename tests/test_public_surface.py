@@ -4,6 +4,9 @@ A public function or class that no code in ``src/multippi`` names (as a
 variable, attribute or import), or a public method or property that no code
 reads as an attribute (``obj.name``), is either listed below with the reason
 it stays, or it is dead code to delete. Strings and docstrings do not count.
+A member counts as called when any class's member of that name is read, so a
+method that shares its name with a read member of another class escapes this
+check.
 """
 
 import ast

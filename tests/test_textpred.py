@@ -15,7 +15,7 @@ import oracles
 from multippi import textpred as tp
 from multippi.errors import (AlignmentError, DegenerateModelError,
                              ParameterError, PredictionFormatError)
-from multippi.ingest import CAUSE_CLASSES, CLASS_OF_CODE, NO_CAUSE, CodClass
+from multippi.ingest import CAUSE_CLASSES, CLASS_OF_CODE, NO_CAUSE
 
 NC, COM, EXT, MAT, ATB = CAUSE_CLASSES
 WIDTH = 4                                    # columns of the hand-built test rows
@@ -582,10 +582,22 @@ def test_load_external_keep_as_error(tmp_path):
 def test_load_external_impute_majority(tmp_path):
     rows = ["r0,external", "r1,unclassified", "r2,unclassified"]
     path = write_predictions(tmp_path / "p.csv", rows)
-    ps = tp.load_external_predictions(path, "impute-majority", id_table(["r0", "r1", "r2"]),
-                                      majority_class=CodClass.NON_COMMUNICABLE)
+    table = id_table(["r0", "r1", "r2"], [NC, EXT, NC])
+    ps = tp.load_external_predictions(path, "impute-majority", table)
     assert CLASS_OF_CODE[ps.codes].tolist() == [EXT, NC, NC]
     assert ps.imputed == ("r1", "r2")
+
+
+def test_load_external_imputes_the_tables_most_frequent_true_cause(tmp_path):
+    path = write_predictions(tmp_path / "p.csv",
+                             ["r0,maternal", "r1,unclassified", "r2,unclassified"])
+    ps = tp.load_external_predictions(path, "impute-majority",
+                                      id_table(["r0", "r1", "r2"], [EXT, EXT, COM]))
+    assert CLASS_OF_CODE[ps.codes].tolist() == [MAT, EXT, EXT]
+    # a tie goes to the earlier class; records without a true cause are not counted
+    ps = tp.load_external_predictions(path, "impute-majority",
+                                      id_table(["r0", "r1", "r2"], [EXT, None, COM]))
+    assert CLASS_OF_CODE[ps.codes].tolist() == [MAT, COM, COM]
 
 
 def test_load_external_unknown_id(tmp_path):
@@ -598,12 +610,6 @@ def test_load_external_unknown_label(tmp_path):
     path = write_predictions(tmp_path / "p.csv", ["r0,banana"])
     with pytest.raises(PredictionFormatError, match="banana"):
         tp.load_external_predictions(path, "drop", id_table(["r0"]))
-
-
-def test_load_external_requires_majority_for_impute(tmp_path):
-    path = write_predictions(tmp_path / "p.csv", ["r0,external"])
-    with pytest.raises(ParameterError):
-        tp.load_external_predictions(path, "impute-majority", id_table(["r0"]))
 
 
 def test_load_external_aligns_to_table_rows(tmp_path):
@@ -653,9 +659,9 @@ def test_predict_all_one_per_record_and_deterministic():
     vocab = vocab_of(train_texts)
     vectors = vectors_of(train_texts, vocab)
     model = tp.train_nb(vectors, train_labels, vocabulary=vocab)
-    records = make_records(texts)
-    ps1 = tp.predict_all(model, records)
-    ps2 = tp.predict_all(model, records)
+    corpus = tp.tokenize_corpus(texts)
+    ps1 = tp.predict_all(model, corpus)
+    ps2 = tp.predict_all(model, corpus)
     assert len(ps1.codes) == 3 and (ps1.codes != NO_CAUSE).all()
     assert ps1.provenance == "nb"
     assert np.array_equal(ps1.codes, ps2.codes)
@@ -671,7 +677,7 @@ def test_predict_all_confusion_marginals_match_hand_tally():
     vectors = vectors_of(texts, vocab)
     model = tp.train_nb(vectors, truth, vocabulary=vocab)
     records = make_records(texts, causes=truth)
-    ps = tp.predict_all(model, records)
+    ps = tp.predict_all(model, tp.tokenize_corpus(texts))
     cm = experiment.confusion_matrix(records.causes, ps.codes)
     # independent tally of marginals
     pred_list = CLASS_OF_CODE[ps.codes].tolist()
@@ -697,7 +703,7 @@ def test_model_serialization_round_trip(kind):
     weighting = "count" if kind == "nb" else "tfidf"
     vectors = vectors_of(corpus, vocab, weighting)
     if kind == "nb":
-        model = tp.train_nb(vectors, labels, vocabulary=vocab, weighting=weighting)
+        model = tp.train_nb(vectors, labels, vocabulary=vocab)
     elif kind == "knn":
         model = tp.train_knn(vectors, labels, k=3, vocabulary=vocab)
     else:
