@@ -83,9 +83,11 @@ def _resolve_columns(spec: str) -> tuple[ingest.ColumnMap, dict]:
     return ingest.column_map_from_config(entries), extras
 
 
-def _load(args) -> ingest.LoadResult:
+def _load(args, narratives: bool = True) -> ingest.LoadResult:
+    """The --input records; with ``narratives=False`` their narratives are not read."""
     column_map, _ = _resolve_columns(args.columns)
-    return ingest.load_records(args.input, column_map, delimiter=args.delimiter)
+    return ingest.load_records(args.input, column_map, delimiter=args.delimiter,
+                               narratives=narratives)
 
 
 def _apply_config_defaults(args) -> None:
@@ -169,7 +171,7 @@ def cmd_ingest(args, config: dict) -> int:
 
 def cmd_predict(args, config: dict) -> int:
     spec = _predictor_spec(args)          # a bad setting fails before any loading
-    table = _load(args).records
+    table = _load(args, narratives=spec.kind != "external").records
     out = Path(args.out)
     if spec.kind == "external":
         predictions = textpred.load_external_predictions(
@@ -208,7 +210,7 @@ def cmd_predict(args, config: dict) -> int:
 
 def cmd_infer(args, config: dict) -> int:
     inference = _inference_spec(args)     # a bad option fails before any loading or fitting
-    table = _load(args).records
+    table = _load(args, narratives=False).records
     labeled = table.causes != ingest.NO_CAUSE
     if not labeled.all():
         table = table.take(np.flatnonzero(labeled))
@@ -237,7 +239,7 @@ def cmd_infer(args, config: dict) -> int:
 def cmd_loso(args, config: dict) -> int:
     spec = _predictor_spec(args)          # bad settings fail before any loading
     inference = _inference_spec(args)
-    result = _load(args)
+    result = _load(args, narratives=spec.kind != "external")
     # the sites and their file names are checked before any site trains
     sites = experiment.loso_sites(result.records, args.sites.split(",") if args.sites else None)
     site_of = {}                          # file-name form -> site

@@ -3,12 +3,29 @@ adult filtering, and splits.
 
 Input files are UTF-8 CSV with a header row (RFC 4180 quoting). Column
 roles are bound by configuration rather than hard-coded names, so any
-file with the same roles loads unchanged. ``load_records`` streams the
-bound fields into one list per column and returns a ``RecordTable``:
-id, site and narrative columns, a float age array, and an int8 cause
-code per record over ``CAUSE_CLASSES`` (``NO_CAUSE`` = -1). Ages and
-cause labels are parsed once per distinct string. Records for decedents
-under 12 years are dropped at load time and counted in the summary.
+file with the same roles loads unchanged. ``load_records`` reads only
+the bound columns a command uses (the narratives can be left unread)
+and returns a ``RecordTable``: id, site and narrative columns, a float
+age array, and an int8 cause code per record over ``CAUSE_CLASSES``
+(``NO_CAUSE`` = -1). Ages and cause labels are parsed once per distinct
+string. Records for decedents under 12 years are dropped at load time
+and counted in the summary.
+
+Records and external predictions share one reader, ``_read_columns``.
+It reads the header with ``csv.reader``. When the narratives are not
+read, a regular file whose header is one line and whose body is not
+blank then goes to numpy's C reader, ``np.loadtxt`` with
+``dtype=object``, which returns the chosen columns as str objects.
+``csv.reader`` reads the body instead when the narratives are read (a
+narrative may span lines, and such a file would be read twice), when
+the input is not a regular file (a pipe cannot be read twice), when the
+header spans lines, and wherever the C reader raises: a row too short
+for a chosen column, a byte that is not UTF-8, a delimiter it rejects.
+It also reads the body when a chosen value holds "\\n": read from a
+path, the C reader turns a quoted "\\r" or "\\r\\n" into "\\n", while
+``csv.reader`` keeps both. Either way the columns are the same, and
+every error keeps the message, row number and byte offset that
+``csv.reader`` gives it.
 """
 
 from __future__ import annotations
@@ -18,8 +35,10 @@ import enum
 import math
 import warnings
 from collections import Counter
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -164,21 +183,69 @@ def _read_utf8(path: Path, error: type[MultippiError]) -> str:
         raise error(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
 
 
-@contextmanager
-def _csv_rows(path: Path, error: type[MultippiError], delimiter: str = ","):
-    """``path`` as UTF-8 CSV after any leading BOM: its header and a reader of its rows.
+# csv.reader stops at a field longer than csv.field_size_limit() (131,072 characters
+# unless raised); the C reader has no limit. Loads raise the process-wide limit, never
+# lower it, to the largest C long on every platform, so neither reader limits a field.
+_FIELD_LIMIT = 2**31 - 1
 
-    A bad byte raises ``error`` as in ``_read_utf8``, which decodes the file again on this
-    path only: the reader's UnicodeDecodeError counts from its buffered chunk.
+
+def _read_columns(path: Path, error: type[MultippiError], pick: Callable[[list[str]], list[int]],
+                  delimiter: str = ",", *, c_reader: bool = True) -> list[np.ndarray]:
+    """The columns at ``pick(header)`` (two or more) of UTF-8 CSV ``path`` after any leading
+    BOM, each an object array of str with one entry per record.
+
+    Blank lines are skipped, and a short row reads its missing fields as "". A bad byte
+    raises ``error`` as in ``_read_utf8``, which decodes the file again on this path only:
+    the reader's UnicodeDecodeError counts from its buffered chunk. With ``c_reader=False``
+    csv.reader parses the body; otherwise the module docstring sets out which reader does.
     """
+    if csv.field_size_limit() < _FIELD_LIMIT:
+        csv.field_size_limit(_FIELD_LIMIT)
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=delimiter)
-            yield next(reader, []), reader
+            at = pick(next(reader, []))
+            # np.loadtxt warns on a body of blank lines; there is nothing to read there
+            first = next((line for line in handle if line.strip("\r\n")), None)
+            if first is None:
+                return [np.empty(0, dtype=object) for _ in at]
+            if c_reader and reader.line_num == 1 and path.is_file():
+                columns = _loadtxt_columns(path, delimiter, at)
+                if columns is not None:
+                    return columns
+            width = max(at) + 1
+            get = itemgetter(*at)
+            rows = []
+            for row in filter(None, csv.reader(chain([first], handle), delimiter=delimiter)):
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                rows.append(get(row))
     except UnicodeDecodeError as exc:
         _read_utf8(path, error)
         # a second read decoded: the file changed after the reader failed, or is a pipe
         raise error(f"{path}: not UTF-8 ({exc.reason})") from exc
+    return [np.array(column, dtype=object) for column in (zip(*rows) if rows else [()] * len(at))]
+
+
+def _loadtxt_columns(path: Path, delimiter: str, at: list[int]) -> list[np.ndarray] | None:
+    """``_read_columns``'s columns of a regular file with a one-line header, parsed by
+    numpy's C reader; None where csv.reader could read them differently.
+
+    The C reader raises on a row too short for ``at`` (csv.reader's row would be padded),
+    on a bad byte and on a delimiter it does not take. Reading from a path, it turns a
+    quoted "\\r" or "\\r\\n" into "\\n", which csv.reader keeps: a kept value holding
+    "\\n" is read again by csv.reader. No value without one can differ, since the
+    translation only ever produces "\\n".
+    """
+    try:
+        table = np.loadtxt(path, dtype=object, delimiter=delimiter, quotechar='"',
+                           comments=None, skiprows=1, usecols=at, ndmin=2,
+                           encoding="utf-8-sig")
+    except (ValueError, TypeError):     # csv.reader reads whatever the C reader rejects
+        return None
+    if "\n" in "".join(table.ravel().tolist()):
+        return None
+    return list(table.T)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -209,6 +276,9 @@ class RecordTable:
     ``ids``, ``sites`` and ``narratives`` are object arrays of str,
     ``ages`` is float64, and ``causes`` holds each record's index into
     ``CAUSE_CLASSES`` as int8, ``NO_CAUSE`` where the record has none.
+    ``narratives`` holds None where they were not loaded
+    (``load_records(..., narratives=False)``); such a table cannot train
+    or run a text predictor.
     """
 
     ids: np.ndarray
@@ -289,8 +359,8 @@ def _parse_age(raw: str) -> float | str:
     return age
 
 
-def load_records(path: str | Path, column_map: ColumnMap, *,
-                 delimiter: str = ",", min_age: float = ADULT_MIN_AGE) -> LoadResult:
+def load_records(path: str | Path, column_map: ColumnMap, *, delimiter: str = ",",
+                 min_age: float = ADULT_MIN_AGE, narratives: bool = True) -> LoadResult:
     """Load VA records from CSV into a RecordTable, mapping causes and
     applying the adult filter.
 
@@ -300,33 +370,31 @@ def load_records(path: str | Path, column_map: ColumnMap, *,
     and their site checked: the first of them with an unknown cause label
     raises CauseMapError, or with an empty site SchemaError (cause first
     within a row). Row numbers count CSV records, header = 1, blank lines
-    skipped; a short row reads its missing fields as "".
+    skipped; a short row reads its missing fields as "". With
+    ``narratives=False`` the narrative column must still be in the header,
+    but its values are not read: every record's narrative is None.
+
+    The load raises Python's process-wide ``csv.field_size_limit()`` to
+    2**31 - 1 if it is lower, and never lowers it, so no field is too long.
     """
     path = Path(path)
-    roles = ("id", "site", "age", "narrative", "cause")
-    bound = {role: getattr(column_map, role) for role in roles
+    bound = {role: getattr(column_map, role) for role in ("id", "site", "age", "narrative", "cause")
              if getattr(column_map, role) is not None}
-    with _csv_rows(path, SchemaError, delimiter) as (header, reader):
+    roles = [role for role in bound if narratives or role != "narrative"]
+
+    def pick(header: list[str]) -> list[int]:
         for problem, wrong in (("not in header", lambda col: col not in header),
                                ("more than once in header", lambda col: header.count(col) > 1)):
             if any(map(wrong, bound.values())):
                 raise SchemaError(f"{path}: bound columns {problem}: " + ", ".join(
                     f"{role}->{col!r}" for role, col in sorted(bound.items()) if wrong(col)))
-        # without a cause column the id field is read twice; the copy is unused
-        at = [header.index(bound[role]) for role in ("id", "site", "age", "narrative")]
-        at.append(header.index(bound.get("cause", column_map.id)))
-        i_id, i_site, i_age, i_text, i_cause = at
-        width = max(at) + 1
-        ids, sites, ages, texts, causes = [], [], [], [], []
-        for row in filter(None, reader):        # blank lines are skipped
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            ids.append(row[i_id])
-            sites.append(row[i_site])
-            ages.append(row[i_age])
-            texts.append(row[i_text])
-            causes.append(row[i_cause])
+        return [header.index(bound[role]) for role in roles]
+
+    # a narrative may span lines, and the C reader would then read the file for nothing
+    column = dict(zip(roles, _read_columns(path, SchemaError, pick, delimiter,
+                                           c_reader=not narratives)))
     # ages and causes are parsed once per distinct string
+    ages = column["age"].tolist()
     age_or_error = {raw: _parse_age(raw) for raw in dict.fromkeys(ages)}
     age_of = {raw: v if isinstance(v, float) else np.nan for raw, v in age_or_error.items()}
     age = np.fromiter(map(age_of.__getitem__, ages), dtype=float, count=len(ages))
@@ -334,15 +402,14 @@ def load_records(path: str | Path, column_map: ColumnMap, *,
     young = age < min_age
     keep = np.flatnonzero(~bad & ~young)
 
-    def kept(column: list[str]) -> list[str]:
-        return np.asarray(column, dtype=object)[keep].tolist()
+    def stripped(role: str) -> np.ndarray:
+        return np.array(list(map(str.strip, column[role][keep].tolist())), dtype=object)
 
-    ids = np.asarray(list(map(str.strip, kept(ids))), dtype=object)
-    sites = np.asarray(list(map(str.strip, kept(sites))), dtype=object)
+    ids, sites = stripped("id"), stripped("site")
     codes = np.full(len(keep), NO_CAUSE, dtype=np.int8)
     saw_malaria = False
-    if column_map.cause is not None:
-        causes = kept(causes)
+    if "cause" in column:
+        causes = column["cause"][keep].tolist()
         code_of = {raw: _CAUSE_CODE.get(raw.strip().lower(), _UNKNOWN_CAUSE)
                    for raw in dict.fromkeys(causes)}
         codes = np.fromiter(map(code_of.__getitem__, causes), dtype=np.int8, count=len(causes))
@@ -353,9 +420,9 @@ def load_records(path: str | Path, column_map: ColumnMap, *,
         if codes[j] == _UNKNOWN_CAUSE:
             map_cause(causes[j].strip())        # raises CauseMapError
         raise SchemaError(f"record {ids[j]!r} has an empty site")
+    texts = column["narrative"][keep] if narratives else np.full(len(keep), None, dtype=object)
     result = LoadResult(
-        records=RecordTable(ids=ids, sites=sites, ages=age[keep],
-                            narratives=kept(texts), causes=codes),
+        records=RecordTable(ids=ids, sites=sites, ages=age[keep], narratives=texts, causes=codes),
         n_rows_read=len(ages), n_filtered_age=int(young.sum()),
         row_errors=[RowError(int(j) + 2, age_or_error[ages[j]]) for j in np.flatnonzero(bad)])
     if saw_malaria:

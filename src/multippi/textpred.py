@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (AlignmentError, DegenerateModelError, ParameterError,
                      PredictionFormatError)
-from .ingest import CAUSE_CLASSES, NO_CAUSE, VALUE_OF_CODE, CodClass, RecordTable, _csv_rows
+from .ingest import CAUSE_CLASSES, NO_CAUSE, VALUE_OF_CODE, CodClass, RecordTable, _read_columns
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -556,27 +556,28 @@ def load_external_predictions(path: str | Path, policy: str, table: RecordTable)
     going to the earlier class; keep-as-error fails if any are present.
     The first offending row raises: an id not in the table or given twice
     (AlignmentError), then an unknown label (PredictionFormatError).
+    Like ``ingest.load_records``, it raises Python's process-wide
+    ``csv.field_size_limit()`` to 2**31 - 1 if it is lower.
     """
     if policy not in UNCLASSIFIED_POLICIES:
         raise ParameterError(f"unknown unclassified policy {policy!r}")
     path = Path(path)
-    with _csv_rows(path, PredictionFormatError) as (header, reader):
+
+    def pick(header: list[str]) -> list[int]:
         if "record_id" not in header or "predicted_label" not in header:
             raise PredictionFormatError(
                 f"{path}: header must contain record_id and predicted_label")
         # a repeated column name reads its last occurrence
-        i_id, i_label = (len(header) - 1 - header[::-1].index(col)
-                         for col in ("record_id", "predicted_label"))
-        width = max(i_id, i_label) + 1
-        rids, labels = [], []
-        for row in filter(None, reader):        # blank lines are skipped
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            rids.append(row[i_id])
-            labels.append(row[i_label])
+        return [len(header) - 1 - header[::-1].index(col)
+                for col in ("record_id", "predicted_label")]
+
+    rids, labels = (column.tolist() for column in _read_columns(path, PredictionFormatError, pick))
     rids = list(map(str.strip, rids))
     row_of = dict(zip(table.ids.tolist(), range(len(table))))
-    rows = np.fromiter(map(row_of.get, rids, repeat(-1)), dtype=np.intp, count=len(rids))
+    try:
+        rows = np.fromiter(map(row_of.__getitem__, rids), dtype=np.intp, count=len(rids))
+    except KeyError:            # -1 marks each unknown id, so the first offending row is named
+        rows = np.fromiter(map(row_of.get, rids, repeat(-1)), dtype=np.intp, count=len(rids))
     codes = np.fromiter(map({raw: _LABEL_CODE.get(raw.strip().lower(), _BAD_LABEL)
                              for raw in dict.fromkeys(labels)}.__getitem__, labels),
                         dtype=np.int8, count=len(labels))

@@ -1,4 +1,5 @@
-"""Shared fixtures: hypothesis profiles and session-scoped Monte Carlo runs."""
+"""Shared fixtures: hypothesis profiles, session-scoped Monte Carlo runs, and
+probes of which CSV reader a load used."""
 
 import os
 from datetime import timedelta
@@ -31,6 +32,32 @@ def pytest_collection_modifyitems(items):
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def c_reader(monkeypatch) -> list[bool]:
+    """One entry per file offered to numpy's C reader during the test: True where
+    it returned the columns, False where csv.reader read the file instead."""
+    from multippi import ingest
+
+    calls = []
+    real = ingest._loadtxt_columns
+
+    def spy(*args):
+        columns = real(*args)
+        calls.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(ingest, "_loadtxt_columns", spy)
+    return calls
+
+
+@pytest.fixture
+def csv_reader_only(monkeypatch) -> None:
+    """Every CSV load in the test goes to the csv.reader loop."""
+    from multippi import ingest
+
+    monkeypatch.setattr(ingest, "_loadtxt_columns", lambda *args: None)
 
 
 @pytest.fixture(scope="session")

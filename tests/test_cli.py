@@ -641,6 +641,18 @@ def test_input_with_a_latin1_byte_is_one_json_error(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_ingest_keeps_a_narrative_longer_than_csv_field_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cols.cfg").write_text(SYNTH_COLUMNS, encoding="utf-8")
+    text = "fell " * 28_000             # 140,000 characters; csv.reader's default limit is 131,072
+    (tmp_path / "synth.csv").write_text(
+        f'id,site,age,open_text,cause\nr1,a,30,"{text}",falls\nr2,a,40,short,falls\n',
+        encoding="utf-8")
+    assert run_cli(INGEST_ARGS) == cli.EXIT_OK, capsys.readouterr().err
+    assert f"\nr1,a,30.0,{text},external\n" in (tmp_path / "out" / "records.csv").read_text(
+        encoding="utf-8")
+
+
 # Runs each argv list of sys.argv[1] (JSON) through cli.main in this one process and
 # prints, per run, its exit code and the scipy modules loaded by then.
 SCIPY_PROBE = """

@@ -2,7 +2,10 @@
 
 import csv
 import io
+import os
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,11 +234,12 @@ def test_record_table_validation():
 
 
 FIELD_VALUES = {
-    "id": ["r1", " r2 ", "r3", "", "x,y"],
+    "id": ["r1", " r2 ", "r3", "", "x,y", "cr\rx", "crlf\r\nx"],
     "site": ["a", " b ", "c d", "", "  "],
     "age": ["30", " 45.5 ", "4", "11.9", "12", "-3", "abc", "", "nan", "inf", "-inf",
             "1e400", "1_000", "80"],
-    "text": ["fell", "  spaced  ", 'said "hi"', "line\nbreak", "a,b;c|d\te", ""],
+    "text": ["fell", "  spaced  ", 'said "hi"', "line\nbreak", "a,b;c|d\te", "", "cr\rx",
+             "crlf\r\nx"],
     "cause": ["falls", " Pneumonia ", "malaria", "external", "AIDS", "", "  ",
               "plague", "unclassified"],
 }
@@ -244,7 +248,8 @@ FIELD_VALUES = {
 @st.composite
 def csv_files(draw):
     """A header with the five bound columns and an extra one in random order,
-    then records (some short) and blank lines, under a random delimiter."""
+    then records (some short), blank lines and whitespace-only lines, under a
+    random delimiter."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     header = draw(st.permutations(["id", "site", "age", "text", "cause", "extra"]))
     buffer = io.StringIO()
@@ -252,18 +257,19 @@ def csv_files(draw):
     writer.writerow(header)
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 5)) == 0:
-            buffer.write(draw(st.sampled_from(["\n", "\r\n"])))
+            buffer.write(draw(st.sampled_from(["\n", "\r\n", "  \n"])))
             continue
         row = [draw(st.sampled_from(FIELD_VALUES.get(col, ["z"]))) for col in header]
         writer.writerow(row[:draw(st.integers(1, len(row)))] if draw(st.booleans()) else row)
     return buffer.getvalue(), delimiter
 
 
-@given(csv_files(), st.sampled_from([12.0, 0.0, 40.0]), st.booleans())
+@given(csv_files(), st.sampled_from([12.0, 0.0, 40.0]), st.booleans(), st.booleans())
 @example(("id,site,age,text,cause,extra\r\nr1,a,4,t,plague,z\r\nr2,,30,t,plague,z\r\n", ","),
-         12.0, True)
+         12.0, True, True)
 @settings(max_examples=200, deadline=None)
-def test_table_matches_rowwise_loader(tmp_path_factory, case, min_age, with_cause):
+def test_table_matches_rowwise_loader(tmp_path_factory, case, min_age, with_cause, narratives):
+    """Read by csv.reader (narratives loaded) or first offered to the C reader (not)."""
     text, delimiter = case
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
@@ -275,18 +281,201 @@ def test_table_matches_rowwise_loader(tmp_path_factory, case, min_age, with_caus
             want = oracles.load_records_rowwise(path, columns, delimiter, min_age)
         except (CauseMapError, SchemaError) as exc:
             with pytest.raises(type(exc)) as got:
-                ingest.load_records(path, columns, delimiter=delimiter, min_age=min_age)
+                ingest.load_records(path, columns, delimiter=delimiter, min_age=min_age,
+                                    narratives=narratives)
             assert str(got.value) == str(exc)
             return
-        result = ingest.load_records(path, columns, delimiter=delimiter, min_age=min_age)
+        result = ingest.load_records(path, columns, delimiter=delimiter, min_age=min_age,
+                                     narratives=narratives)
     records, summary = want
     table = result.records
     assert table.ids.tolist() == [r[0] for r in records]
     assert table.sites.tolist() == [r[1] for r in records]
     assert table.ages.tolist() == [r[2] for r in records]
-    assert table.narratives.tolist() == [r[3] for r in records]
+    assert table.narratives.tolist() == [r[3] if narratives else None for r in records]
     assert causes_of(table) == [r[4] for r in records]
     assert result.summary() == summary
+
+
+# -- the C reader and csv.reader -----------------------------------------------
+
+PLAIN_ROWS = ["r1,a,30,fell from a tree,falls", "r2,b,45,fever,pneumonia", "r3,b,50,pain,stroke"]
+
+
+def assert_loads_like_rowwise(path, narratives=False):
+    """load_records's table and summary equal the row-wise oracle's. Without narratives
+    the file is first offered to the C reader."""
+    result = ingest.load_records(path, COLUMNS, narratives=narratives)
+    records, summary = oracles.load_records_rowwise(path, COLUMNS)
+    table = result.records
+    assert list(zip(table.ids.tolist(), table.sites.tolist(), table.ages.tolist(),
+                    table.narratives.tolist(), causes_of(table))) == [
+        (i, s, a, t if narratives else None, c) for i, s, a, t, c in records]
+    assert result.summary() == summary
+    return result
+
+
+# characters that CSV quoting, numpy's C reader or UTF-8 treat specially
+CSV_ALPHABET = st.sampled_from(list("ab ,;|\t\"'#\\\r\nx") + ["é", "\x00", "\ufeff"])
+
+
+@st.composite
+def column_reads(draw):
+    """A one-line header of ``width`` columns, a body, a delimiter, and the columns to read.
+
+    The body is either full-width records written by csv.writer or raw text, which
+    brings unbalanced quotes, ragged rows and whitespace-only lines.
+    """
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", " "]))
+    width = draw(st.integers(2, 4))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter,
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow([f"c{i}" for i in range(width)])
+    if draw(st.booleans()):
+        field = st.text(CSV_ALPHABET, max_size=5)
+        writer.writerows(draw(st.lists(st.lists(field, min_size=width, max_size=width),
+                                       max_size=6)))
+    else:
+        buffer.write(draw(st.text(CSV_ALPHABET, max_size=40)))
+    at = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=width))
+    return draw(st.sampled_from(["", "\ufeff"])) + buffer.getvalue(), delimiter, at
+
+
+@given(column_reads())
+@settings(max_examples=300, deadline=None)
+def test_c_reader_columns_equal_csv_readers(tmp_path_factory, case):
+    """Wherever numpy's C reader returns columns, they are csv.reader's, value for value."""
+    text, delimiter, at = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = [column.tolist() for column in ingest._read_columns(path, SchemaError, lambda h: at,
+                                                              delimiter)]
+    with mock.patch.object(ingest, "_loadtxt_columns", lambda *args: None):
+        want = [column.tolist()
+                for column in ingest._read_columns(path, SchemaError, lambda h: at, delimiter)]
+    assert got == want
+
+
+def test_c_reader_reads_a_plain_file(tmp_path, c_reader):
+    path = tmp_path / "d.csv"
+    path.write_bytes(("id,site,age,text,cause\r\n" + "\r\n".join(PLAIN_ROWS) + "\r\n\r\n")
+                     .encode("utf-8"))
+    assert_loads_like_rowwise(path)
+    assert c_reader == [True]
+
+
+def test_narratives_are_read_by_csv_reader_alone(tmp_path, c_reader):
+    # a narrative may span lines; the C reader would then read such a file for nothing
+    path = write_csv(tmp_path / "d.csv", PLAIN_ROWS)
+    assert_loads_like_rowwise(path, narratives=True)
+    assert c_reader == []
+
+
+def test_short_row_goes_to_csv_reader(tmp_path, c_reader):
+    path = write_csv(tmp_path / "d.csv", PLAIN_ROWS + ["r4,c,40"])
+    result = assert_loads_like_rowwise(path)
+    assert result.records.ids.tolist()[-1] == "r4"
+    assert c_reader == [False]
+
+
+def test_whitespace_only_line_goes_to_csv_reader(tmp_path, c_reader):
+    path = write_csv(tmp_path / "d.csv", PLAIN_ROWS[:1] + ["   "] + PLAIN_ROWS[1:])
+    result = assert_loads_like_rowwise(path)
+    # the line is a record whose fields after the first are missing
+    assert [(e.row_number, e.message) for e in result.row_errors] == [
+        (3, "unparseable age ''")]
+    assert c_reader == [False]
+
+
+def test_multi_line_header_goes_to_csv_reader(tmp_path, c_reader):
+    path = write_csv(tmp_path / "d.csv", [row + ",x" for row in PLAIN_ROWS],
+                     header='id,site,age,text,cause,"note\non two lines"')
+    assert_loads_like_rowwise(path)
+    assert c_reader == []
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\r\n\n\r"], ids=["none", "newline", "blank-lines"])
+def test_empty_body_loads_no_records_and_warns_nothing(tmp_path, c_reader, body):
+    path = tmp_path / "d.csv"
+    path.write_bytes(("id,site,age,text,cause" + body).encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = ingest.load_records(path, COLUMNS, narratives=False)
+    assert caught == []
+    assert len(result.records) == 0 and result.n_rows_read == 0
+    assert c_reader == []
+
+
+def test_undecodable_byte_names_its_offset_after_the_c_reader(tmp_path, c_reader):
+    path = tmp_path / "d.csv"
+    # past the first 8 KiB chunk, which the header's reader decodes before the C reader runs
+    text = ("id,site,age,text,cause\n" + "\n".join(PLAIN_ROWS * 200) + "\n").encode("utf-8")
+    at = text.rindex(b"fever")
+    path.write_bytes(text[:at] + b"\xe9" + text[at:])      # Latin-1 e-acute
+    with pytest.raises(SchemaError) as err:
+        ingest.load_records(path, COLUMNS, narratives=False)
+    assert str(err.value) == f"{path}: byte {at} is not UTF-8 (invalid continuation byte)"
+    assert c_reader == [False]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_fifo_is_read_once_by_csv_reader(tmp_path, c_reader):
+    text = "id,site,age,text,cause\n" + "\n".join(PLAIN_ROWS) + "\n"
+    want = ingest.load_records(write_csv(tmp_path / "d.csv", PLAIN_ROWS), COLUMNS,
+                               narratives=False).records
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    got = ingest.load_records(fifo, COLUMNS, narratives=False).records
+    writer.join()
+    for name in ("ids", "sites", "ages", "narratives", "causes"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    assert c_reader == [True]       # the regular file only
+
+
+def test_quoted_cr_in_a_kept_column_goes_to_csv_reader(tmp_path, c_reader):
+    # read from a path, numpy turns a quoted \r or \r\n into \n; csv.reader keeps both
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'id,site,age,text,cause\r\n"cr\rx",a,30,"cr\rx",falls\r\n'
+                     b'"crlf\r\nx",a,40,"crlf\r\nx",falls\r\n')
+    assert assert_loads_like_rowwise(path).records.ids.tolist() == ["cr\rx", "crlf\r\nx"]
+    assert c_reader == [False]
+    full = assert_loads_like_rowwise(path, narratives=True)
+    assert full.records.narratives.tolist() == ["cr\rx", "crlf\r\nx"]
+    # a narrative that is not read cannot differ
+    path.write_bytes(b'id,site,age,text,cause\r\nr1,a,30,"cr\rx",falls\r\n'
+                     b'r2,a,40,"crlf\r\nx",falls\r\n')
+    assert assert_loads_like_rowwise(path).records.ids.tolist() == ["r1", "r2"]
+    assert c_reader == [False, True]
+
+
+def test_load_without_narratives_checks_the_binding_but_reads_no_text(tmp_path):
+    path = write_csv(tmp_path / "d.csv", PLAIN_ROWS + ["r4,a,8,child,falls"])
+    full = ingest.load_records(path, COLUMNS)
+    bare = ingest.load_records(path, COLUMNS, narratives=False)
+    assert bare.records.narratives.tolist() == [None] * 3
+    for name in ("ids", "sites", "ages", "causes"):
+        assert getattr(bare.records, name).tolist() == getattr(full.records, name).tolist()
+    assert bare.summary() == full.summary()
+    path = write_csv(tmp_path / "e.csv", ["r1,a,30,falls"], header="id,site,age,cause")
+    with pytest.raises(SchemaError, match="not in header: narrative->'text'"):
+        ingest.load_records(path, COLUMNS, narratives=False)
+
+
+@pytest.mark.parametrize("reader", ["c", "csv"])
+def test_field_longer_than_csv_field_limit_loads_intact(tmp_path, request, c_reader, reader):
+    if reader == "csv":
+        request.getfixturevalue("csv_reader_only")
+    text = "x" * 140_000            # csv.reader's default limit is 131,072 characters
+    path = write_csv(tmp_path / "d.csv", [f"r1,a,30,{text},falls", "r2,a,40,short,falls"],
+                     header="id,site,age,text,cause,note")
+    unread = ingest.load_records(path, COLUMNS, narratives=False)
+    assert unread.records.ids.tolist() == ["r1", "r2"]
+    assert c_reader == ([True] if reader == "c" else [])
+    read = ingest.load_records(path, COLUMNS)          # csv.reader, whichever the first
+    assert read.records.narratives.tolist() == [text, "short"]
 
 
 # -- column map / config -----------------------------------------------------

@@ -1,8 +1,11 @@
 """Tokenizer, corpus/vocabulary/CSR vectors, the three classifiers, and prediction ingestion."""
 
 import json
+import os
 import sys
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from multippi import textpred as tp
+from multippi import ingest, textpred as tp
 from multippi.errors import (AlignmentError, DegenerateModelError,
                              ParameterError, PredictionFormatError)
 from multippi.ingest import CAUSE_CLASSES, CLASS_OF_CODE, NO_CAUSE
@@ -639,6 +642,105 @@ def test_load_external_first_offending_row_raises(tmp_path):
     path = write_predictions(tmp_path / "s.csv", ["r0,external", "r1", "zz,x"])
     with pytest.raises(PredictionFormatError, match=r"s.csv:3: unknown predicted label ''"):
         tp.load_external_predictions(path, "drop", table)
+
+
+def load_outcome(path, table, policy="drop"):
+    """The prediction set's fields, or the error type and message, of one load."""
+    try:
+        ps = tp.load_external_predictions(path, policy, table)
+    except (AlignmentError, PredictionFormatError) as exc:
+        return type(exc).__name__, str(exc)
+    return ps.codes.tolist(), ps.order.tolist(), ps.dropped, ps.imputed
+
+
+def load_outcome_by_csv_reader(path, table, policy="drop"):
+    with mock.patch.object(ingest, "_loadtxt_columns", lambda *args: None):
+        return load_outcome(path, table, policy)
+
+
+@pytest.mark.parametrize("rows, outcome", [
+    (["r1,external", "zz,maternal", "r0,banana"],
+     ("AlignmentError", "p.csv:3: record id 'zz' not in the loaded dataset")),
+    (["r1,external", "", "r0,banana", "r1,maternal"],
+     ("PredictionFormatError", "p.csv:3: unknown predicted label 'banana'")),
+    (["r1,external", "r0,maternal", " r1 ,aids-tb"],
+     ("AlignmentError", "p.csv:4: duplicate record id 'r1'")),
+], ids=["unknown-id", "unknown-label", "duplicate-id"])
+def test_load_external_offending_row_is_named_by_either_reader(tmp_path, c_reader, rows,
+                                                                outcome):
+    path = write_predictions(tmp_path / "p.csv", rows)
+    table = id_table(["r0", "r1", "r2"])
+    got = load_outcome(path, table)
+    assert got == load_outcome_by_csv_reader(path, table)
+    assert (got[0], got[1].removeprefix(f"{tmp_path}/")) == outcome
+    assert c_reader == [True]
+
+
+@pytest.mark.parametrize("body, uses_c_reader", [
+    ("r0,external\nr1\n", [False]),                 # short row
+    ("r0,external\n   \nr1,maternal\n", [False]),   # whitespace-only line
+    ("r0,\"cr\rx\"\nr1,maternal\n", [False]),       # quoted CR in a kept column
+    ("", []),                                       # empty body
+    ("\r\n\n", []),                                 # blank lines only
+], ids=["short-row", "whitespace-line", "quoted-cr", "empty", "blank-lines"])
+def test_load_external_fallback_triggers(tmp_path, c_reader, body, uses_c_reader):
+    path = tmp_path / "p.csv"
+    path.write_bytes(("record_id,predicted_label\n" + body).encode("utf-8"))
+    table = id_table(["r0", "r1"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = load_outcome(path, table)
+    assert caught == []
+    assert c_reader == uses_c_reader
+    assert got == load_outcome_by_csv_reader(path, table)
+
+
+def test_load_external_multi_line_header_skips_the_c_reader(tmp_path, c_reader):
+    path = tmp_path / "p.csv"
+    path.write_text('record_id,predicted_label,"note\non two lines"\nr0,external,x\n',
+                    encoding="utf-8")
+    codes, order, _, _ = load_outcome(path, id_table(["r0"]))
+    assert CLASS_OF_CODE[codes].tolist() == [EXT] and order == [0]
+    assert c_reader == []
+
+
+def test_load_external_undecodable_byte_names_its_offset_after_the_c_reader(tmp_path,
+                                                                            c_reader):
+    ids = [f"r{i:04d}" for i in range(1000)]
+    text = ("record_id,predicted_label\n" + "".join(f"{rid},external\n" for rid in ids)
+            ).encode("utf-8")
+    at = text.rindex(b"external")            # past the header reader's first 8 KiB chunk
+    path = tmp_path / "p.csv"
+    path.write_bytes(text[:at] + b"\xe9" + text[at:])
+    assert load_outcome(path, id_table(ids)) == (
+        "PredictionFormatError", f"{path}: byte {at} is not UTF-8 (invalid continuation byte)")
+    assert c_reader == [False]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_load_external_fifo_is_read_once_by_csv_reader(tmp_path, c_reader):
+    fifo = tmp_path / "p.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text,
+                              args=("record_id,predicted_label\nr1,maternal\nr0,external\n",),
+                              kwargs={"encoding": "utf-8"})
+    writer.start()
+    codes, order, _, _ = load_outcome(fifo, id_table(["r0", "r1"]))
+    writer.join()
+    assert CLASS_OF_CODE[codes].tolist() == [EXT, MAT] and order == [1, 0]
+    assert c_reader == []
+
+
+@pytest.mark.parametrize("reader", ["c", "csv"])
+def test_load_external_field_longer_than_csv_field_limit(tmp_path, request, c_reader, reader):
+    if reader == "csv":
+        request.getfixturevalue("csv_reader_only")
+    note = "x" * 140_000            # csv.reader's default limit is 131,072 characters
+    path = tmp_path / "p.csv"
+    path.write_text(f"record_id,predicted_label,note\nr0,external,{note}\n", encoding="utf-8")
+    codes, _, _, _ = load_outcome(path, id_table(["r0"]))
+    assert CLASS_OF_CODE[codes].tolist() == [EXT]
+    assert c_reader == ([True] if reader == "c" else [])
 
 
 def test_prediction_set_rejects_surviving_unclassified():
