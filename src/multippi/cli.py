@@ -183,8 +183,7 @@ def cmd_predict(args, config: dict) -> int:
             train_map, _ = _resolve_columns(args.columns)
             train = ingest.load_records(args.train, train_map, delimiter=args.delimiter).records
         corpus = textpred.tokenize_corpus(train.narratives.tolist())
-        labels = ingest.CLASS_OF_CODE[train.causes].tolist()
-        model = experiment.train_predictor(corpus, labels, spec)
+        model = experiment.train_predictor(corpus, train.causes, spec)
         if train is not table:
             corpus = textpred.tokenize_corpus(table.narratives.tolist())
         predictions = textpred.predict_all(model, corpus)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import ppi, textpred
 from .errors import MultippiError, ParameterError, ShapeError
-from .ingest import (CAUSE_CLASSES, CLASS_OF_CODE, NO_CAUSE, CodClass, DataSplit,
-                     RecordTable, SplitSpec, split)
+from .ingest import (CAUSE_CLASSES, NO_CAUSE, CodClass, DataSplit, RecordTable, SplitSpec,
+                     split)
 from .textpred import PredictionSet
 
 LABELED_SUBSET_SOURCE = "held-out site only"
@@ -263,12 +263,12 @@ class SiteReport:
         return rows
 
 
-def train_predictor(corpus: textpred.Corpus, labels: list[CodClass], spec: PredictorSpec,
+def train_predictor(corpus: textpred.Corpus, labels: np.ndarray, spec: PredictorSpec,
                     rows: np.ndarray | None = None):
     """Build the vocabulary on the training rows of a tokenized corpus, and train.
 
-    ``rows`` (default: all) are the training documents, aligned with
-    ``labels``; they are vectorized with the chosen model class's ``weighting``.
+    ``rows`` (default: all) are the training documents and ``labels`` their
+    cause codes; they are vectorized with the chosen model class's ``weighting``.
     """
     vocab = textpred.build_vocabulary(corpus, min_count=spec.min_count, rows=rows)
     model_class = {"nb": textpred.NbModel, "knn": textpred.KnnModel,
@@ -374,8 +374,10 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
     (or external predictions are aligned by record id), predicts the
     held-out site, and the site's records are split into a labeled
     subset (true causes retained) and an unlabeled remainder carrying
-    only predictions.
+    only predictions. Sites run on a pool of ``threads`` threads (at least 1).
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
     if (records.causes == NO_CAUSE).any():
         raise ShapeError("run_loso needs true causes on every record")
     all_sites = loso_sites(records)
@@ -397,9 +399,9 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
             predictions = external_set.take(site_rows, site_records.ids)
         else:
             train_rows = np.flatnonzero(records.sites != site)
-            labels = CLASS_OF_CODE[records.causes[train_rows]].tolist()
             try:
-                model = train_predictor(corpus, labels, predictor_spec, train_rows)
+                model = train_predictor(corpus, records.causes[train_rows], predictor_spec,
+                                        train_rows)
             except MultippiError as exc:
                 report = SiteReport(site=site, provenance=predictor_spec.kind)
                 report.errors["training"] = f"{type(exc).__name__}: {exc}"
@@ -407,7 +409,5 @@ def run_loso(records: RecordTable, predictor_spec: PredictorSpec,
             predictions = textpred.predict_all(model, corpus, site_rows)
         return evaluate_site(site_records, predictions, inference_spec, split_seed, site)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_site, chosen))
-    return [run_site(site) for site in chosen]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run_site, chosen))

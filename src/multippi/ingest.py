@@ -116,8 +116,7 @@ ADULT_MIN_AGE = 12.0
 NO_CAUSE = -1                   # code of a record without a true cause
 _UNKNOWN_CAUSE = -2             # code of a label map_cause rejects
 
-# Indexed by cause code: the class / its value; NO_CAUSE reads None / "".
-CLASS_OF_CODE = np.array(CAUSE_CLASSES + (None,), dtype=object)
+# Indexed by cause code: the class's value; NO_CAUSE reads "".
 VALUE_OF_CODE = np.array([c.value for c in CAUSE_CLASSES] + [""], dtype=object)
 # Lowercased label -> code: fine labels, then broad class names.
 # "unclassified" is never a true cause, and "" is no cause.
@@ -372,11 +371,15 @@ def load_records(path: str | Path, column_map: ColumnMap, *, delimiter: str = ",
     within a row). Row numbers count CSV records, header = 1, blank lines
     skipped; a short row reads its missing fields as "". With
     ``narratives=False`` the narrative column must still be in the header,
-    but its values are not read: every record's narrative is None.
+    but its values are not read: every record's narrative is None. A
+    ``delimiter`` that is not one character raises ParameterError before
+    the file is opened.
 
     The load raises Python's process-wide ``csv.field_size_limit()`` to
     2**31 - 1 if it is lower, and never lowers it, so no field is too long.
     """
+    if len(delimiter) != 1:
+        raise ParameterError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     bound = {role: getattr(column_map, role) for role in ("id", "site", "age", "narrative", "cause")
              if getattr(column_map, role) is not None}

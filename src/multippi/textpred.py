@@ -20,7 +20,7 @@ its ``kind`` and its ``weighting`` (NB counts, KNN and SVM tf-idf): a
 trainer takes rows vectorized that way over the vocabulary it is given,
 and ``predict_all`` vectorizes a corpus's rows the same way. They are
 deterministic given their training data, hyperparameters, and seed; ties
-always break by the CodClass enumeration order.
+always break to the lowest cause code.
 
 KNN scores query rows in blocks sized from the training row count so
 that one float64 (block x training rows) similarity block stays near
@@ -128,8 +128,11 @@ def tokenize_corpus(texts: list[str]) -> Corpus:
     """``Corpus.from_tokens([tokenize(t) for t in texts])``, one regex pass per distinct chunk.
 
     Token ids are numbered in first-occurrence order: a repeated chunk
-    only repeats tokens its first occurrence already numbered.
+    only repeats tokens its first occurrence already numbered. A text that
+    is None (narratives loaded with ``narratives=False``): ParameterError.
     """
+    if None in texts:
+        raise ParameterError("a text is None: the narratives were not loaded")
     table: dict[str, int] = {}          # token -> global id
     known: dict[str, int] = {}          # distinct chunk -> its row in the chunk table
     chunk_ids = np.zeros(0, dtype=np.int64)     # chunk table: the rows' token ids, concatenated
@@ -239,29 +242,22 @@ def vectorize_corpus(corpus: Corpus, vocab: Vocabulary, weighting: str = "count"
     return out
 
 
-def _check_training(vectors: scipy.sparse.csr_matrix, labels: list,
-                    vocabulary: Vocabulary) -> None:
-    if vectors.shape[0] != len(labels) or not labels:
+def _check_training(vectors: scipy.sparse.csr_matrix, labels: np.ndarray,
+                    vocabulary: Vocabulary) -> np.ndarray:
+    """``labels`` as an array, once it and ``vectors`` are checked against each other."""
+    labels = np.asarray(labels)
+    if vectors.shape[0] != len(labels) or not len(labels):
         raise ParameterError("need equally many vectors and labels, at least one")
+    outside = labels[(labels < 0) | (labels >= len(CAUSE_CLASSES))]
+    if outside.size:
+        raise ParameterError("labels must be concrete cause classes, got "
+                             f"{None if outside[0] == NO_CAUSE else outside[0]}")
     if vectors.shape[1] != vocabulary.size:
         raise ParameterError(f"vectors have {vectors.shape[1]} columns, "
                              f"the vocabulary {vocabulary.size} tokens")
     if not np.all(np.isfinite(vectors.data)):
         raise ParameterError("vectors have non-finite weights")
-
-
-def _class_ids(labels: list[CodClass]) -> np.ndarray:
-    lookup = {c: i for i, c in enumerate(CAUSE_CLASSES)}
-    try:
-        return np.asarray([lookup[lab] for lab in labels], dtype=np.int64)
-    except KeyError as exc:
-        raise ParameterError(f"labels must be concrete cause classes, got {exc}") from exc
-
-
-def _present_classes(labels: list[CodClass]) -> tuple[tuple[CodClass, ...], np.ndarray]:
-    """The classes present in ``labels`` in enumeration order, and each label's index there."""
-    present, y = np.unique(_class_ids(labels), return_inverse=True)
-    return tuple(CAUSE_CLASSES[j] for j in present.tolist()), y
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def _present_classes(labels: list[CodClass]) -> tuple[tuple[CodClass, ...], np.n
 class NbModel:
     """Multinomial Naive Bayes in log space with Laplace-alpha smoothing."""
 
-    classes: tuple[CodClass, ...]
+    classes: np.ndarray                    # (C,) cause codes, ascending
     log_priors: np.ndarray                 # (C,)
     log_likelihoods: np.ndarray            # (C, V)
     alpha: float
@@ -283,28 +279,26 @@ class NbModel:
     def decision_scores(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
         return vectors @ self.log_likelihoods.T + self.log_priors
 
-    def predict_many(self, vectors: scipy.sparse.csr_matrix) -> list[CodClass]:
-        scores = self.decision_scores(vectors)
-        return [self.classes[j] for j in np.argmax(scores, axis=1)]
+    def predict_many(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
+        return self.classes[np.argmax(self.decision_scores(vectors), axis=1)]
 
 
-def train_nb(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
+def train_nb(vectors: scipy.sparse.csr_matrix, labels: np.ndarray,
              alpha: float = 1.0, *, vocabulary: Vocabulary) -> NbModel:
     """Fit multinomial NB on ``vectors`` over ``vocabulary`` (token counts, the
     model's ``weighting``); class-conditional token distributions each sum to 1."""
     if not 0 < alpha < np.inf:
         raise ParameterError(f"smoothing alpha must be finite and positive, got {alpha}")
-    _check_training(vectors, labels, vocabulary)
-    present, y = _present_classes(labels)
+    classes, y = np.unique(_check_training(vectors, labels, vocabulary), return_inverse=True)
     m = len(y)
     # class-by-document membership; the product sums each class's rows in row order
-    member = _csr_matrix((np.ones(m), (y, np.arange(m))), (len(present), m))
+    member = _csr_matrix((np.ones(m), (y, np.arange(m))), (len(classes), m))
     counts = (member @ vectors).toarray()
-    class_sizes = np.bincount(y, minlength=len(present)).astype(float)
+    class_sizes = np.bincount(y, minlength=len(classes)).astype(float)
     log_priors = np.log(class_sizes / class_sizes.sum())
     smoothed = counts + alpha
     log_lik = np.log(smoothed) - np.log(smoothed.sum(axis=1))[:, None]
-    return NbModel(classes=present, log_priors=log_priors,
+    return NbModel(classes=classes, log_priors=log_priors,
                    log_likelihoods=log_lik, alpha=alpha, vocabulary=vocabulary)
 
 
@@ -348,35 +342,32 @@ class KnnModel:
 
     Prediction is the majority label among the k most similar training
     rows. Similarity ties resolve to the lower training index, vote ties
-    to the earlier class in enumeration order; zero-norm rows score 0
-    against everything.
+    to the lowest cause code; zero-norm rows score 0 against everything.
     """
 
     vectors: scipy.sparse.csr_matrix
-    labels: tuple[CodClass, ...]
+    labels: np.ndarray                     # each training row's cause code
     k: int
     vocabulary: Vocabulary
     kind: ClassVar[str] = "knn"
     weighting: ClassVar[str] = "tfidf"
     norms: np.ndarray = field(init=False, repr=False)
-    label_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "norms", _row_norms(self.vectors))
-        object.__setattr__(self, "label_ids", _class_ids(list(self.labels)))
 
-    def predict_many(self, queries: scipy.sparse.csr_matrix) -> list[CodClass]:
+    def predict_many(self, queries: scipy.sparse.csr_matrix) -> np.ndarray:
         """Cosine similarities in cache-sized blocks of query rows, then top-k votes."""
         query_norms = _row_norms(queries)
         step = _knn_block_rows(self.vectors.shape[0])
-        out = []
+        out = np.empty(queries.shape[0], dtype=np.int64)
         for start in range(0, queries.shape[0], step):
             block = slice(start, start + step)
-            out.extend(CAUSE_CLASSES[j] for j in self._vote(queries[block], query_norms[block]))
+            out[block] = self._vote(queries[block], query_norms[block])
         return out
 
     def _vote(self, queries: scipy.sparse.csr_matrix, query_norms: np.ndarray) -> np.ndarray:
-        """Class ids predicted for one block of query rows.
+        """Cause codes predicted for one block of query rows.
 
         The block's temporaries die on return, so blocks never overlap in memory.
         """
@@ -388,17 +379,17 @@ class KnnModel:
         top = _top_k(sims, self.k)
         n_classes = len(CAUSE_CLASSES)
         votes = np.bincount((np.arange(len(top))[:, None] * n_classes
-                             + self.label_ids[top]).ravel(), minlength=len(top) * n_classes)
+                             + self.labels[top]).ravel(), minlength=len(top) * n_classes)
         return np.argmax(votes.reshape(-1, n_classes), axis=1)
 
 
-def train_knn(vectors: scipy.sparse.csr_matrix, labels: list[CodClass], k: int = 9, *,
+def train_knn(vectors: scipy.sparse.csr_matrix, labels: np.ndarray, k: int = 9, *,
               vocabulary: Vocabulary) -> KnnModel:
     """Memorize ``vectors`` over ``vocabulary`` (tf-idf, the model's ``weighting``)."""
-    _check_training(vectors, labels, vocabulary)
+    labels = _check_training(vectors, labels, vocabulary)
     if not 1 <= k <= len(labels):
         raise ParameterError(f"k must lie in [1, {len(labels)}], got {k}")
-    return KnnModel(vectors=vectors, labels=tuple(labels), k=k, vocabulary=vocabulary)
+    return KnnModel(vectors=vectors, labels=labels, k=k, vocabulary=vocabulary)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +400,7 @@ def train_knn(vectors: scipy.sparse.csr_matrix, labels: list[CodClass], k: int =
 class SvmModel:
     """One weight vector and bias per class; prediction is argmax decision."""
 
-    classes: tuple[CodClass, ...]
+    classes: np.ndarray                    # (C,) cause codes, ascending
     weights: np.ndarray                    # (C, V)
     biases: np.ndarray                     # (C,)
     c: float
@@ -422,12 +413,11 @@ class SvmModel:
     def decision_scores(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
         return vectors @ self.weights.T + self.biases
 
-    def predict_many(self, vectors: scipy.sparse.csr_matrix) -> list[CodClass]:
-        scores = self.decision_scores(vectors)
-        return [self.classes[j] for j in np.argmax(scores, axis=1)]
+    def predict_many(self, vectors: scipy.sparse.csr_matrix) -> np.ndarray:
+        return self.classes[np.argmax(self.decision_scores(vectors), axis=1)]
 
 
-def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
+def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: np.ndarray,
                   c: float = 1.0, *, epochs: int = 60, seed: int = 0,
                   vocabulary: Vocabulary) -> SvmModel:
     """Hinge-loss one-vs-rest classifiers by deterministic mini-batch subgradient steps.
@@ -446,13 +436,12 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
         raise ParameterError(f"C must be finite and positive, got {c}")
     if epochs < 1:
         raise ParameterError(f"epochs must be at least 1, got {epochs}")
-    _check_training(vectors, labels, vocabulary)
-    present, y = _present_classes(labels)
-    if len(present) < 2:
+    classes, y = np.unique(_check_training(vectors, labels, vocabulary), return_inverse=True)
+    if len(classes) < 2:
         raise DegenerateModelError(
-            f"SVM training needs at least 2 classes, got {len(present)}")
+            f"SVM training needs at least 2 classes, got {len(classes)}")
     m = len(labels)
-    n_classes = len(present)
+    n_classes = len(classes)
     signs = np.full((m, n_classes), -1.0)
     signs[np.arange(m), y] = 1.0
     lam = 1.0 / (c * m)                    # L2 strength of the mean objective
@@ -484,7 +473,7 @@ def train_svm_ovr(vectors: scipy.sparse.csr_matrix, labels: list[CodClass],
             w_avg += scale * w
             b_avg += b
     n_avg = epochs - avg_from
-    return SvmModel(classes=present, weights=np.ascontiguousarray((w_avg / n_avg).T),
+    return SvmModel(classes=classes, weights=np.ascontiguousarray((w_avg / n_avg).T),
                     biases=b_avg / n_avg, c=c, epochs=epochs, seed=seed, vocabulary=vocabulary)
 
 
@@ -623,7 +612,7 @@ def predict_all(model, corpus: Corpus, rows: np.ndarray | None = None) -> Predic
     order) from a trained bag-of-words model, vectorized with its ``weighting``."""
     predicted = model.predict_many(
         vectorize_corpus(corpus, model.vocabulary, model.weighting, rows))
-    return PredictionSet(codes=_class_ids(predicted), provenance=model.kind)
+    return PredictionSet(codes=predicted, provenance=model.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +624,7 @@ _MODEL_FORMAT = "multippi-text-model"
 def model_to_dict(model) -> dict:
     data = {"format": _MODEL_FORMAT, "version": 1, "kind": model.kind,
             "weighting": model.weighting, "vocabulary": model.vocabulary.to_dict(),
-            "classes": [c.value for c in model.classes] if hasattr(model, "classes") else None}
+            "classes": VALUE_OF_CODE[model.classes].tolist() if hasattr(model, "classes") else None}
     if model.kind == "nb":
         data.update(alpha=model.alpha,
                     log_priors=model.log_priors.tolist(),
@@ -643,7 +632,7 @@ def model_to_dict(model) -> dict:
     elif model.kind == "knn":
         x = model.vectors
         data.update(k=model.k,
-                    labels=[c.value for c in model.labels],
+                    labels=VALUE_OF_CODE[model.labels].tolist(),
                     vectors=[{"indices": x.indices[a:b].tolist(), "weights": x.data[a:b].tolist()}
                              for a, b in zip(x.indptr[:-1], x.indptr[1:])])
         data["classes"] = None

@@ -2,11 +2,24 @@
 probes of which CSV reader a load used."""
 
 import os
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+# When a hypothesis test fails, hypothesis' report hook imports this module,
+# which loads libcst where it is installed; libcst's import raises a
+# DeprecationWarning that each test's filterwarnings("error") would turn into
+# an INTERNALERROR ending the session. Imported once here, with that warning
+# ignored, the hook finds it loaded. Test bodies and fixtures keep warnings as errors.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:         # libcst absent: the hook then imports nothing that warns
+        pass
 
 settings.register_profile("ci", deadline=timedelta(milliseconds=4000))
 settings.register_profile("dev", max_examples=20)

@@ -126,6 +126,27 @@ def test_predict_without_training_causes_is_usage_error(tmp_path, data_dir, monk
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""], ids=["two-chars", "empty"])
+@pytest.mark.parametrize("command, flags", [
+    ("ingest", []),
+    ("predict", ["--predictor", "nb"]),
+    ("infer", ["--predictions", "preds.csv"]),
+    ("loso", ["--predictor", "nb"]),
+], ids=["ingest", "predict", "infer", "loso"])
+def test_delimiter_not_one_character_is_usage_error(tmp_path, data_dir, monkeypatch, capsys,
+                                                    command, flags, delimiter):
+    stage_toy(data_dir, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--input", "toy.csv", "--columns", "columns.cfg", *flags,
+            "--delimiter", delimiter, "--out", "out", "--threads", 1]
+    assert run_cli(args) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ParameterError",
+         "message": f"delimiter must be one character, got {delimiter!r}"}]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_data_error(tmp_path, data_dir, monkeypatch, capsys):
     stage_toy(data_dir, tmp_path)
     monkeypatch.chdir(tmp_path)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from multippi import experiment, mlogit, ppi, simulate, textpred
+from multippi import experiment, ingest, mlogit, ppi, simulate, textpred
 from multippi.errors import ParameterError, ShapeError
 from multippi.experiment import (ConfusionMatrix, InferenceSpec, PredictorSpec,
                                  accuracy, build_design, class_order,
                                  confusion_matrix, macro_f1, run_loso)
-from multippi.ingest import CAUSE_CLASSES, CLASS_OF_CODE, RecordTable
+from multippi.ingest import CAUSE_CLASSES, VALUE_OF_CODE, RecordTable
 
 NC, COM, EXT, MAT, ATB = CAUSE_CLASSES
 
@@ -153,7 +153,7 @@ def test_run_loso_perfect_predictor_estimators_agree(tmp_path):
     records = toy_multisite_records(n_sites=2, per_site=120, seed=3)
     pred_path = tmp_path / "perfect.csv"
     rows = ["record_id,predicted_label"] + [
-        f"{rid},{cause.value}" for rid, cause in zip(records.ids, CLASS_OF_CODE[records.causes])]
+        f"{rid},{value}" for rid, value in zip(records.ids, VALUE_OF_CODE[records.causes])]
     pred_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     reports = run_loso(records, PredictorSpec(kind="external",
                                               external_path=str(pred_path)),
@@ -180,6 +180,27 @@ def test_run_loso_training_failure_recorded():
 def test_run_loso_needs_two_sites():
     records = toy_multisite_records(n_sites=1)
     with pytest.raises(ShapeError):
+        run_loso(records, PredictorSpec(kind="nb"), InferenceSpec())
+
+
+def test_run_loso_reports_the_same_at_one_and_two_threads():
+    records = toy_multisite_records(n_sites=3)
+    spec, inference = PredictorSpec(kind="nb"), InferenceSpec(labeled_fraction=0.3, seed=5)
+    one, two = (run_loso(records, spec, inference, threads=t) for t in (1, 2))
+    assert [r.to_dict() for r in one] == [r.to_dict() for r in two]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_loso_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ParameterError, match=f"threads must be at least 1, got {threads}"):
+        run_loso(toy_multisite_records(n_sites=2), PredictorSpec(kind="nb"), InferenceSpec(),
+                 threads=threads)
+
+
+def test_run_loso_text_predictor_on_unloaded_narratives_is_parameter_error(data_dir):
+    columns = ingest.column_map_from_config(ingest.parse_config_file(data_dir / "columns.cfg"))
+    records = ingest.load_records(data_dir / "toy.csv", columns, narratives=False).records
+    with pytest.raises(ParameterError, match="narratives were not loaded"):
         run_loso(records, PredictorSpec(kind="nb"), InferenceSpec())
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from multippi import ingest
 from multippi.errors import CauseMapError, ParameterError, SchemaError, SplitError
-from multippi.ingest import (CAUSE_CLASSES, CAUSE_MAP, CLASS_OF_CODE, NO_CAUSE, CodClass,
+from multippi.ingest import (CAUSE_CLASSES, CAUSE_MAP, NO_CAUSE, CodClass,
                              ColumnMap, RecordTable, SplitSpec, map_cause, split)
 
 COLUMNS = ColumnMap(id="id", site="site", age="age", narrative="text", cause="cause")
@@ -34,7 +34,7 @@ def make_records(n, causes=None, site="a", seed=0):
 
 
 def causes_of(table):
-    return CLASS_OF_CODE[table.causes].tolist()
+    return [None if c == NO_CAUSE else CAUSE_CLASSES[c] for c in table.causes.tolist()]
 
 
 # -- cause map ---------------------------------------------------------------
