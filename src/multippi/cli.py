@@ -247,8 +247,8 @@ def cmd_loso(args, config: dict) -> int:
         if site_of.setdefault(safe, site) != site:
             raise SchemaError(f"sites {site_of[safe]!r} and {site!r} would both "
                               f"write site_{safe}.json")
-    reports = experiment.run_loso(result.records, spec, inference,
-                                  sites=sites, threads=args.threads)
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
+    reports = experiment.run_loso(result.records, spec, inference, sites=sites, threads=threads)
     out = Path(args.out)
     combined = []
     for safe, site_report in zip(site_of, reports):
@@ -337,8 +337,9 @@ def _add_io_flags(p):
 
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for the loso site pool (other commands run on one)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for the loso site pool (default: the CPU count; "
+                        "other commands run on one)")
 
 
 def _add_predictor_flags(p):

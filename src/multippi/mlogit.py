@@ -564,23 +564,9 @@ def newton_batch(objective, theta0: np.ndarray) -> tuple[np.ndarray, list[FitDia
         for r in range(n_rep)]
 
 
-def fit_mle(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, FitDiagnostics]:
-    """Maximum likelihood fit by damped Newton from theta = 0.
-
-    Every class in ``0..n_classes-1`` must appear in ``y``. Raises
-    SeparationError when coefficients pass the bound ``_COEF_BOUND`` (1e4)
-    while the loss is still decreasing (complete or quasi-complete
-    separation). ``fit_stack`` at R = 1; ``ppi`` fits stacks itself, tests
-    call this.
-    """
-    patterns = group_labeled(x, y, n_classes)
-    require_classes(patterns, n_classes)
-    theta, diagnostics = fit_stack(patterns, n_classes)
-    return theta[0], diagnostics[0]
-
-
 def require_classes(patterns: PatternStack, n_classes: int, rows: str = "data") -> None:
-    """ShapeError ``at`` the first replication missing a class under label column 0."""
+    """ShapeError ``at`` the first replication missing a class under label column 0;
+    every ``fit_stack`` caller runs it first."""
     present = patterns.class_counts(0, n_classes).sum(axis=1) > 0
     for r, row in enumerate(present):
         if not row.all():
@@ -588,10 +574,12 @@ def require_classes(patterns: PatternStack, n_classes: int, rows: str = "data") 
 
 
 def fit_stack(patterns: PatternStack, n_classes: int) -> tuple[np.ndarray, list[FitDiagnostics]]:
-    """``fit_mle`` for every replication of a stack (label column 0), as one Newton.
+    """Maximum likelihood fit of every replication of a stack (label column 0) by one
+    damped Newton from theta = 0; ``ppi.fit_classical`` is the one-dataset call.
 
     Callers check with ``require_classes`` that every class appears in every
-    replication. Raises SeparationError when some replication separates.
+    replication. Raises SeparationError when coefficients pass ``_COEF_BOUND``
+    while the loss is still decreasing (complete or quasi-complete separation).
     """
     theta0 = np.zeros((patterns.size, patterns.x.shape[2] * (n_classes - 1)))
     theta, diagnostics = newton_batch(_mean_nll(patterns, n_classes), theta0)

@@ -358,12 +358,6 @@ def rectified_hessian(theta: np.ndarray, inputs: PpiInputs, lam: float) -> np.nd
     return objective.hess(np.asarray(theta, dtype=float)[None])[0]
 
 
-def _pooled_hessian(theta: np.ndarray, inputs: _InputStack) -> np.ndarray:
-    w = 1.0 / (inputs.n_labeled + inputs.n_unlabeled)
-    return mlogit.weighted_objective(
-        [(inputs.labeled, None, w), (inputs.unlabeled, None, w)], inputs.n_classes).hess(theta)
-
-
 def _cross_cov(a: np.ndarray, b: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sample cross-covariance per replication of rows repeated ``counts`` times.
 
@@ -378,24 +372,6 @@ def _cross_cov(a: np.ndarray, b: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.matmul((ac * counts[:, :, None]).transpose(0, 2, 1), bc) / (m - 1)[:, None, None]
 
 
-def _pattern_gradients(theta: np.ndarray, inputs: _InputStack):
-    """Per-pattern gradients at ``theta`` (R, p) with the pattern counts.
-
-    Returns (true-label and predicted-label gradients on the labeled
-    patterns, their counts, predicted-label gradients on all patterns,
-    their counts).
-    """
-    k = inputs.n_classes
-    lab, unl = inputs.labeled, inputs.unlabeled
-    probs_l = mlogit.class_probs(theta, lab.x, k)
-    probs_u = mlogit.class_probs(theta, unl.x, k)
-    grads_true = lab.gradients(probs_l, 0, k)
-    grads_pred_l = lab.gradients(probs_l, 1, k)
-    pred_all = np.concatenate([grads_pred_l, unl.gradients(probs_u, 0, k)], axis=1)
-    return (grads_true, grads_pred_l, lab.counts,
-            pred_all, np.concatenate([lab.counts, unl.counts], axis=1))
-
-
 def _regularized_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric inverse of each (p, p) slice of ``h``, ridged upward as Newton's solves are.
 
@@ -406,6 +382,42 @@ def _regularized_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError("empirical Hessian could not be inverted")
     inverse, warned = solved
     return (inverse + inverse.transpose(0, 2, 1)) / 2, warned
+
+
+def _mean_hessian(theta: np.ndarray, stacks: list[PatternStack], n_classes: int):
+    """Label-free Hessian of the mean NLL over every row of ``stacks``, (R, p, p),
+    with its ``_regularized_inverse``: the triple (h, inverse, ridged)."""
+    w = 1.0 / sum(s.n_rows for s in stacks)
+    h = mlogit.weighted_objective([(s, None, w) for s in stacks], n_classes).hess(theta)
+    return (h, *_regularized_inverse(h))
+
+
+def _variance_parts(theta: np.ndarray, inputs: _InputStack):
+    """What lambda tuning and the sandwich read at ``theta``: the pooled ``_mean_hessian``
+    triple, the true- and predicted-label gradients of the labeled patterns (counted
+    by ``inputs.labeled.counts``), and the predicted-label gradients' covariance over
+    all patterns."""
+    k = inputs.n_classes
+    lab, unl = inputs.labeled, inputs.unlabeled
+    hessian = _mean_hessian(theta, [lab, unl], k)
+    probs_l = mlogit.class_probs(theta, lab.x, k)
+    grads_true = lab.gradients(probs_l, 0, k)
+    grads_pred = lab.gradients(probs_l, 1, k)
+    pred_all = np.concatenate(
+        [grads_pred, unl.gradients(mlogit.class_probs(theta, unl.x, k), 0, k)], axis=1)
+    v_pred = _cross_cov(pred_all, pred_all, np.concatenate([lab.counts, unl.counts], axis=1))
+    return hessian, grads_true, grads_pred, v_pred
+
+
+def _covariances(hessian, middle: np.ndarray, v_f: np.ndarray,
+                 v_delta: np.ndarray) -> list[CovarianceEstimate]:
+    """The symmetrized sandwich ``h^-1 middle h^-1`` of a ``_mean_hessian`` triple,
+    one ``CovarianceEstimate`` per replication."""
+    h, h_inv, warned = hessian
+    sigma = h_inv @ middle @ h_inv
+    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2
+    return [CovarianceEstimate(sigma=sigma[r], hessian=h[r], v_f=v_f[r], v_delta=v_delta[r],
+                               condition_warning=bool(warned[r])) for r in range(len(h))]
 
 
 def _fit_rectified(inputs: _InputStack, lam: np.ndarray, theta0: np.ndarray | None
@@ -419,13 +431,10 @@ def _tune_lambda(inputs: _InputStack, theta_pilot: np.ndarray) -> list[LambdaCho
     if not np.all(np.isfinite(theta_pilot)):
         raise ParameterError("pilot coefficients must be finite")
     n, big_n = inputs.n_labeled, inputs.n_unlabeled
-    h_inv, warned = _regularized_inverse(_pooled_hessian(theta_pilot, inputs))
-    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
-        _pattern_gradients(theta_pilot, inputs)
-    cross = _cross_cov(grads_true, grads_pred_l, counts_l)
+    (_, h_inv, warned), grads_true, grads_pred, v_pred = _variance_parts(theta_pilot, inputs)
+    cross = _cross_cov(grads_true, grads_pred, inputs.labeled.counts)
     numerator = np.trace(h_inv @ (cross + cross.transpose(0, 2, 1)) @ h_inv, axis1=1, axis2=2)
-    denominator = np.trace(h_inv @ _cross_cov(pred_all, pred_all, counts_all) @ h_inv,
-                           axis1=1, axis2=2)
+    denominator = np.trace(h_inv @ v_pred @ h_inv, axis1=1, axis2=2)
     denominator = denominator * (2.0 * (1.0 + n / big_n))
     choices = []
     for num, den, regularized in zip(numerator, denominator, warned):
@@ -464,32 +473,20 @@ def _fit_multippi(inputs: _InputStack, lambda_mode: float | str
 
 
 def _sandwich(theta: np.ndarray, inputs: _InputStack, lam: np.ndarray) -> list[CovarianceEstimate]:
-    n, big_n = inputs.n_labeled, inputs.n_unlabeled
-    h = _pooled_hessian(theta, inputs)
-    h_inv, warned = _regularized_inverse(h)
-    grads_true, grads_pred_l, counts_l, pred_all, counts_all = \
-        _pattern_gradients(theta, inputs)
-    v_f = (lam ** 2)[:, None, None] * _cross_cov(pred_all, pred_all, counts_all)
-    delta = grads_true - lam[:, None, None] * grads_pred_l
-    v_delta = _cross_cov(delta, delta, counts_l)
-    sigma = h_inv @ ((n / big_n)[:, None, None] * v_f + v_delta) @ h_inv
-    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2
-    return [CovarianceEstimate(sigma=sigma[r], hessian=h[r], v_f=v_f[r], v_delta=v_delta[r],
-                               condition_warning=bool(warned[r])) for r in range(inputs.size)]
+    hessian, grads_true, grads_pred, v_pred = _variance_parts(theta, inputs)
+    v_f = (lam ** 2)[:, None, None] * v_pred
+    delta = grads_true - lam[:, None, None] * grads_pred
+    v_delta = _cross_cov(delta, delta, inputs.labeled.counts)
+    middle = (inputs.n_labeled / inputs.n_unlabeled)[:, None, None] * v_f + v_delta
+    return _covariances(hessian, middle, v_f, v_delta)
 
 
 def _classical_covariance(theta: np.ndarray, patterns: PatternStack,
                           n_classes: int) -> list[CovarianceEstimate]:
-    h = mlogit.weighted_objective(
-        [(patterns, None, 1.0 / patterns.n_rows)], n_classes).hess(theta)
-    h_inv, warned = _regularized_inverse(h)
+    hessian = _mean_hessian(theta, [patterns], n_classes)
     grads = patterns.gradients(mlogit.class_probs(theta, patterns.x, n_classes), 0, n_classes)
     v = _cross_cov(grads, grads, patterns.counts)
-    sigma = h_inv @ v @ h_inv
-    sigma = (sigma + sigma.transpose(0, 2, 1)) / 2
-    return [CovarianceEstimate(sigma=sigma[r], hessian=h[r], v_f=np.zeros_like(v[r]),
-                               v_delta=v[r], condition_warning=bool(warned[r]))
-            for r in range(patterns.size)]
+    return _covariances(hessian, v, np.zeros_like(v), v)
 
 
 def z_quantile(alpha: float) -> float:
@@ -606,9 +603,10 @@ def _classical_reports(patterns: PatternStack, n_classes: int, alpha: float, est
                        n_labeled: np.ndarray | None = None) -> list[InferenceReport]:
     """Labeled-only MLE and classical sandwich for every replication of a stack.
 
-    Intervals use each replication's row count; ``n_labeled`` (default:
-    all rows) is each report's labeled count.
+    Each needs d(K-1)+1 rows. Intervals use each replication's row count;
+    ``n_labeled`` (default: all rows) is each report's labeled count.
     """
+    _check_rows(patterns.n_rows, patterns.x.shape[2], n_classes)
     mlogit.require_classes(patterns, n_classes)
     theta, diagnostics = mlogit.fit_stack(patterns, n_classes)
     total = patterns.n_rows
@@ -636,9 +634,8 @@ def fit_classical(x: np.ndarray, y: np.ndarray, n_classes: int, alpha: float = 0
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError("design matrix must be 2-d")
-    _check_rows([x.shape[0]], x.shape[1], n_classes)
-    patterns = mlogit.group_labeled(x, y, n_classes)
-    return _classical_reports(patterns, n_classes, alpha, estimator)[0]
+    return _classical_reports(mlogit.group_labeled(x, y, n_classes), n_classes, alpha,
+                              estimator)[0]
 
 
 def fit_naive(inputs: PpiInputs, alpha: float = 0.05) -> InferenceReport:
@@ -700,13 +697,8 @@ def fit_estimators_many(inputs: list[PpiInputs], lambda_mode: float | str = "tun
     """
     stack = _InputStack.of(inputs)
     k = stack.n_classes
-
-    def classical(s: _InputStack) -> list[InferenceReport]:
-        _check_rows(s.n_labeled, s.labeled.x.shape[2], k)
-        return _classical_reports(s.classical, k, alpha, "classical")
-
     runs = {
-        "classical": classical,
+        "classical": lambda s: _classical_reports(s.classical, k, alpha, "classical"),
         "naive": lambda s: _classical_reports(s.naive, k, alpha, "naive", n_labeled=s.n_labeled),
         "multippi": lambda s: _multippi_reports(s, lambda_mode, alpha),
     }

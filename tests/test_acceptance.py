@@ -53,13 +53,13 @@ def test_criterion_2_solver_oracle_equivalence():
     worst_irls = 0.0
     for _ in range(10):
         x, y, _ = oracles.make_instance(rng, 2, 3, 120)
-        theta, _ = mlogit.fit_mle(x, y, 2)
+        theta = ppi.fit_classical(x, y, 2).theta
         worst_irls = max(worst_irls,
                          float(np.max(np.abs(theta - oracles.irls_binary(x, y)))))
     worst_generic = 0.0
     for _ in range(10):
         x, y, _ = oracles.make_instance(rng, 3, 2, 120)
-        theta, _ = mlogit.fit_mle(x, y, 3)
+        theta = ppi.fit_classical(x, y, 3).theta
         reference = oracles.minimize_softmax_nll(x, y, 3)
         worst_generic = max(worst_generic, float(np.max(np.abs(theta - reference))))
     criterion(2, "solver oracle equivalence",
@@ -77,13 +77,13 @@ def test_criterion_3_estimator_identities():
     noisy = ppi.PpiInputs(data.x_labeled, data.y_labeled, yhat_l,
                           data.x_unlabeled, yhat_u, 3)
     fit0 = ppi.fit_multippi_report(noisy, 0.0)
-    theta_classical, _ = mlogit.fit_mle(data.x_labeled, data.y_labeled, 3)
+    theta_classical = ppi.fit_classical(data.x_labeled, data.y_labeled, 3).theta
     gap0 = float(np.max(np.abs(fit0.theta - theta_classical)))
 
     perfect = ppi.PpiInputs(data.x_labeled, data.y_labeled, data.y_labeled,
                             data.x_unlabeled, data.y_unlabeled, 3)
     fit1 = ppi.fit_multippi_report(perfect, 1.0)
-    theta_unlabeled, _ = mlogit.fit_mle(data.x_unlabeled, data.y_unlabeled, 3)
+    theta_unlabeled = ppi.fit_classical(data.x_unlabeled, data.y_unlabeled, 3).theta
     gap1 = float(np.max(np.abs(fit1.theta - theta_unlabeled)))
     criterion(3, "estimator identities", gap0 < 1e-8 and gap1 < 1e-8,
               f"lambda=0 vs classical gap {gap0:.2e}; lambda=1 perfect-prediction "

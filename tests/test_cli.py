@@ -381,7 +381,8 @@ def test_infer_rejects_bad_options_before_fitting(tmp_path, monkeypatch, capsys,
     (["--alpha", 1.5], "", "alpha must lie in (0, 1), got 1.5"),
     (["--labeled-fraction", 1.5], "", "labeled_fraction must lie in (0, 1), got 1.5"),
     ([], "split = by-site\n", "unknown split strategy 'by-site'"),
-], ids=["lambda", "alpha", "labeled-fraction", "split"])
+    (["--threads", 0], "", "threads must be at least 1, got 0"),
+], ids=["lambda", "alpha", "labeled-fraction", "split", "threads"])
 def test_loso_rejects_bad_options_before_any_site(tmp_path, monkeypatch, capsys, predictor,
                                                   flags, config, message):
     monkeypatch.chdir(tmp_path)
@@ -603,6 +604,21 @@ def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
     csv_a = (tmp_path / "sim_a" / "coverage.csv").read_text()
     csv_b = (tmp_path / "sim_b" / "coverage.csv").read_text()
     assert csv_a.replace("sim_a", "sim_x") == csv_b.replace("sim_b", "sim_x")
+
+
+def test_simulate_outputs_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # --threads left unset is recorded as null, not as the host's CPU count
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for cpus in (3, 5):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert run_cli(["simulate", "--out", "sim", "--reps", 100, "--n", 80,
+                        "--unlabeled", 240, "--seed", 4, "--dump-reps"]) == 0
+        outputs.append({path.name: path.read_bytes() for path in (tmp_path / "sim").iterdir()})
+        shutil.rmtree(tmp_path / "sim")
+    assert sorted(outputs[0]) == ["coverage.csv", "coverage.json", "replications.csv"]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]["coverage.json"])["run_config"]["threads"] is None
 
 
 SYNTH_COLUMNS = "id = id\nsite = site\nage = age\nnarrative = open_text\ncause = cause\n"

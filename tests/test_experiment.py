@@ -360,7 +360,7 @@ def lambda_sweep(inputs, grid):
 def test_lambda_sweep_zero_grid_matches_classical():
     inputs = sweep_inputs()
     reports = lambda_sweep(inputs, [0.0])
-    theta_classical, _ = mlogit.fit_mle(inputs.x_labeled, inputs.y_labeled, 3)
+    theta_classical = ppi.fit_classical(inputs.x_labeled, inputs.y_labeled, 3).theta
     assert np.max(np.abs(reports[0].theta - theta_classical)) < 1e-10
 
 

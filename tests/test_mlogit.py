@@ -88,7 +88,8 @@ def test_nll_rejects_unlabeled_rows():
 def test_grad_zero_at_mle():
     rng = np.random.default_rng(4)
     x, y, _ = oracles.make_instance(rng, 3, 2, 80)
-    theta, diag = mlogit.fit_mle(x, y, 3)
+    fit = ppi.fit_classical(x, y, 3)
+    theta, diag = fit.theta, fit.diagnostics
     assert np.max(np.abs(mlogit.nll_grad(theta, x, y, 3))) <= 1e-8
     assert diag.converged
 
@@ -136,7 +137,8 @@ def test_hess_matches_finite_differences():
 
 def test_fit_mle_intercept_only_closed_form():
     y = np.array([0] * 10 + [1] * 10 + [2] * 20)
-    theta, diag = mlogit.fit_mle(np.ones((40, 1)), y, 3)
+    fit = ppi.fit_classical(np.ones((40, 1)), y, 3)
+    theta, diag = fit.theta, fit.diagnostics
     assert theta == pytest.approx([0.0, np.log(2.0)], abs=1e-6)
     assert diag.converged and diag.gradient_norm <= 1e-8
 
@@ -144,21 +146,21 @@ def test_fit_mle_intercept_only_closed_form():
 def test_fit_mle_matches_irls_binary():
     rng = np.random.default_rng(8)
     x, y, _ = oracles.make_instance(rng, 2, 3, 120)
-    theta, _ = mlogit.fit_mle(x, y, 2)
+    theta = ppi.fit_classical(x, y, 2).theta
     assert np.max(np.abs(theta - oracles.irls_binary(x, y))) < 1e-6
 
 
 def test_fit_mle_matches_generic_minimizer():
     rng = np.random.default_rng(9)
     x, y, _ = oracles.make_instance(rng, 3, 2, 60)
-    theta, _ = mlogit.fit_mle(x, y, 3)
+    theta = ppi.fit_classical(x, y, 3).theta
     assert np.max(np.abs(theta - oracles.minimize_softmax_nll(x, y, 3))) < 1e-6
 
 
 def test_fit_mle_class_absent():
     x = np.ones((6, 1))
     with pytest.raises(ShapeError, match="absent"):
-        mlogit.fit_mle(x, np.array([0, 0, 1, 1, 1, 0]), 3)
+        ppi.fit_classical(x, np.array([0, 0, 1, 1, 1, 0]), 3)
 
 
 def test_fit_mle_detects_separation_hairline_margin():
@@ -167,7 +169,7 @@ def test_fit_mle_detects_separation_hairline_margin():
     x = np.column_stack([np.ones(40), x2])
     y = (x2 > 0).astype(np.int64)
     with pytest.raises(SeparationError):
-        mlogit.fit_mle(x, y, 2)
+        ppi.fit_classical(x, y, 2)
 
 
 def test_fit_mle_separation_bound_configurable(monkeypatch):
@@ -176,7 +178,7 @@ def test_fit_mle_separation_bound_configurable(monkeypatch):
     y = (x2 > 0).astype(np.int64)
     monkeypatch.setattr(mlogit, "_COEF_BOUND", 10.0)
     with pytest.raises(SeparationError):
-        mlogit.fit_mle(x, y, 2)
+        ppi.fit_classical(x, y, 2)
 
 
 @given(st.integers(0, 10_000), st.floats(0.05, 0.95))
@@ -194,10 +196,10 @@ def test_nll_convex_along_segments(seed, t):
 def test_covariate_rescaling_inverse_coefficients():
     rng = np.random.default_rng(11)
     x, y, _ = oracles.make_instance(rng, 3, 2, 150)
-    theta, _ = mlogit.fit_mle(x, y, 3)
+    theta = ppi.fit_classical(x, y, 3).theta
     scaled = x.copy()
     scaled[:, 1] *= 2.5
-    theta_scaled, _ = mlogit.fit_mle(scaled, y, 3)
+    theta_scaled = ppi.fit_classical(scaled, y, 3).theta
     # slope entries shrink by the scale factor, intercepts unchanged
     assert theta_scaled[1] * 2.5 == pytest.approx(theta[1], abs=1e-7)
     assert theta_scaled[3] * 2.5 == pytest.approx(theta[3], abs=1e-7)
@@ -211,7 +213,8 @@ def test_newton_diagnostics_max_iterations(monkeypatch):
     x, y, _ = oracles.make_instance(rng, 3, 2, 60)
     monkeypatch.setattr(mlogit, "_MAX_ITERATIONS", 1)
     monkeypatch.setattr(mlogit, "_GRAD_TOL", 1e-14)
-    theta, diag = mlogit.fit_mle(x, y, 3)
+    fit = ppi.fit_classical(x, y, 3)
+    theta, diag = fit.theta, fit.diagnostics
     assert not diag.converged
     assert diag.status == "max_iterations"
 

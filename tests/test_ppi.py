@@ -79,7 +79,7 @@ def test_fit_multippi_lambda0_equals_classical():
     rng = np.random.default_rng(4)
     inputs, _, _ = make_inputs(rng, noise=simulate.NoiseModel.uniform(3))
     fit = ppi.fit_multippi_report(inputs, 0.0)
-    theta_classical, _ = mlogit.fit_mle(inputs.x_labeled, inputs.y_labeled, 3)
+    theta_classical = ppi.fit_classical(inputs.x_labeled, inputs.y_labeled, 3).theta
     assert np.max(np.abs(fit.theta - theta_classical)) < 1e-8
     assert fit.lambda_choice.mode == "fixed"
 
@@ -88,7 +88,7 @@ def test_fit_multippi_lambda1_perfect_predictions_equals_unlabeled_mle():
     rng = np.random.default_rng(5)
     inputs, _, _ = make_inputs(rng)
     fit = ppi.fit_multippi_report(inputs, 1.0)
-    theta_u, _ = mlogit.fit_mle(inputs.x_unlabeled, inputs.yhat_unlabeled, 3)
+    theta_u = ppi.fit_classical(inputs.x_unlabeled, inputs.yhat_unlabeled, 3).theta
     assert np.max(np.abs(fit.theta - theta_u)) < 1e-8
 
 
@@ -134,7 +134,7 @@ def test_multippi_closer_to_truth_than_naive():
         fit = ppi.fit_multippi_report(inputs, "tuned")
         x_all = np.vstack([inputs.x_labeled, inputs.x_unlabeled])
         yhat_all = np.concatenate([yhat_l, yhat_u])
-        theta_naive, _ = mlogit.fit_mle(x_all, yhat_all, 3)
+        theta_naive = ppi.fit_classical(x_all, yhat_all, 3).theta
         wins += (np.linalg.norm(theta_naive - theta_star)
                  > np.linalg.norm(fit.theta - theta_star))
     assert wins / reps >= 0.95
@@ -334,6 +334,36 @@ def test_fit_classical_needs_enough_rows():
     x[:, 1] = [0.0, 1.0, 2.0, 3.0]
     with pytest.raises(ShapeError):
         ppi.fit_classical(x, np.array([0, 1, 2, 0]), 3)
+
+
+def row_rule_probe():
+    """4 rows for K = 3, d = 2: one short of the 5 a classical-type fit needs."""
+    x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    return ppi.PpiInputs(x[:2], [0, 1], [0, 1], x[2:], [2, 1], 3)
+
+
+def test_fit_naive_needs_enough_rows():
+    with pytest.raises(ShapeError, match="^need at least 5 rows for inference, got 4$"):
+        ppi.fit_naive(row_rule_probe())
+
+
+def test_many_calls_give_a_set_with_too_few_rows_the_naive_row_error():
+    rng = np.random.default_rng(13)
+    sets = [make_inputs(rng)[0], row_rule_probe(), make_inputs(rng)[0]]
+    fitted = ppi.fit_estimators_many(sets)
+    naive = fitted[1]["naive"]
+    assert isinstance(naive, ShapeError)
+    assert str(naive) == "need at least 5 rows for inference, got 4"
+    for r in (0, 2):
+        i = sets[r]
+        single = {"classical": ppi.fit_classical(i.x_labeled, i.y_labeled, 3),
+                  "naive": ppi.fit_naive(i), "multippi": ppi.fit_multippi_report(i)}
+        assert list(fitted[r]) == list(single)
+        for tag, report in single.items():
+            assert np.array_equal(fitted[r][tag].theta, report.theta), tag
+            assert np.array_equal(fitted[r][tag].se, report.se), tag
+            assert fitted[r][tag].lambda_choice == report.lambda_choice, tag
+            assert fitted[r][tag].warnings == report.warnings, tag
 
 
 def test_labeled_subset_wider_than_full_data():

@@ -22,7 +22,6 @@ UNCALLED_BY_DESIGN = {
     "mlogit.nll_grad": "criteria 1-2 test the package's own kernel through it",
     "mlogit.nll_hess": "criteria 1-2 test the package's own kernel through it",
     "mlogit.per_row_grads": "criteria 1-2 test the package's own kernel through it",
-    "mlogit.fit_mle": "criteria 1-2 reference fit of one labeled dataset",
     "ppi.fit_naive": "README library API: the naive fit of one PpiInputs",
     "ppi.fit_multippi_report": "README library API: the multippi fit of one PpiInputs",
     "ppi.rectified_loss": "library API in docs/math.md; the exact lambda = 0 / 1 identity tests",
