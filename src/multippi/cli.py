@@ -210,17 +210,15 @@ def cmd_predict(args, config: dict) -> int:
 def cmd_infer(args, config: dict) -> int:
     inference = _inference_spec(args)     # a bad option fails before any loading or fitting
     table = _load(args, narratives=False).records
-    labeled = table.causes != ingest.NO_CAUSE
-    if not labeled.all():
-        table = table.take(np.flatnonzero(labeled))
-    if not len(table):
+    if (table.causes == ingest.NO_CAUSE).all():
         raise ParameterError("infer needs records with true causes (bind a cause column)")
+    # predict writes a prediction for every record, so align against all of them
     predictions = textpred.load_external_predictions(args.predictions,
                                                      args.unclassified_policy, table)
-    predicted = predictions.codes != ingest.NO_CAUSE
-    usable = table if predicted.all() else table.take(np.flatnonzero(predicted))
-    data_split, _, reports = experiment.fit_reports(usable, predictions.codes[predicted],
-                                                    inference, inference.seed)
+    usable = (table.causes != ingest.NO_CAUSE) & (predictions.codes != ingest.NO_CAUSE)
+    data_split, _, reports = experiment.fit_reports(
+        table if usable.all() else table.take(np.flatnonzero(usable)),
+        predictions.codes[usable], inference, inference.seed)
     for report in reports.values():
         if isinstance(report, MultippiError):
             raise report

@@ -21,11 +21,9 @@ counts of their distinct patterns. ``group_rows`` collapses each dataset
 once, into a one-replication ``PatternStack`` (regrouped patterns give the
 same table), and ``weighted_objective`` evaluates value, gradient and
 Hessian from one pass of class probabilities per block of distinct design
-rows (see ``docs/math.md``, "Grouped form").
-The public ``nll``, ``nll_grad``, ``nll_hess`` and ``per_row_grads`` run
-the same kernel; only tests call them, as the reference for the fits. Sums
-run in pattern order rather than row order, so results agree with a
-row-by-row evaluation to about 1e-12 relative; their last bits may differ.
+rows (see ``docs/math.md``, "Grouped form"). Sums run in pattern order
+rather than row order, so results agree with a row-by-row evaluation to
+about 1e-12 relative; their last bits may differ.
 
 Replication axis
 ----------------
@@ -147,20 +145,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _check_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_matrix(x)
-    y = np.asarray(y)
-    if y.shape[0] != x.shape[0]:
-        raise ShapeError(f"{x.shape[0]} rows but {y.shape[0]} labels")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ShapeError("labels must be integer class indices (unlabeled rows are not allowed)")
-    if y.size == 0:
-        raise ShapeError("no rows")
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ShapeError(f"labels must lie in [0, {n_classes})")
-    return x, y
-
-
 def group_rows(x: np.ndarray, *labels: np.ndarray) -> "PatternStack":
     """Collapse rows to their distinct (x, labels...) patterns, as a one-replication stack.
 
@@ -193,7 +177,17 @@ def _group(x: np.ndarray, lab: np.ndarray, weights: np.ndarray) -> "PatternStack
 
 def group_labeled(x: np.ndarray, y: np.ndarray, n_classes: int) -> "PatternStack":
     """Validate labeled rows and collapse them to (x, y) patterns."""
-    return group_rows(*_check_labeled(x, y, n_classes))
+    x = _as_matrix(x)
+    y = np.asarray(y)
+    if y.shape[0] != x.shape[0]:
+        raise ShapeError(f"{x.shape[0]} rows but {y.shape[0]} labels")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ShapeError("labels must be integer class indices (unlabeled rows are not allowed)")
+    if y.size == 0:
+        raise ShapeError("no rows")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ShapeError(f"labels must lie in [0, {n_classes})")
+    return group_rows(x, y)
 
 
 @dataclass(frozen=True)
@@ -404,29 +398,8 @@ def _mean_nll(patterns: PatternStack, n_classes: int, column: int | None = 0) ->
     return weighted_objective([(patterns, column, 1.0 / patterns.n_rows)], n_classes)
 
 
-def nll(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> float:
-    """Mean negative log likelihood over labeled rows."""
-    theta = np.asarray(theta, dtype=float)[None]
-    return float(_mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[0][0])
-
-
-def per_row_grads(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Per-row gradients (probs - onehot(y)) (x) x, shape (n, d*(K-1)): one pattern per row."""
-    x, y = _check_labeled(x, y, n_classes)
-    ones = np.ones((1, len(y)), dtype=np.intp)
-    stack = PatternStack(x[None], ones, np.arange(len(y))[None], y[None, :, None], ones)
-    probs = class_probs(np.asarray(theta, dtype=float)[None], stack.x, n_classes)
-    return stack.gradients(probs, 0, n_classes)[0]
-
-
-def nll_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Gradient of nll, block layout matching theta."""
-    theta = np.asarray(theta, dtype=float)[None]
-    return _mean_nll(group_labeled(x, y, n_classes), n_classes).value_and_grad(theta)[1][0]
-
-
 def nll_hess(theta: np.ndarray, x: np.ndarray, n_classes: int) -> np.ndarray:
-    """Hessian of nll; label-free.
+    """Hessian of the mean negative log likelihood of rows ``x``; label-free.
 
     Per row the (K-1, K-1) curvature is diag(p) - p p^T, and the full
     Hessian is the mean of its Kronecker product with x x^T.

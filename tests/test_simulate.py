@@ -17,6 +17,10 @@ PARTIAL_FAILURE_SPEC = dict(theta_star=np.array([1.0, 0.2, -2.2, 0.2]), n_labele
 # raises SeparationError and must be split to find the replications at fault.
 SEPARATING_SPEC = dict(theta_star=np.array([-4.0, 30.0, -4.0, -30.0]), n_labeled=60,
                        n_unlabeled=200, n_classes=3, n_features=2, seed=11)
+# Intercept only: every row repeats one design row, so the replications of a
+# stack differ in their pattern counts and are padded.
+REPEATED_ROW_SPEC = dict(theta_star=np.array([0.5, -0.5]), n_labeled=30, n_unlabeled=60,
+                         n_classes=3, n_features=1, seed=7)
 
 
 def report_json(report):
@@ -204,6 +208,23 @@ def test_coverage_report_invariant_to_chunk_size(monkeypatch):
         chunked = run()
         assert report_json(chunked) == report_json(default), chunk
         assert chunked.replication_rows == default.replication_rows, chunk
+    # chunks of 7 on patterns that padding extends
+    monkeypatch.undo()
+    spec, noise = simulate.SyntheticSpec(**REPEATED_ROW_SPEC), simulate.NoiseModel.identity(3)
+    default = simulate.coverage_experiment(spec, noise, reps=100, keep_replications=True)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    chunked = simulate.coverage_experiment(spec, noise, reps=100, keep_replications=True)
+    assert report_json(chunked) == report_json(default)
+    assert chunked.replication_rows == default.replication_rows
+
+
+def test_replications_do_not_depend_on_the_replication_count():
+    # cut at every 32nd, 129 replications would leave a chunk of one, fitted unpadded
+    spec, noise = simulate.SyntheticSpec(**REPEATED_ROW_SPEC), simulate.NoiseModel.identity(3)
+    short, long = (simulate.coverage_experiment(spec, noise, reps=reps, keep_replications=True)
+                   for reps in (129, 160))
+    assert short.replication_rows == tuple(row for row in long.replication_rows
+                                           if row["rep"] < 129)
 
 
 def assert_same_replication(batched, single):

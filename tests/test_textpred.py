@@ -32,9 +32,10 @@ def vectors_of(texts, vocab, weighting="count"):
     return tp.vectorize_corpus(tp.tokenize_corpus(texts), vocab, weighting)
 
 
-def vec(tokens, vocab, weighting="count"):
-    """One token list as a one-row CSR matrix over the vocabulary."""
-    return tp.vectorize_corpus(tp.Corpus.from_tokens([tokens]), vocab, weighting)
+def tokens_of(text):
+    """One text's tokens, in order."""
+    corpus = tp.tokenize_corpus([text])
+    return [corpus.tokens[i] for i in corpus.ids]
 
 
 def make_vocab(width):
@@ -66,22 +67,22 @@ def knn_predict(train, query, k):
 # -- tokenize ----------------------------------------------------------------
 
 def test_tokenize_whitespace():
-    assert tp.tokenize("the deceased had been burnt") == \
+    assert tokens_of("the deceased had been burnt") == \
         ["the", "deceased", "had", "been", "burnt"]
 
 
 def test_tokenize_punctuation_and_decimals():
-    assert tp.tokenize("died within 1.5 hours!") == ["died", "within", "1.5", "hours"]
+    assert tokens_of("died within 1.5 hours!") == ["died", "within", "1.5", "hours"]
 
 
 def test_tokenize_empty():
-    assert tp.tokenize("") == []
+    assert tokens_of("") == []
 
 
 @given(st.text(max_size=200))
 @settings(max_examples=60)
 def test_tokenize_properties(text):
-    tokens = tp.tokenize(text)
+    tokens = tokens_of(text)
     for tok in tokens:
         assert tok == tok.lower()
         assert tok.strip()
@@ -149,7 +150,7 @@ def test_tokenize_corpus_peak_memory_below_per_document_reference():
 # -- corpus / vocabulary / vectorize -------------------------------------------
 
 def test_corpus_from_tokens_counts_and_ids():
-    corpus = tp.Corpus.from_tokens([["b", "a", "b"], [], ["c", "a"]])
+    corpus = tp.tokenize_corpus(["b a b", "", "c a"])
     assert corpus.tokens == ("b", "a", "c")
     assert corpus.ids.tolist() == [0, 1, 0, 2, 1]
     assert corpus.offsets.tolist() == [0, 3, 3, 5]
@@ -157,25 +158,25 @@ def test_corpus_from_tokens_counts_and_ids():
 
 
 def test_build_vocabulary_first_occurrence_order():
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["b", "c"]]), 1)
+    vocab = vocab_of(["a b", "b c"])
     assert vocab.index == {"a": 0, "b": 1, "c": 2}
     assert vocab.total_tokens_raw == 4 and vocab.total_tokens_kept == 4
 
 
 def test_build_vocabulary_min_count():
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["b", "c"]]), 2)
+    vocab = vocab_of(["a b", "b c"], 2)
     assert vocab.index == {"b": 0}
     assert vocab.total_tokens_kept == 2
 
 
 def test_build_vocabulary_reports_totals():
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["x", "x", "y"], ["y", "z"]]), 2)
+    vocab = vocab_of(["x x y", "y z"], 2)
     assert vocab.total_tokens_raw == 5
     assert vocab.total_tokens_kept == 4          # x twice + y twice
 
 
 def test_build_vocabulary_counts_only_given_rows_in_their_order():
-    corpus = tp.Corpus.from_tokens([["a", "b"], ["c"], ["d", "c", "b"]])
+    corpus = tp.tokenize_corpus(["a b", "c", "d c b"])
     vocab = tp.build_vocabulary(corpus, 1, rows=np.array([2, 1]))
     assert vocab.index == {"d": 0, "c": 1, "b": 2}
     assert vocab.doc_freq.tolist() == [1, 2, 1] and vocab.n_docs == 2
@@ -185,34 +186,34 @@ def test_build_vocabulary_counts_only_given_rows_in_their_order():
 
 def test_build_vocabulary_errors():
     with pytest.raises(ParameterError):
-        tp.build_vocabulary(tp.Corpus.from_tokens([]), 1)
+        vocab_of([])
     with pytest.raises(ParameterError):
-        tp.build_vocabulary(tp.Corpus.from_tokens([["a"], ["b"]]), 5)
+        vocab_of(["a", "b"], 5)
 
 
 def test_vectorize_counts():
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["b", "c"]]), 1)
-    row = vec(["b", "b", "c"], vocab, "count")
+    vocab = vocab_of(["a b", "b c"])
+    row = vectors_of(["b b c"], vocab, "count")
     assert row.indices.tolist() == [1, 2]
     assert row.data.tolist() == [2.0, 1.0]
 
 
 def test_vectorize_out_of_vocabulary_empty():
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a"]]), 1)
-    row = vec(["q", "r"], vocab, "count")
+    vocab = vocab_of(["a"])
+    row = vectors_of(["q r"], vocab, "count")
     assert row.nnz == 0 and row.shape == (1, 1)
 
 
 def test_vectorize_unknown_weighting():
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a"]]), 1)
+    vocab = vocab_of(["a"])
     with pytest.raises(ParameterError):
-        vec(["a"], vocab, "binary")
+        vectors_of(["a"], vocab, "binary")
 
 
 def test_vectorize_tfidf_hand_computed():
     # three documents: a appears in all, b in one, c in one
-    vocab = tp.build_vocabulary(tp.Corpus.from_tokens([["a", "b"], ["a", "c"], ["a"]]), 1)
-    row = vec(["a", "a", "b"], vocab, "tfidf")
+    vocab = vocab_of(["a b", "a c", "a"])
+    row = vectors_of(["a a b"], vocab, "tfidf")
     # token in every document: log((1+3)/(1+3)) = 0, weight = tf * 1
     idf_a = np.log(4.0 / 4.0) + 1.0
     idf_b = np.log(4.0 / 2.0) + 1.0
@@ -230,7 +231,7 @@ _DOCS = st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), min_size=1, m
 @settings(max_examples=80, deadline=None)
 def test_tokenize_once_matches_rowwise_reference(docs, held_out, min_count, weighting, data):
     # the corpus is tokenized once; training rows are any subset, in any order
-    corpus = tp.Corpus.from_tokens(docs + held_out)
+    corpus = tp.tokenize_corpus([" ".join(doc) for doc in docs + held_out])
     train = data.draw(st.permutations(range(len(docs))).flatmap(
         lambda p: st.integers(1, len(p)).map(lambda n: list(p[:n]))))
     train_docs = [docs[i] for i in train]
@@ -260,7 +261,7 @@ def test_nb_single_class_always_predicted():
     vocab = vocab_of(["fever cough", "fever chills"])
     vectors = vectors_of(["fever cough", "fever chills"], vocab)
     model = tp.train_nb(vectors, [COM, COM], vocabulary=vocab)
-    assert model.predict_many(vec(["anything"], vocab)).tolist() == [COM]
+    assert model.predict_many(vectors_of(["anything"], vocab)).tolist() == [COM]
 
 
 def test_nb_hand_computed_two_class():
